@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -139,22 +140,33 @@ class RunConfig:
 
 # -- config file + flag merging ------------------------------------------
 
-_LIST_KEYS = {"targets", "algorithms", "formats"}
-_INT_KEYS = {"random_targets", "k", "seed", "max_iterations", "m_cap", "perf_targets"}
-_FLOAT_KEYS = {"epsilon", "weight", "residual_target", "sketch_constant"}
-_STR_KEYS = {"graph_path", "generate", "solver_mode", "out"}
 
-# accepted spellings in config files, normalized to RunConfig field names
-_KEY_ALIASES = {
-    "graph": "graph_path",
-    "target": "targets",
-    "algo": "algorithms",
-    "format": "formats",
-}
+def _field_kind(hint) -> tuple[bool, type]:
+    """(comma-separated list?, element type) of one RunConfig annotation:
+    tuple[T, ...] is a list of T, and T | None reads as T."""
+    args = [a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)]
+    return typing.get_origin(hint) is tuple, args[0] if args else hint
+
+
+_FIELD_KINDS = {name: _field_kind(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
+def _config_key_spellings() -> dict[str, str]:
+    """Accepted config-file keys: every RunConfig field name, plus each
+    command-line flag spelling of it (dashes read as underscores)."""
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_shared_flags(parser)
+    spellings = {name: name for name in _FIELD_KINDS}
+    for action in parser._actions:
+        if action.dest in _FIELD_KINDS:
+            for flag in action.option_strings:
+                spellings[flag.lstrip("-").replace("-", "_")] = action.dest
+    return spellings
 
 
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment; blank lines ignored."""
+    spellings = _config_key_spellings()
     values: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -165,26 +177,20 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        key = _KEY_ALIASES.get(key, key)
-        if key not in _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
+        if key not in spellings:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        values[spellings[key]] = value.strip()
     return values
 
 
 def _coerce(key: str, value: str):
+    is_list, kind = _FIELD_KINDS[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "targets":
-            return tuple(int(t) for t in value.split(",") if t.strip() != "")
-        if key in _LIST_KEYS:
-            return tuple(t.strip() for t in value.split(",") if t.strip() != "")
+        if is_list:
+            return tuple(kind(t.strip()) for t in value.split(",") if t.strip() != "")
+        return kind(value)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 def build_config(file_values: dict[str, str], overrides: dict) -> RunConfig:
@@ -195,7 +201,7 @@ def build_config(file_values: dict[str, str], overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is None or value == [] or value == ():
             continue
-        merged[key] = tuple(value) if key in _LIST_KEYS else value
+        merged[key] = tuple(value) if _FIELD_KINDS[key][0] else value
     config = RunConfig(**merged)
     config.validate()
     return config
@@ -291,10 +297,6 @@ def run_algorithm(
     algo: str, g: Graph, v: int, k: int, config: RunConfig
 ) -> GreedyTrace:
     candidates = default_candidates(g, v, config.weight)
-    if k > len(candidates):
-        raise ConfigError(
-            f"target {v}: k={k} exceeds the {len(candidates)} available candidate edges"
-        )
     if algo == "exact":
         return exact_sm(g, v, candidates, k)
     if algo == "approx":
@@ -399,17 +401,13 @@ def _deviation_flags(config: RunConfig, report_traces) -> list[str]:
                 f"resistance sketch uses constant {config.sketch_constant} instead of 24; "
                 "the sketch accuracy guarantee is voided"
             )
-    for per_algo in report_traces.values():
-        for trace in per_algo.values():
-            if trace.value_mode != "exact":
-                flags.append(
-                    "per-step resistance values in at least one approx trace are "
-                    "solver estimates, not exact recomputations"
-                )
-                break
-        else:
-            continue
-        break
+    if any(
+        trace.value_mode != "exact" for per_algo in report_traces.values() for trace in per_algo.values()
+    ):
+        flags.append(
+            "per-step resistance values in at least one approx trace are "
+            "solver estimates, not exact recomputations"
+        )
     return flags
 
 
@@ -623,18 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "graph_path", "generate", "targets", "random_targets", "k", "algorithms",
-    "epsilon", "weight", "seed", "solver_mode", "residual_target",
-    "max_iterations", "m_cap", "sketch_constant", "out", "formats", "perf_targets",
-)
-
-
 def _config_from_args(args: argparse.Namespace, default_algorithms: tuple[str, ...]) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    if overrides.get("targets"):
-        overrides["targets"] = tuple(overrides["targets"])
+    overrides = {key: getattr(args, key, None) for key in _FIELD_KINDS}
     merged_has_algos = bool(file_values.get("algorithms")) or bool(overrides.get("algorithms"))
     config = build_config(file_values, {k: v for k, v in overrides.items() if v is not None})
     if not merged_has_algos:

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,17 +24,6 @@ _WS_MAX_RETRIES = 64
 
 class ParseError(ValueError):
     """Unreadable or malformed edge-list input."""
-
-
-class EdgeVector(NamedTuple):
-    """Oriented node pair standing for the signed indicator e_head - e_tail.
-
-    The orientation is fixed per edge but irrelevant to every consumer:
-    the vector only ever appears in quadratic forms where the sign cancels.
-    """
-
-    head: int
-    tail: int
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +26,8 @@ from .graphs import Graph, is_connected
 from .linalg import (
     SolverSpec,
     _cg_multi,
+    _project_out_mean,
+    _rademacher_block_solve,
     approx_eff_res,
     build_laplacian,
     make_preconditioner,
@@ -34,13 +36,12 @@ from .linalg import (
     solver_tolerance,
 )
 from .centrality import rank_all_by_centrality
-from .rand import child_seed, rademacher, seeded_rng
+from .rand import child_seed, seeded_rng
 
 # Above this size approxi_sm stops maintaining a dense pseudoinverse for
 # trace values and chains estimated resistances instead.
 EXACT_TRACE_LIMIT = 2000
 
-_VREFF_BLOCK = 256
 _BRUTE_FORCE_GUARD = 1_000_000
 
 VALUES_EXACT = "exact"
@@ -194,6 +195,38 @@ def _trace_values(p: np.ndarray, v: int) -> tuple[float, float]:
     return r, n / r
 
 
+def _dense_trace(
+    g: Graph,
+    v: int,
+    rounds: int,
+    pick: Callable[[np.ndarray, int], tuple[CandidateEdge, float | None]],
+    algorithm: str,
+    seed: int,
+) -> GreedyTrace:
+    """The exact-valued insertion loop every dense optimizer shares.
+
+    One dense pseudoinverse up front; each round asks pick(p, round) for the
+    candidate to insert and its reported gain, applies the rank-1 update and
+    records the exact R_v and I_v. A gain of None reports the realized drop
+    in R_v.
+    """
+    p = pseudoinverse(build_laplacian(g))
+    r0, i0 = _trace_values(p, v)
+    r_prev = r0
+    steps: list[TraceStep] = []
+    times: list[float] = []
+    for round_idx in range(rounds):
+        started = time.perf_counter()
+        chosen, gain = pick(p, round_idx)
+        p = sherman_morrison_update(p, (chosen.other, v), chosen.weight)
+        r, i = _trace_values(p, v)
+        times.append(time.perf_counter() - started)
+        edge = (min(chosen.other, v), max(chosen.other, v))
+        steps.append(TraceStep(edge, chosen.weight, r_prev - r if gain is None else gain, r, i))
+        r_prev = r
+    return GreedyTrace(algorithm, v, seed, r0, i0, tuple(steps), tuple(times))
+
+
 def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> GreedyTrace:
     """Exact greedy: k rounds of best-marginal-gain selection.
 
@@ -203,21 +236,13 @@ def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> G
     within a (1 - 1/e) factor of the optimal resistance reduction.
     """
     live = _check_candidates(g, v, candidates, k)
-    p = pseudoinverse(build_laplacian(g))
-    r0, i0 = _trace_values(p, v)
-    steps: list[TraceStep] = []
-    times: list[float] = []
-    for _ in range(k):
-        started = time.perf_counter()
+
+    def pick(p: np.ndarray, _round: int) -> tuple[CandidateEdge, float]:
         gains = _exact_gains(p, v, live)
         best = int(np.argmax(gains))
-        chosen = live.pop(best)
-        p = sherman_morrison_update(p, (chosen.other, v), chosen.weight)
-        r, i = _trace_values(p, v)
-        times.append(time.perf_counter() - started)
-        edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, float(gains[best]), r, i))
-    return GreedyTrace("exact", v, 0, r0, i0, tuple(steps), tuple(times))
+        return live.pop(best), float(gains[best])
+
+    return _dense_trace(g, v, k, pick, "exact", 0)
 
 
 class VReffResult(NamedTuple):
@@ -254,21 +279,10 @@ def _vreff_comp_full(
 
     # (1/M) sum_i (b_e^T y_i)^2 accumulated blockwise; same stream also
     # feeds the z_i^T y_i trace estimate used for the resistance chain.
-    rng = seeded_rng(spec.seed, 10)
-    t_sums = np.zeros(len(candidates), dtype=np.float64)
-    trace_sum = 0.0
-    produced = 0
-    while produced < m_used:
-        width = min(_VREFF_BLOCK, m_used - produced)
-        z = rademacher(rng, (n, width))
-        rhs = z - z.mean(axis=0, keepdims=True)
-        y = _cg_multi(lap, rhs, tol1, spec.max_iterations, pre=pre)
-        y -= y.mean(axis=0, keepdims=True)
-        trace_sum += float(np.einsum("ij,ij->", z, y))
-        if len(candidates):
-            diff = y[others, :] - y[[v], :]
-            t_sums += np.einsum("ij,ij->i", diff, diff)
-        produced += width
+    t_sums, trace_sum = _rademacher_block_solve(
+        lap, seeded_rng(spec.seed, 10), (n, m_used), _project_out_mean,
+        tol1, spec.max_iterations, pre, others, np.array([v]), trace=True,
+    )
 
     e_v = np.zeros(n, dtype=np.float64)
     e_v[v] = 1.0
@@ -338,7 +352,6 @@ def approxi_sm(
     *,
     m_cap: int | None = None,
     sketch_constant: float = 24.0,
-    exact_trace_limit: int = EXACT_TRACE_LIMIT,
 ) -> GreedyTrace:
     """Approximate greedy: k rounds of estimated-gain selection.
 
@@ -347,7 +360,7 @@ def approxi_sm(
     convention) and inserts the argmax. Per-round randomness is split off
     the spec seed, so the whole run is reproducible from (inputs, seed).
 
-    Trace values: up to exact_trace_limit nodes the per-step R_v is exact
+    Trace values: up to EXACT_TRACE_LIMIT nodes the per-step R_v is exact
     (dense rank-1 updates); beyond that the trace chains the estimator's own
     resistance values and is marked "estimated".
     """
@@ -358,63 +371,46 @@ def approxi_sm(
     if not is_connected(g):
         raise ValueError("approximate greedy requires a connected graph")
 
-    exact_values = g.n <= exact_trace_limit
-    p = pseudoinverse(build_laplacian(g)) if exact_values else None
-    if exact_values:
-        r0, i0 = _trace_values(p, v)
-    elif k == 0:
-        probe = _vreff_comp_full(
-            g, v, [], 3.0 * epsilon, replace(spec, seed=child_seed(spec.seed, 20, 0)),
-            m_cap=m_cap, sketch_constant=sketch_constant,
+    def estimate(working: Graph, cands: list[CandidateEdge], round_idx: int) -> VReffResult:
+        round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
+        return _vreff_comp_full(
+            working, v, cands, 3.0 * epsilon, round_spec, m_cap=m_cap, sketch_constant=sketch_constant
         )
-        r0 = probe.resistance_estimate
-        i0 = g.n / r0
-    else:
-        r0 = i0 = math.nan  # filled from the first round's estimate
 
     working = g
+
+    def pick(round_idx: int) -> tuple[CandidateEdge, float, float]:
+        """Insert the round's estimated-best candidate into the working graph;
+        returns it, its estimated gain and the round's R_v estimate."""
+        nonlocal working
+        result = estimate(working, live, round_idx)
+        gains = np.array([ge.gain for ge in result.gains], dtype=np.float64)
+        best = int(np.argmax(gains))
+        chosen = live.pop(best)
+        working = working.with_edges([(chosen.other, v, chosen.weight)])
+        return chosen, float(gains[best]), result.resistance_estimate
+
+    if g.n <= EXACT_TRACE_LIMIT:
+        return _dense_trace(g, v, k, lambda _p, round_idx: pick(round_idx)[:2], "approx", spec.seed)
+
+    # with no round to run, r0 still comes from round 0's estimator stream;
+    # its R_v estimate does not depend on the candidates, so none are scored
+    r0 = estimate(g, [], 0).resistance_estimate if k == 0 else math.nan
     r_prev = r0
     steps: list[TraceStep] = []
     times: list[float] = []
     for round_idx in range(k):
         started = time.perf_counter()
-        round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
-        result = _vreff_comp_full(
-            working,
-            v,
-            live,
-            3.0 * epsilon,
-            round_spec,
-            m_cap=m_cap,
-            sketch_constant=sketch_constant,
-        )
-        if round_idx == 0 and not exact_values:
-            r_prev = result.resistance_estimate
-            r0 = result.resistance_estimate
-            i0 = g.n / r0
-        gains = np.array([ge.gain for ge in result.gains], dtype=np.float64)
-        best = int(np.argmax(gains))
-        chosen = live.pop(best)
-        working = working.with_edges([(chosen.other, v, chosen.weight)])
-        if exact_values:
-            p = sherman_morrison_update(p, (chosen.other, v), chosen.weight)
-            r, i = _trace_values(p, v)
-        else:
-            r = min(r_prev - float(gains[best]), r_prev)
-            i = g.n / r
+        chosen, gain, resistance_estimate = pick(round_idx)
+        if round_idx == 0:
+            r0 = r_prev = resistance_estimate
+        r = min(r_prev - gain, r_prev)
         times.append(time.perf_counter() - started)
         edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, float(gains[best]), r, i))
+        steps.append(TraceStep(edge, chosen.weight, gain, r, g.n / r))
         r_prev = r
     return GreedyTrace(
-        "approx",
-        v,
-        spec.seed,
-        r0,
-        i0,
-        tuple(steps),
-        tuple(times),
-        value_mode=VALUES_EXACT if exact_values else VALUES_ESTIMATED,
+        "approx", v, spec.seed, r0, g.n / r0, tuple(steps), tuple(times), value_mode=VALUES_ESTIMATED
     )
 
 
@@ -458,20 +454,7 @@ def insertion_trace(
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
     with exact per-step values."""
-    p = pseudoinverse(build_laplacian(g))
-    r_prev, i0 = _trace_values(p, v)
-    r0 = r_prev
-    steps: list[TraceStep] = []
-    times: list[float] = []
-    for chosen in picked:
-        started = time.perf_counter()
-        p = sherman_morrison_update(p, (chosen.other, v), chosen.weight)
-        r, i = _trace_values(p, v)
-        times.append(time.perf_counter() - started)
-        edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, r_prev - r, r, i))
-        r_prev = r
-    return GreedyTrace(algorithm, v, seed, r0, i0, tuple(steps), tuple(times))
+    return _dense_trace(g, v, len(picked), lambda _p, round_idx: (picked[round_idx], None), algorithm, seed)
 
 
 def brute_force_optimum(

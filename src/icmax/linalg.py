@@ -93,12 +93,6 @@ def build_laplacian(g: Graph) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
-def _laplacian_component_count(lap: sparse.csr_matrix) -> int:
-    off = lap.copy().tolil()
-    off.setdiag(0.0)
-    return int(connected_components(abs(off.tocsr()), directed=False, return_labels=False))
-
-
 def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:
     """Dense Moore-Penrose pseudoinverse, exact via (L + J/n)^-1 - J/n.
 
@@ -111,7 +105,8 @@ def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:
             f"dense pseudoinverse refused for n={n} > {DENSE_NODE_LIMIT}; "
             "use the solver/estimator path instead"
         )
-    if _laplacian_component_count(lap) != 1:
+    # L's sparsity pattern is the graph plus self-loops, which keep components
+    if connected_components(lap, directed=False, return_labels=False) != 1:
         raise ValueError("pseudoinverse requires a connected graph")
     shifted = lap.toarray() + 1.0 / n
     factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
@@ -272,6 +267,45 @@ def hutchinson_sample_count(epsilon: float, delta: float, rank: int) -> int:
     return math.ceil(24.0 * epsilon**-2 * math.log(2.0 * rank / delta))
 
 
+def _rademacher_block_solve(
+    lap: sparse.csr_matrix,
+    rng: np.random.Generator,
+    shape: tuple[int, int],
+    to_rhs: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_iterations: int,
+    pre,
+    us: np.ndarray,
+    vs: np.ndarray,
+    *,
+    trace: bool = False,
+) -> tuple[np.ndarray, float]:
+    """Solve L y = to_rhs(z) for a Rademacher z of the given (rows, count)
+    shape, drawn and solved _CG_BLOCK columns at a time; to_rhs must return
+    zero-sum columns. Returns sum_j (y[u, j] - y[v, j])^2 for each u, v in
+    zip(us, vs) (a single v broadcasts) and, with trace set, the Hutchinson
+    sum_j z_j^T y_j, after projecting each y block onto the zero-sum subspace.
+    """
+    rows, count = shape
+    sq_dists = np.zeros(len(us), dtype=np.float64)
+    trace_sum = 0.0
+    produced = 0
+    while produced < count:
+        width = min(_CG_BLOCK, count - produced)
+        z = rademacher(rng, (rows, width))
+        # rhs stays named and y is centred in place: freeing either early lets
+        # malloc trim the heap, and at n=1000 page faults more than doubled
+        rhs = to_rhs(z)
+        y = _cg_multi(lap, rhs, tol, max_iterations, pre=pre)
+        if trace:
+            y -= y.mean(axis=0, keepdims=True)
+            trace_sum += float(np.einsum("ij,ij->", z, y))
+        diff = y[us, :] - y[vs, :]
+        sq_dists += np.einsum("ij,ij->i", diff, diff)
+        produced += width
+    return sq_dists, trace_sum
+
+
 def _signed_incidence_transpose(g: Graph) -> sparse.csr_matrix:
     """n x m matrix whose column for edge (u, v, w) is sqrt(w) (e_u - e_v)."""
     us, vs, ws = g.edge_arrays
@@ -317,21 +351,14 @@ def approx_eff_res(
     tol = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
     inc_t = _signed_incidence_transpose(g)
     q = math.ceil(sketch_constant * math.log(n) / epsilon**2)
-    rng = seeded_rng(seed, 4)
-
-    estimates = np.zeros(len(pairs), dtype=np.float64)
-    produced = 0
     scale = 1.0 / math.sqrt(q)
     us = np.array([u for u, _ in pairs], dtype=np.int64)
     vs = np.array([v for _, v in pairs], dtype=np.int64)
-    while produced < q:
-        width = min(_CG_BLOCK, q - produced)
-        block = rademacher(rng, (g.m, width)) * scale
-        rhs = inc_t @ block  # columns are in range(L), hence zero-sum
-        sketch = _cg_multi(lap, rhs, tol, spec.max_iterations, pre=pre)
-        diff = sketch[us, :] - sketch[vs, :]
-        estimates += np.einsum("ij,ij->i", diff, diff)
-        produced += width
+    # columns of inc_t @ block are in range(L), hence zero-sum
+    estimates, _ = _rademacher_block_solve(
+        lap, seeded_rng(seed, 4), (g.m, q), lambda block: inc_t @ (block * scale),
+        tol, spec.max_iterations, pre, us, vs,
+    )
     return {pair: float(est) for pair, est in zip(pairs, estimates)}
 
 

@@ -2,6 +2,7 @@
 agreement between the three independent evaluation routes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from icmax.centrality import (
     rank_all_by_centrality,
     resistance_pair,
 )
-from icmax.graphs import Graph
+from icmax.graphs import Graph, load_edge_list
+from icmax.greedy import default_candidates, exact_sm
 from icmax.linalg import build_laplacian, pseudoinverse, sherman_morrison_update
 
 from conftest import complete_graph, path_graph, random_connected_graph, star_graph
@@ -97,6 +99,26 @@ def test_information_centrality_closed_forms(p2, p3, k3, star4):
     assert information_centrality(k3, 1).value == pytest.approx(2.25, abs=1e-12)
     assert information_centrality(star4, 0).value == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert information_centrality(star4, 2).value == pytest.approx(0.8, abs=1e-12)
+
+
+def test_information_centrality_matches_networkx_on_karate():
+    nx = pytest.importorskip("networkx")
+
+    def nx_centrality(graph: Graph) -> dict[int, float]:
+        """n times networkx's information centrality, which is 1 / R_v."""
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(graph.n))
+        nxg.add_weighted_edges_from(graph.edges)
+        return {u: graph.n * c for u, c in nx.information_centrality(nxg, weight="weight").items()}
+
+    g, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    reference = nx_centrality(g)
+    for v in range(g.n):
+        assert information_centrality(g, v).value == pytest.approx(reference[v], rel=1e-12)
+    for v in (0, 11, 33):
+        trace = exact_sm(g, v, default_candidates(g, v), 3)
+        augmented = g.with_edges([(a, b, 1.0) for a, b in trace.edges])
+        assert trace.final_centrality == pytest.approx(nx_centrality(augmented)[v], rel=1e-12)
 
 
 def test_information_centrality_single_node_undefined():

@@ -1,6 +1,7 @@
 """Harness behaviour end to end: config parsing and precedence, the three
 subcommands, output artifacts, determinism, and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +13,9 @@ import pytest
 from icmax.cli import (
     ConfigError,
     RunConfig,
+    _config_from_args,
     build_config,
+    build_parser,
     cmd_compare_perf,
     cmd_optimize,
     main,
@@ -79,6 +82,54 @@ def test_build_config_precedence(tmp_path):
 def test_build_config_bad_value():
     with pytest.raises(ConfigError, match="bad value"):
         build_config({"k": "two"}, {})
+
+
+def _field_samples(tmp_path) -> dict[str, tuple[list[str], str]]:
+    """A non-default value for every RunConfig field, as command-line tokens
+    and as the config-file text."""
+    other_graph = str(write_path4(tmp_path, name="other.txt"))
+    out = str(tmp_path / "elsewhere")
+    return {
+        "graph_path": (["--graph", other_graph], other_graph),
+        "generate": (["--generate", "ws 10 2 0.1"], "ws 10 2 0.1"),
+        "targets": (["--target", "0", "--target", "2"], "0,2"),
+        "random_targets": (["--random-targets", "2"], "2"),
+        "k": (["--k", "2"], "2"),
+        "algorithms": (["--algo", "exact", "--algo", "oracle"], "exact, oracle"),
+        "epsilon": (["--epsilon", "0.2"], "0.2"),
+        "weight": (["--weight", "2.5"], "2.5"),
+        "seed": (["--seed", "5"], "5"),
+        "solver_mode": (["--solver-mode", "paper-literal"], "paper-literal"),
+        "residual_target": (["--residual-target", "1e-6"], "1e-6"),
+        "max_iterations": (["--max-iterations", "100"], "100"),
+        "m_cap": (["--m-cap", "8"], "8"),
+        "sketch_constant": (["--sketch-constant", "2.0"], "2.0"),
+        "out": (["--out", out], out),
+        "formats": (["--format", "json"], "json"),
+        "perf_targets": (["--perf-targets", "3"], "3"),
+    }
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_config_file_field_matches_flag(tmp_path, name):
+    flag_tokens, file_value = _field_samples(tmp_path)[name]
+    # the rest of a valid run, unless the field under test supplies that part
+    base = []
+    if name not in ("graph_path", "generate"):
+        base += ["--graph", str(write_path4(tmp_path))]
+    if name not in ("targets", "random_targets"):
+        base += ["--target", "0"]
+    parser = build_parser()
+
+    def config(argv):
+        return _config_from_args(parser.parse_args(["optimize", *base, *argv]), ("exact",))
+
+    from_flag = config(flag_tokens)
+    assert getattr(from_flag, name) != getattr(RunConfig(), name)
+    for key in (name, flag_tokens[0].lstrip("-")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {file_value}\n", encoding="utf-8")
+        assert config(["--config", str(cfg)]) == from_flag, key
 
 
 def test_config_validation(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icmax import greedy
 from icmax.centrality import marginal_gain_exact, node_resistance_grounded
 from icmax.graphs import Graph
 from icmax.greedy import (
@@ -311,11 +312,10 @@ def test_approxi_sm_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_approxi_sm_estimated_mode():
+def test_approxi_sm_estimated_mode(monkeypatch):
+    monkeypatch.setattr(greedy, "EXACT_TRACE_LIMIT", 2)
     g = path_graph(6)
-    trace = approxi_sm(
-        g, 0, default_candidates(g, 0), 2, 0.2, SolverSpec(seed=13), exact_trace_limit=2
-    )
+    trace = approxi_sm(g, 0, default_candidates(g, 0), 2, 0.2, SolverSpec(seed=13))
     assert trace.value_mode == VALUES_ESTIMATED
     assert math.isfinite(trace.initial_resistance)
     resistances = [trace.initial_resistance] + [s.resistance for s in trace.steps]
@@ -326,11 +326,10 @@ def test_approxi_sm_estimated_mode():
     )
 
 
-def test_approxi_sm_estimated_mode_k_zero():
+def test_approxi_sm_estimated_mode_k_zero(monkeypatch):
+    monkeypatch.setattr(greedy, "EXACT_TRACE_LIMIT", 2)
     g = path_graph(6)
-    trace = approxi_sm(
-        g, 0, default_candidates(g, 0), 0, 0.2, SolverSpec(seed=13), exact_trace_limit=2
-    )
+    trace = approxi_sm(g, 0, default_candidates(g, 0), 0, 0.2, SolverSpec(seed=13))
     assert trace.steps == ()
     assert trace.value_mode == VALUES_ESTIMATED
     assert trace.final_resistance == pytest.approx(
