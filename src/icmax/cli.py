@@ -375,6 +375,8 @@ class RunReport:
         }
 
     def timings_payload(self) -> dict:
+        """Wall-clock seconds: per (target, algorithm), per algorithm, and
+        per greedy step of every trace."""
         ids = self.id_map
         per_target = {
             str(int(ids[t])): {algo: secs for algo, secs in per_algo.items()}
@@ -384,7 +386,11 @@ class RunReport:
         for per_algo in self.wall_seconds.values():
             for algo, secs in per_algo.items():
                 totals[algo] = totals.get(algo, 0.0) + secs
-        return {"seconds_per_target": per_target, "seconds_total": totals}
+        per_step = {
+            str(int(ids[t])): {algo: list(trace.step_seconds) for algo, trace in per_algo.items()}
+            for t, per_algo in self.traces.items()
+        }
+        return {"seconds_per_target": per_target, "seconds_total": totals, "step_seconds": per_step}
 
 
 def _deviation_flags(config: RunConfig, report_traces) -> list[str]:

@@ -24,13 +24,13 @@ import scipy.linalg
 
 from .graphs import Graph, is_connected
 from .linalg import (
+    GroundedFactor,
     SolverSpec,
-    _cg_multi,
     _project_out_mean,
     _rademacher_block_solve,
+    _verified_solve,
     approx_eff_res,
     build_laplacian,
-    make_preconditioner,
     pseudoinverse,
     sherman_morrison_update,
     solver_tolerance,
@@ -264,10 +264,16 @@ def _vreff_comp_full(
     *,
     m_cap: int | None = None,
     sketch_constant: float = 24.0,
+    factor: GroundedFactor | None = None,
 ) -> VReffResult:
+    """One round of estimates on g. factor, a GroundedFactor of g's
+    Laplacian at v, serves every solve of the round; without one the round
+    factors its own, and falls back to Jacobi CG if that fails."""
     n = g.n
     lap = build_laplacian(g)
-    pre = make_preconditioner(lap)  # shared by every solve this round
+    if factor is None:
+        factor = GroundedFactor.build(lap, v)
+    pre = None if factor is None else factor.solve
     tol1 = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
     tol2 = solver_tolerance(spec, epsilon, n, g.w_max, power=9)
 
@@ -287,7 +293,7 @@ def _vreff_comp_full(
     e_v = np.zeros(n, dtype=np.float64)
     e_v[v] = 1.0
     rhs = (e_v - e_v.mean())[:, None]
-    x = _cg_multi(lap, rhs, tol2, spec.max_iterations, pre=pre)[:, 0]
+    x = _verified_solve(lap, rhs, tol2, spec.max_iterations, pre)[:, 0]
     x -= x.mean()
 
     resistance_estimate = float(n * x[v] + trace_sum / m_used)
@@ -360,6 +366,11 @@ def approxi_sm(
     convention) and inserts the argmax. Per-round randomness is split off
     the spec seed, so the whole run is reproducible from (inputs, seed).
 
+    Solves: the Laplacian grounded at v is factored once; each inserted
+    edge only changes its diagonal at the new neighbour, which the factor
+    absorbs by a Woodbury update. Every solve is verified against the
+    working graph's Laplacian.
+
     Trace values: up to EXACT_TRACE_LIMIT nodes the per-step R_v is exact
     (dense rank-1 updates); beyond that the trace chains the estimator's own
     resistance values and is marked "estimated".
@@ -370,11 +381,13 @@ def approxi_sm(
     live = _check_candidates(g, v, candidates, k)
     if not is_connected(g):
         raise ValueError("approximate greedy requires a connected graph")
+    factor = GroundedFactor.build(build_laplacian(g), v)
 
     def estimate(working: Graph, cands: list[CandidateEdge], round_idx: int) -> VReffResult:
         round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
         return _vreff_comp_full(
-            working, v, cands, 3.0 * epsilon, round_spec, m_cap=m_cap, sketch_constant=sketch_constant
+            working, v, cands, 3.0 * epsilon, round_spec,
+            m_cap=m_cap, sketch_constant=sketch_constant, factor=factor,
         )
 
     working = g
@@ -388,6 +401,8 @@ def approxi_sm(
         best = int(np.argmax(gains))
         chosen = live.pop(best)
         working = working.with_edges([(chosen.other, v, chosen.weight)])
+        if factor is not None:
+            factor.add(chosen.other, chosen.weight)
         return chosen, float(gains[best]), result.resistance_estimate
 
     if g.n <= EXACT_TRACE_LIMIT:

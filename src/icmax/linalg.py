@@ -1,9 +1,12 @@
 """Laplacian linear algebra.
 
-Dense pseudoinverse via the (L + J/n) factorization, a conjugate-gradient
-solver with a relative-residual contract, Rademacher trace estimation,
-sketch-based effective-resistance estimates, and the rank-1 pseudoinverse
-update after inserting one edge.
+Dense pseudoinverse via the (L + J/n) factorization; a sparse factor of the
+Laplacian grounded at one node, kept across edge insertions at that node by
+Woodbury updates; verified solves that apply the factor directly and check
+the relative residual of every column, re-solving failures with
+conjugate gradients; Rademacher trace estimation, sketch-based
+effective-resistance estimates, and the rank-1 pseudoinverse update after
+inserting one edge.
 
 The dense path is exact and O(n^3); it refuses graphs beyond
 DENSE_NODE_LIMIT nodes and larger instances must go through the solver and
@@ -19,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.linalg import blas
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import Graph
@@ -32,11 +36,11 @@ PAPER_LITERAL = "paper-literal"
 # Floor for the literal tolerance formulas, which underflow even at modest n.
 _TOLERANCE_FLOOR = 1e-14
 
-_CG_BLOCK = 256
+_BLOCK = 256
 
 
 class SolverConvergenceError(RuntimeError):
-    """CG hit the iteration cap before reaching the residual target."""
+    """A solve hit CG's iteration cap before reaching the residual target."""
 
     def __init__(self, target: float, achieved: float, iterations: int):
         self.target = target
@@ -50,7 +54,7 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """How tight to run the iterative solver and where its randomness comes from.
+    """How tight to solve Laplacian systems and where the randomness comes from.
 
     mode selects the estimator-accuracy-to-tolerance mapping (see
     solver_tolerance); residual_target is the relative-residual stopping rule
@@ -119,29 +123,85 @@ def _project_out_mean(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=0, keepdims=True)
 
 
-def make_preconditioner(lap: sparse.csr_matrix):
-    """Sparse-LU preconditioner for CG on one Laplacian, reusable across calls.
+class GroundedFactor:
+    """Inverse of a connected graph's Laplacian grounded at node v.
 
-    Factors the grounded system (node 0 removed) once; applying it gives a
-    near-exact inverse on the zero-sum subspace, so CG typically verifies
-    the residual contract within a couple of iterations. Returns None when
-    the factorization is unavailable (callers fall back to Jacobi).
+    Factors A = L with v's row and column removed once, as a sparse LU with
+    a symmetric minimum-degree ordering (A is SPD). Inserting an edge
+    (u, v, w) only adds w to A's diagonal at u, so add() keeps the factor
+    and applies the change by Woodbury: with U the added diagonal positions,
+    D their weights, W = A^-1 U and capacitance C = D^-1 + U^T W,
+    (A + U D U^T)^-1 r = A^-1 r - W C^-1 (A^-1 r)[U].
     """
-    n = lap.shape[0]
-    if n < 2:
-        return None
-    grounded = lap[1:, :][:, 1:].tocsc()
-    try:
-        lu = sparse.linalg.splu(grounded)
-    except (RuntimeError, MemoryError):
-        return None
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        out[1:, :] = lu.solve(r[1:, :])
-        return _project_out_mean(out)
+    def __init__(self, lap: sparse.csr_matrix, v: int):
+        n = lap.shape[0]
+        if not (0 <= v < n and n >= 2):
+            raise ValueError(f"cannot ground node {v} of a {n}-node Laplacian")
+        keep = np.arange(n) != v
+        grounded = lap[keep, :][:, keep].tocsc()
+        self.n = n
+        self.v = v
+        self._lu = sparse.linalg.splu(
+            grounded, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+        )
+        self._rows = np.zeros(0, dtype=np.int64)  # grounded index of each update
+        self._inv_weights = np.zeros(0)
+        self._w = np.zeros((n - 1, 0))
+        self._cap = None
 
-    return apply
+    @classmethod
+    def build(cls, lap: sparse.csr_matrix, v: int) -> "GroundedFactor | None":
+        """The factor, or None when it is unavailable (callers fall back to
+        Jacobi CG). Every factorization of the package goes through here."""
+        if lap.shape[0] < 2:
+            return None
+        try:
+            return cls(lap, v)
+        except (RuntimeError, MemoryError):
+            return None
+
+    def add(self, u: int, w: float) -> None:
+        """Account for a new edge (u, v) of weight w."""
+        if u == self.v or not 0 <= u < self.n:
+            raise ValueError(f"edge ({u}, {self.v}) is not a new edge at the grounded node")
+        if w <= 0.0:
+            raise ValueError("edge weight must be positive")
+        row = u - (u > self.v)
+        unit = np.zeros((self.n - 1, 1))
+        unit[row] = 1.0
+        # Fortran order, like the solves it updates in place
+        self._w = np.asfortranarray(np.hstack([self._w, self._lu.solve(unit)]))
+        self._rows = np.append(self._rows, row)
+        self._inv_weights = np.append(self._inv_weights, 1.0 / w)
+        cap = self._w[self._rows, :] + np.diag(self._inv_weights)
+        self._cap = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """pinv(L') r for an n x k block r of zero-sum columns, where L' is
+        the factored Laplacian plus every added edge: the grounded solution,
+        zero at v, with its column means removed."""
+        v = self.v
+        y = self._lu.solve(np.delete(r, v, axis=0))
+        if self._rows.size:
+            coef = scipy.linalg.cho_solve(self._cap, y[self._rows], check_finite=False)
+            y = blas.dgemm(-1.0, self._w, coef, 1.0, y, overwrite_c=True)  # y -= W coef
+        out = np.empty_like(r)
+        out[:v] = y[:v]
+        out[v] = 0.0
+        out[v + 1 :] = y[v:]
+        out -= out.mean(axis=0, keepdims=True)
+        return out
+
+
+def make_preconditioner(lap: sparse.csr_matrix):
+    """The solve of a GroundedFactor at node 0, or None when unavailable.
+
+    On the zero-sum subspace it is the exact inverse up to roundoff, so a
+    verified solve usually accepts its answer without CG iterations.
+    """
+    factor = GroundedFactor.build(lap, 0)
+    return None if factor is None else factor.solve
 
 
 def _cg_multi(
@@ -165,10 +225,8 @@ def _cg_multi(
     diag = np.asarray(lap.diagonal(), dtype=np.float64)
     if np.any(diag <= 0.0):
         raise ValueError("Laplacian has a zero-degree node; graph is disconnected")
-    inv_diag = (1.0 / diag)[:, None]
     if pre is None:
-        pre = make_preconditioner(lap)
-    if pre is None:
+        inv_diag = (1.0 / diag)[:, None]
         pre = lambda r: _project_out_mean(inv_diag * r)
 
     x = np.zeros_like(rhs)
@@ -218,6 +276,29 @@ def _cg_multi(
     return finish()
 
 
+def _verified_solve(
+    lap: sparse.csr_matrix, rhs: np.ndarray, tol: float, max_iterations: int, pre
+) -> np.ndarray:
+    """Solve L x = rhs for zero-sum columns to relative residual tol each.
+
+    pre is a direct solve (a GroundedFactor's); its answer stands for every
+    column with ||rhs - L x|| <= tol ||rhs||, and the other columns are
+    re-solved by CG preconditioned with pre. Without pre every column goes
+    through Jacobi CG. Raises SolverConvergenceError as _cg_multi does.
+    """
+    if pre is None:
+        return _cg_multi(lap, rhs, tol, max_iterations)
+    x = pre(rhs)
+    res = lap @ x
+    res -= rhs
+    res_sq = np.einsum("ij,ij->j", res, res)
+    b_sq = np.einsum("ij,ij->j", rhs, rhs)
+    failed = np.flatnonzero(res_sq > tol**2 * np.where(b_sq > 0.0, b_sq, 1.0))
+    if failed.size:
+        x[:, failed] = _cg_multi(lap, rhs[:, failed], tol, max_iterations, pre=pre)
+    return x
+
+
 def lapl_solve(lap: sparse.csr_matrix, z: np.ndarray, spec: SolverSpec | None = None) -> np.ndarray:
     """Approximate y = pinv(L) z' where z' is z with its mean removed.
 
@@ -232,7 +313,8 @@ def lapl_solve(lap: sparse.csr_matrix, z: np.ndarray, spec: SolverSpec | None = 
     if z.ndim != 1 or z.shape[0] != lap.shape[0]:
         raise ValueError("z must be a length-n vector")
     rhs = _project_out_mean(z[:, None].copy())
-    y = _cg_multi(lap, rhs, spec.residual_target, spec.max_iterations)[:, 0]
+    pre = make_preconditioner(lap)
+    y = _verified_solve(lap, rhs, spec.residual_target, spec.max_iterations, pre)[:, 0]
     return y - y.mean()
 
 
@@ -281,22 +363,23 @@ def _rademacher_block_solve(
     trace: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Solve L y = to_rhs(z) for a Rademacher z of the given (rows, count)
-    shape, drawn and solved _CG_BLOCK columns at a time; to_rhs must return
-    zero-sum columns. Returns sum_j (y[u, j] - y[v, j])^2 for each u, v in
-    zip(us, vs) (a single v broadcasts) and, with trace set, the Hutchinson
-    sum_j z_j^T y_j, after projecting each y block onto the zero-sum subspace.
+    shape, drawn and solved _BLOCK columns at a time by _verified_solve with
+    pre; to_rhs must return zero-sum columns. Returns
+    sum_j (y[u, j] - y[v, j])^2 for each u, v in zip(us, vs) (a single v
+    broadcasts) and, with trace set, the Hutchinson sum_j z_j^T y_j, after
+    projecting each y block onto the zero-sum subspace.
     """
     rows, count = shape
     sq_dists = np.zeros(len(us), dtype=np.float64)
     trace_sum = 0.0
     produced = 0
     while produced < count:
-        width = min(_CG_BLOCK, count - produced)
+        width = min(_BLOCK, count - produced)
         z = rademacher(rng, (rows, width))
         # rhs stays named and y is centred in place: freeing either early lets
         # malloc trim the heap, and at n=1000 page faults more than doubled
         rhs = to_rhs(z)
-        y = _cg_multi(lap, rhs, tol, max_iterations, pre=pre)
+        y = _verified_solve(lap, rhs, tol, max_iterations, pre)
         if trace:
             y -= y.mean(axis=0, keepdims=True)
             trace_sum += float(np.einsum("ij,ij->", z, y))
@@ -334,6 +417,8 @@ def approx_eff_res(
     Laplacian solve, and reads R(u, v) off as the squared distance between
     sketch columns u and v. With the default constant each estimate is an
     epsilon-approximation of the true resistance with high probability.
+    pre is a direct solve for g's Laplacian to share with other calls
+    (default: a fresh factor); every solve is verified either way.
     """
     if not (0.0 < epsilon <= 0.5):
         raise ValueError("epsilon must be in (0, 1/2]")

@@ -240,7 +240,11 @@ def test_optimize_exact_and_oracle(tmp_path, capsys):
     assert (out / "trace_target0_oracle.csv").exists()
     assert (out / "aggregate_resistance.csv").exists()
     assert (out / "aggregate_centrality.csv").exists()
-    assert (out / "timings.json").exists()
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    assert set(timings["seconds_total"]) == {"exact", "oracle"}
+    steps = timings["step_seconds"]["0"]
+    assert set(steps) == {"exact", "oracle"}
+    assert all(len(secs) == 1 and secs[0] >= 0.0 for secs in steps.values())
 
 
 def test_optimize_reports_original_ids(tmp_path):
@@ -453,12 +457,10 @@ def test_exit_unreadable_graph(tmp_path, capsys):
 
 
 def test_exit_solver_failure(tmp_path, monkeypatch, capsys):
-    import icmax.greedy as greedy_mod
-    import icmax.linalg as linalg_mod
+    from icmax.linalg import GroundedFactor
 
     # force the Jacobi fallback, then starve CG of iterations
-    monkeypatch.setattr(greedy_mod, "make_preconditioner", lambda lap: None)
-    monkeypatch.setattr(linalg_mod, "make_preconditioner", lambda lap: None)
+    monkeypatch.setattr(GroundedFactor, "build", lambda lap, v: None)
     graph = tmp_path / "p60.txt"
     graph.write_text("".join(f"{i} {i + 1}\n" for i in range(59)), encoding="utf-8")
     rc = main([
@@ -556,5 +558,6 @@ def test_console_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     g, _ = load_edge_list(out)
     assert g.n == 20 and g.m == 40

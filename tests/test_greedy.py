@@ -337,6 +337,33 @@ def test_approxi_sm_estimated_mode_k_zero(monkeypatch):
     )
 
 
+def test_approxi_sm_jacobi_fallback_picks_the_same_edges(monkeypatch):
+    import icmax.linalg as linalg_mod
+    from icmax.graphs import generate_ws
+
+    # both paths solve to 1e-12, far below the gaps between estimated gains
+    for module in (greedy, linalg_mod):
+        monkeypatch.setattr(module, "solver_tolerance", lambda *args, **kwargs: 1e-12)
+    cg_columns = []
+    cg = linalg_mod._cg_multi
+
+    def counting_cg(lap, rhs, *args, **kwargs):
+        cg_columns.append(rhs.shape[1])
+        return cg(lap, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
+    g = generate_ws(60, 4, 0.1, seed=3)
+    cands = default_candidates(g, 7)
+    direct = approxi_sm(g, 7, cands, 4, 0.3, SolverSpec(seed=2), m_cap=128)
+    assert cg_columns == []
+    monkeypatch.setattr(linalg_mod.GroundedFactor, "build", lambda lap, v: None)
+    fallback = approxi_sm(g, 7, cands, 4, 0.3, SolverSpec(seed=2), m_cap=128)
+    assert sum(cg_columns) > 0
+    assert fallback.edges == direct.edges
+    for a, b in zip(fallback.steps, direct.steps):
+        assert a.gain == pytest.approx(b.gain, rel=1e-9)
+
+
 def test_approxi_sm_validation():
     g = path_graph(4)
     cands = default_candidates(g, 0)

@@ -14,9 +14,11 @@ from icmax.linalg import (
     DENSE_NODE_LIMIT,
     PAPER_LITERAL,
     PRACTICAL,
+    GroundedFactor,
     SolverConvergenceError,
     SolverSpec,
     _cg_multi,
+    _verified_solve,
     approx_eff_res,
     build_laplacian,
     hutchinson_sample_count,
@@ -290,6 +292,82 @@ def test_preconditioner_inverts_on_zero_sum_subspace():
 def test_preconditioner_unavailable_for_single_node():
     lap = build_laplacian(Graph.from_edges(1, []))
     assert make_preconditioner(lap) is None
+
+
+# ---------------------------------------------------------------------------
+# Grounded factor and verified solves
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grounded_factor_tracks_pseudoinverse_across_additions(seed):
+    g = random_connected_graph(seed, n=30, weighted=True)
+    rng = seeded_rng(seed, 7)
+    v = int(rng.integers(g.n))
+    others = [u for u in range(g.n) if u != v and not g.has_edge(u, v)]
+    picks = rng.choice(others, size=min(5, len(others)), replace=False)
+    factor = GroundedFactor(build_laplacian(g), v)
+    centring = np.eye(g.n) - 1.0 / g.n  # column i: e_i projected to zero sum
+    added = []
+    for j in range(len(picks) + 1):
+        pinv = pseudoinverse(build_laplacian(g.with_edges(added)))
+        assert np.abs(factor.solve(centring) - pinv).max() <= 1e-10, f"after {j} additions"
+        if j < len(picks):
+            u, w = int(picks[j]), float(rng.uniform(0.1, 5.0))
+            factor.add(u, w)
+            added.append((u, v, w))
+
+
+def test_grounded_factor_validation():
+    lap = build_laplacian(path_graph(4))
+    assert GroundedFactor.build(build_laplacian(Graph.from_edges(1, [])), 0) is None
+    with pytest.raises(ValueError, match="ground"):
+        GroundedFactor(lap, 4)
+    factor = GroundedFactor(lap, 1)
+    with pytest.raises(ValueError, match="new edge"):
+        factor.add(1, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        factor.add(3, 0.0)
+
+
+def test_verified_solve_resolves_columns_a_wrong_factor_misses(monkeypatch):
+    import icmax.linalg as linalg_mod
+
+    g = random_connected_graph(5, n=40, weighted=True)
+    lap = build_laplacian(g)
+    # a factor of the graph plus an edge the graph does not have: close enough
+    # to precondition, wrong enough to fail the residual check
+    wrong = GroundedFactor(lap, 0)
+    wrong.add(next(u for u in range(1, g.n) if not g.has_edge(u, 0)), 0.5)
+    resolved = []
+
+    def counting_cg(lap, rhs, tol, max_iterations, pre=None):
+        resolved.append(rhs.shape[1])
+        return _cg_multi(lap, rhs, tol, max_iterations, pre=pre)
+
+    monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
+    rhs = seeded_rng(3).normal(size=(g.n, 6))
+    rhs -= rhs.mean(axis=0, keepdims=True)
+    tol = 1e-12
+    x = _verified_solve(lap, rhs, tol, 1000, wrong.solve)
+    assert resolved == [6]
+    res = np.linalg.norm(rhs - lap @ x, axis=0)
+    assert np.all(res <= tol * np.linalg.norm(rhs, axis=0))
+
+
+def test_verified_solve_keeps_direct_answers_that_pass(monkeypatch):
+    import icmax.linalg as linalg_mod
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG re-solve of a column the factor solved")
+
+    monkeypatch.setattr(linalg_mod, "_cg_multi", no_cg)
+    g = random_connected_graph(6, n=40, weighted=True)
+    lap = build_laplacian(g)
+    factor = GroundedFactor(lap, 3)
+    rhs = seeded_rng(4).normal(size=(g.n, 5))
+    rhs -= rhs.mean(axis=0, keepdims=True)
+    x = _verified_solve(lap, rhs, 1e-10, 1000, factor.solve)
+    assert np.array_equal(x, factor.solve(rhs))
 
 
 # ---------------------------------------------------------------------------
