@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from icmax.graphs import largest_connected_component, load_edge_list
 from icmax.greedy import brute_force_optimum, default_candidates, exact_sm
-from icmax.linalg import build_laplacian
+from icmax.linalg import build_laplacian, grounded_inverse
 from icmax.rand import seeded_rng
 
 CHUNK = 50_000  # subsets per batched solve; keeps the gather buffers small
@@ -41,14 +41,11 @@ def oracle_resistances(g, v, candidates, k_max):
     subset S, R_v(S) = tr(A^-1) - tr((D^-1 + U^T A^-1 U)^-1 U^T A^-2 U).
     Both k x k gathers come from two precomputed dense inverses.
     """
-    keep = np.arange(g.n) != v
-    base = build_laplacian(g).toarray()[np.ix_(keep, keep)]
-    inv = np.linalg.inv(base)
+    inv = grounded_inverse(build_laplacian(g), v)
     inv2 = inv @ inv
     tr0 = float(np.trace(inv))
 
-    grounded = np.where(np.arange(g.n) < v, np.arange(g.n), np.arange(g.n) - 1)
-    pos = np.array([grounded[c.other] for c in candidates])
+    pos = np.array([c.other - (c.other > v) for c in candidates])
     wts = np.array([c.weight for c in candidates])
 
     best = {}

@@ -5,9 +5,10 @@ pseudoinverse diagonal + trace, grounded-Laplacian trace), the pairwise
 information throughput I_uv through B = L + J, and the closed-form marginal
 gain of inserting one edge incident to v.
 
-Everything here is exact dense linear algebra; estimator counterparts live
-in linalg/greedy. Gains are framed as resistance reductions, with I_v = n/R_v
-derived for display.
+The grounded trace is the one-node evaluator the optimizers share; the
+others serve as oracles, and the pseudoinverse ranks every node at once.
+Everything here is exact dense linear algebra. Gains are framed as
+resistance reductions, with I_v = n/R_v derived for display.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .graphs import Graph, is_connected
-from .linalg import build_laplacian, pseudoinverse
+from .linalg import build_laplacian, grounded_inverse, pseudoinverse
 
 
 class NodeResistance(NamedTuple):
@@ -57,19 +58,11 @@ def node_resistance(p: np.ndarray, v: int) -> NodeResistance:
 def node_resistance_grounded(g: Graph, v: int) -> NodeResistance:
     """R_v as the trace of the inverse grounded Laplacian (row/col v deleted).
 
-    Independent of the pseudoinverse route; used as a cross-check and as the
-    cheap exact evaluator when only one node's resistance is needed.
+    Independent of the pseudoinverse route; the dense optimizers use the
+    same grounded_inverse.
     """
     v = _check_node(g.n, v)
-    if not is_connected(g):
-        raise ValueError("grounded resistance requires a connected graph")
-    if g.n == 1:
-        return NodeResistance(v, 0.0)
-    keep = np.arange(g.n) != v
-    lap = build_laplacian(g).toarray()[np.ix_(keep, keep)]
-    factor = scipy.linalg.cho_factor(lap, lower=True, check_finite=False)
-    inv = scipy.linalg.cho_solve(factor, np.eye(g.n - 1), check_finite=False)
-    return NodeResistance(v, float(np.trace(inv)))
+    return NodeResistance(v, float(np.trace(grounded_inverse(build_laplacian(g), v))))
 
 
 def information_centrality(g: Graph, v: int) -> CentralityScore:

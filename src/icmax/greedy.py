@@ -5,6 +5,11 @@ new incident edges: the exact dense greedy, the solver-and-sketch
 approximate greedy, three non-adaptive baselines, and a brute-force oracle
 for small instances.
 
+Every candidate edge ends at the target v, so it only adds its weight to
+one diagonal entry of the Laplacian grounded at v, whose inverse has trace
+R_v. Exact values come from that inverse held densely; the approximate
+greedy solves with a sparse factor of the same matrix.
+
 All optimizers consume an explicit candidate list and return a GreedyTrace
 holding the chosen edges and the per-step resistance/centrality trajectory.
 Randomized components draw every bit of randomness from the seed they are
@@ -31,16 +36,17 @@ from .linalg import (
     _verified_solve,
     approx_eff_res,
     build_laplacian,
-    pseudoinverse,
-    sherman_morrison_update,
+    grounded_inverse,
     solver_tolerance,
 )
 from .centrality import rank_all_by_centrality
 from .rand import child_seed, seeded_rng
 
-# Above this size approxi_sm stops maintaining a dense pseudoinverse for
+# Above this size approxi_sm stops maintaining a dense grounded inverse for
 # trace values and chains estimated resistances instead.
 EXACT_TRACE_LIMIT = 2000
+
+_TIE_RTOL = 1e-12  # exact gains this close to the best, relatively, are ties
 
 _BRUTE_FORCE_GUARD = 1_000_000
 
@@ -170,29 +176,19 @@ def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: 
             raise ValueError("candidate weight must be positive and finite")
         seen.add(c.other)
         out.append(c)
-    # ascending other-endpoint: the argmax-first rule then realizes the
-    # global lexicographic edge tie-break
+    # ascending other-endpoint: taking the first of the tied best gains then
+    # realizes the global lexicographic edge tie-break
     out.sort(key=lambda c: c.other)
     return out
 
 
-def _exact_gains(p: np.ndarray, v: int, candidates: Sequence[CandidateEdge]) -> np.ndarray:
-    """Marginal resistance drops for every candidate, vectorized over columns."""
-    n = p.shape[0]
-    others = np.array([c.other for c in candidates], dtype=np.int64)
+def _exact_gains(inv: np.ndarray, v: int, candidates: Sequence[CandidateEdge]) -> np.ndarray:
+    """Marginal R_v drops w ||M e_u||^2 / (1 + w M_uu) for every candidate,
+    where M is the grounded inverse at v and u the candidate's row."""
     weights = np.array([c.weight for c in candidates], dtype=np.float64)
-    cols = p[:, others] - p[:, [v]]  # column i = p b_i with b_i = e_other - e_v
-    sq_norms = np.einsum("ij,ij->j", cols, cols)
-    at_v = cols[v, :]
-    at_other = cols[others, np.arange(len(candidates))]
-    denom = 1.0 + weights * (at_other - at_v)
-    return weights * (n * at_v**2 + sq_norms) / denom
-
-
-def _trace_values(p: np.ndarray, v: int) -> tuple[float, float]:
-    n = p.shape[0]
-    r = float(n * p[v, v] + np.trace(p))
-    return r, n / r
+    rows = np.array([c.other - (c.other > v) for c in candidates], dtype=np.int64)
+    sq_norms = np.einsum("ij,ij->j", inv, inv)[rows]
+    return weights * sq_norms / (1.0 + weights * inv[rows, rows])
 
 
 def _dense_trace(
@@ -205,41 +201,42 @@ def _dense_trace(
 ) -> GreedyTrace:
     """The exact-valued insertion loop every dense optimizer shares.
 
-    One dense pseudoinverse up front; each round asks pick(p, round) for the
-    candidate to insert and its reported gain, applies the rank-1 update and
-    records the exact R_v and I_v. A gain of None reports the realized drop
-    in R_v.
+    Holds M, the grounded inverse at v, so R_v = tr(M); each round asks
+    pick(M, round) for the candidate (u, v, w) to insert and its reported
+    gain, and updates M in place by M -= m m^T, m = sqrt(w / (1 + w M_uu)) M e_u.
+    A gain of None reports the realized drop in R_v.
     """
-    p = pseudoinverse(build_laplacian(g))
-    r0, i0 = _trace_values(p, v)
-    r_prev = r0
+    inv = grounded_inverse(build_laplacian(g), v)
+    r0 = r_prev = float(np.trace(inv))
     steps: list[TraceStep] = []
     times: list[float] = []
     for round_idx in range(rounds):
         started = time.perf_counter()
-        chosen, gain = pick(p, round_idx)
-        p = sherman_morrison_update(p, (chosen.other, v), chosen.weight)
-        r, i = _trace_values(p, v)
+        chosen, gain = pick(inv, round_idx)
+        row = chosen.other - (chosen.other > v)
+        m = inv[:, row] * math.sqrt(chosen.weight / (1.0 + chosen.weight * inv[row, row]))
+        inv -= np.outer(m, m)
+        r = float(np.trace(inv))
         times.append(time.perf_counter() - started)
         edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, r_prev - r if gain is None else gain, r, i))
+        steps.append(TraceStep(edge, chosen.weight, r_prev - r if gain is None else gain, r, g.n / r))
         r_prev = r
-    return GreedyTrace(algorithm, v, seed, r0, i0, tuple(steps), tuple(times))
+    return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
 
 
 def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> GreedyTrace:
     """Exact greedy: k rounds of best-marginal-gain selection.
 
-    One dense pseudoinverse up front, then each round scores every live
-    candidate in closed form and applies a rank-1 update for the winner.
-    O(n^3 + k n^2 + k n |candidates|) overall. The returned selection is
-    within a (1 - 1/e) factor of the optimal resistance reduction.
+    One dense grounded inverse up front, then each round scores every live
+    candidate in closed form and applies a rank-1 update for the first
+    candidate within _TIE_RTOL of the best gain. O(n^3 + k n^2) overall. The
+    selection is within a (1 - 1/e) factor of the optimal reduction.
     """
     live = _check_candidates(g, v, candidates, k)
 
-    def pick(p: np.ndarray, _round: int) -> tuple[CandidateEdge, float]:
-        gains = _exact_gains(p, v, live)
-        best = int(np.argmax(gains))
+    def pick(inv: np.ndarray, _round: int) -> tuple[CandidateEdge, float]:
+        gains = _exact_gains(inv, v, live)
+        best = int(np.flatnonzero(gains >= gains.max() * (1.0 - _TIE_RTOL))[0])
         return live.pop(best), float(gains[best])
 
     return _dense_trace(g, v, k, pick, "exact", 0)
@@ -372,8 +369,8 @@ def approxi_sm(
     working graph's Laplacian.
 
     Trace values: up to EXACT_TRACE_LIMIT nodes the per-step R_v is exact
-    (dense rank-1 updates); beyond that the trace chains the estimator's own
-    resistance values and is marked "estimated".
+    (rank-1 updates of the dense grounded inverse); beyond that the trace
+    chains the estimator's own resistance values and is marked "estimated".
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must be in (0, 1/2]")
@@ -406,7 +403,7 @@ def approxi_sm(
         return chosen, float(gains[best]), result.resistance_estimate
 
     if g.n <= EXACT_TRACE_LIMIT:
-        return _dense_trace(g, v, k, lambda _p, round_idx: pick(round_idx)[:2], "approx", spec.seed)
+        return _dense_trace(g, v, k, lambda _inv, round_idx: pick(round_idx)[:2], "approx", spec.seed)
 
     # with no round to run, r0 still comes from round 0's estimator stream;
     # its R_v estimate does not depend on the candidates, so none are scored
@@ -469,7 +466,7 @@ def insertion_trace(
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
     with exact per-step values."""
-    return _dense_trace(g, v, len(picked), lambda _p, round_idx: (picked[round_idx], None), algorithm, seed)
+    return _dense_trace(g, v, len(picked), lambda _inv, round_idx: (picked[round_idx], None), algorithm, seed)
 
 
 def brute_force_optimum(
@@ -491,8 +488,6 @@ def brute_force_optimum(
 
     keep = np.arange(g.n) != v
     base = build_laplacian(g).toarray()[np.ix_(keep, keep)]
-    # grounded index of node u: v's row/column is gone
-    grounded = np.where(np.arange(g.n) < v, np.arange(g.n), np.arange(g.n) - 1)
     eye = np.eye(g.n - 1)
 
     best_r = math.inf
@@ -500,7 +495,7 @@ def brute_force_optimum(
     for subset in combinations(live, k):
         lap = base.copy()
         for c in subset:
-            gi = grounded[c.other]
+            gi = c.other - (c.other > v)
             lap[gi, gi] += c.weight  # edge (other, v): only the diagonal survives grounding
         factor = scipy.linalg.cho_factor(lap, lower=True, check_finite=False)
         r = float(np.trace(scipy.linalg.cho_solve(factor, eye, check_finite=False)))

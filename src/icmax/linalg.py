@@ -1,16 +1,15 @@
 """Laplacian linear algebra.
 
-Dense pseudoinverse via the (L + J/n) factorization; a sparse factor of the
-Laplacian grounded at one node, kept across edge insertions at that node by
-Woodbury updates; verified solves that apply the factor directly and check
-the relative residual of every column, re-solving failures with
-conjugate gradients; Rademacher trace estimation, sketch-based
-effective-resistance estimates, and the rank-1 pseudoinverse update after
-inserting one edge.
-
-The dense path is exact and O(n^3); it refuses graphs beyond
-DENSE_NODE_LIMIT nodes and larger instances must go through the solver and
-estimator routes.
+Every optimizer works on the Laplacian grounded at a target v (row and
+column v deleted), where an edge (u, v) only adds its weight at (u, u):
+grounded_inverse forms its dense inverse, GroundedFactor a sparse factor
+kept across edge insertions at v by Woodbury updates. Verified solves apply
+the factor and check each column's residual, re-solving failures by CG.
+Also: Rademacher trace and sketch effective-resistance estimators, and the
+dense pseudoinverse via (L + J/n) with its rank-1 update, kept as oracles
+and for ranking every node at once. The dense routes are exact and O(n^3)
+and refuse graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the
+solver and estimators.
 """
 
 from __future__ import annotations
@@ -97,26 +96,39 @@ def build_laplacian(g: Graph) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
+def _require_dense(lap: sparse.csr_matrix, what: str) -> None:
+    """Refuse a dense route beyond DENSE_NODE_LIMIT or on a disconnected graph."""
+    n = lap.shape[0]
+    if n > DENSE_NODE_LIMIT:
+        raise ValueError(f"dense {what} refused for n={n} > {DENSE_NODE_LIMIT}; use the solver/estimator path")
+    # L's sparsity pattern is the graph plus self-loops, which keep components
+    if connected_components(lap, directed=False, return_labels=False) != 1:
+        raise ValueError(f"{what} requires a connected graph")
+
+
 def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:
     """Dense Moore-Penrose pseudoinverse, exact via (L + J/n)^-1 - J/n.
 
     Requires a connected underlying graph; (L + J/n) is then symmetric
     positive definite and a Cholesky factorization applies.
     """
+    _require_dense(lap, "pseudoinverse")
     n = lap.shape[0]
-    if n > DENSE_NODE_LIMIT:
-        raise ValueError(
-            f"dense pseudoinverse refused for n={n} > {DENSE_NODE_LIMIT}; "
-            "use the solver/estimator path instead"
-        )
-    # L's sparsity pattern is the graph plus self-loops, which keep components
-    if connected_components(lap, directed=False, return_labels=False) != 1:
-        raise ValueError("pseudoinverse requires a connected graph")
     shifted = lap.toarray() + 1.0 / n
     factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
     pinv = scipy.linalg.cho_solve(factor, np.eye(n), check_finite=False)
     pinv -= 1.0 / n
     return (pinv + pinv.T) / 2.0
+
+
+def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
+    """Dense inverse M of a connected graph's Laplacian with v's row and
+    column deleted: node u sits at row u - (u > v), and R_v = tr(M)."""
+    _require_dense(lap, "grounded inverse")
+    keep = np.arange(lap.shape[0]) != v
+    grounded = lap[keep][:, keep].toarray(order="F")  # Fortran order: LAPACK overwrites it
+    factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, np.eye(len(keep) - 1, order="F"), overwrite_b=True, check_finite=False)
 
 
 def _project_out_mean(x: np.ndarray) -> np.ndarray:
@@ -219,7 +231,7 @@ def _cg_multi(
     2-norm residual falls below tol times the column's RHS norm; raises
     SolverConvergenceError if any column is still above target at the cap.
     pre maps a residual block to a preconditioned zero-mean block; the
-    default is the sparse-LU preconditioner with a Jacobi fallback.
+    default is Jacobi. _verified_solve passes a GroundedFactor's solve.
     """
     n, k = rhs.shape
     diag = np.asarray(lap.diagonal(), dtype=np.float64)

@@ -3,6 +3,7 @@ subcommands, output artifacts, determinism, and exit codes."""
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import icmax
 from icmax.cli import (
     ConfigError,
     RunConfig,
@@ -475,10 +477,10 @@ def test_exit_solver_failure(tmp_path, monkeypatch, capsys):
 def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
     import icmax.greedy as greedy_mod
 
-    def boom(lap):
+    def boom(lap, v):
         raise np.linalg.LinAlgError("factorization blew up")
 
-    monkeypatch.setattr(greedy_mod, "pseudoinverse", boom)
+    monkeypatch.setattr(greedy_mod, "grounded_inverse", boom)
     graph = write_path4(tmp_path)
     rc = main([
         "optimize", "--graph", str(graph), "--target", "0", "--out", str(tmp_path / "r"),
@@ -552,10 +554,13 @@ def test_compare_perf_explicit_targets(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "g.txt"
+    # the subprocess imports the same package as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(icmax.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "icmax.cli", "gen", "ws", "20", "4", "0.0", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

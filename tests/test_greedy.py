@@ -2,6 +2,7 @@
 brute-force oracle, checked against closed forms and against each other."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icmax import greedy
-from icmax.centrality import marginal_gain_exact, node_resistance_grounded
-from icmax.graphs import Graph
+from icmax.centrality import marginal_gain_exact, node_resistance, node_resistance_grounded
+from icmax.graphs import Graph, load_edge_list
 from icmax.greedy import (
     BASELINE_STRATEGIES,
     CandidateEdge,
@@ -27,7 +28,7 @@ from icmax.greedy import (
     vreff_comp,
     _vreff_comp_full,
 )
-from icmax.linalg import SolverSpec, build_laplacian, pseudoinverse
+from icmax.linalg import SolverSpec, build_laplacian, pseudoinverse, sherman_morrison_update
 from icmax.rand import child_seed
 
 from conftest import complete_graph, path_graph, random_connected_graph, star_graph
@@ -125,6 +126,24 @@ def test_exact_sm_validation():
         exact_sm(disconnected, 0, [CandidateEdge(2, 0, 1.0)], 1)
 
 
+def _assert_replays_on_pseudoinverse(g, v, cands, trace):
+    """Each chosen edge must attain the max closed-form gain, on the
+    pseudoinverse route, among the candidates still live at that round,
+    with the smallest endpoint among gains tied to a relative 1e-12."""
+    p = pseudoinverse(build_laplacian(g))
+    live = sorted(cands, key=lambda c: c.other)
+    for round_idx, step in enumerate(trace.steps):
+        gains = {c.other: marginal_gain_exact(p, (c.other, v), c.weight, v) for c in live}
+        best = max(gains.values())
+        chosen_other = step.edge[0] if step.edge[1] == v else step.edge[1]
+        assert gains[chosen_other] == pytest.approx(best, rel=1e-12)
+        tied = min(o for o, gv in gains.items() if gv >= best * (1 - 1e-12))
+        assert chosen_other == tied, f"target {v}, round {round_idx}: chose {chosen_other}, tie-break gives {tied}"
+        winner = next(c for c in live if c.other == chosen_other)
+        p = sherman_morrison_update(p, (winner.other, v), winner.weight)
+        live.remove(winner)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_exact_sm_picks_argmax_every_round(seed):
@@ -134,22 +153,33 @@ def test_exact_sm_picks_argmax_every_round(seed):
     k = min(3, len(cands))
     if k == 0:
         return
-    trace = exact_sm(g, v, cands, k)
-    # replay: each chosen edge must attain the max closed-form gain among the
-    # candidates still live at that round, smallest endpoint among ties
-    p = pseudoinverse(build_laplacian(g))
-    live = sorted(cands, key=lambda c: c.other)
-    for step in trace.steps:
-        gains = {c.other: marginal_gain_exact(p, (c.other, v), c.weight, v) for c in live}
-        best = max(gains.values())
-        chosen_other = step.edge[0] if step.edge[1] == v else step.edge[1]
-        assert gains[chosen_other] == pytest.approx(best, rel=1e-12)
-        assert chosen_other == min(o for o, gv in gains.items() if gv >= best * (1 - 1e-12))
-        winner = next(c for c in live if c.other == chosen_other)
-        from icmax.linalg import sherman_morrison_update
+    _assert_replays_on_pseudoinverse(g, v, cands, exact_sm(g, v, cands, k))
 
-        p = sherman_morrison_update(p, (winner.other, v), winner.weight)
-        live.remove(winner)
+
+def test_exact_sm_karate_ties_go_to_the_smallest_endpoint():
+    # karate has interchangeable nodes whose gains tie exactly; roundoff in
+    # the gains must not decide between them
+    g, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    for v in range(g.n):
+        cands = default_candidates(g, v)
+        _assert_replays_on_pseudoinverse(g, v, cands, exact_sm(g, v, cands, 3))
+
+
+@pytest.mark.parametrize("seed, n", [(71, 100), (72, 300), (73, 500)])
+def test_dense_traces_match_pseudoinverse_every_step(seed, n):
+    # criterion 6's graphs; the pseudoinverse route shares no code with the
+    # grounded inverse the traces hold
+    g = random_connected_graph(seed, n=n, weighted=True)
+    v = 0
+    cands = [CandidateEdge(c.other, v, 0.5 + i % 4) for i, c in enumerate(default_candidates(g, v))]
+    for trace in (exact_sm(g, v, cands, 10), insertion_trace(g, v, cands[:10], "fixed")):
+        added = []
+        truth = node_resistance(pseudoinverse(build_laplacian(g)), v).value
+        assert trace.initial_resistance == pytest.approx(truth, rel=1e-10)
+        for step in trace.steps:
+            added.append((*step.edge, step.weight))
+            truth = node_resistance(pseudoinverse(build_laplacian(g.with_edges(added))), v).value
+            assert step.resistance == pytest.approx(truth, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Laplacian algebra: dense pseudoinverse, CG contract, trace and
-resistance estimators, and the rank-1 edge update."""
+"""Laplacian algebra: dense pseudoinverse and grounded inverse, CG
+contract, trace and resistance estimators, and the rank-1 edge update."""
 
 import math
 
@@ -21,6 +21,7 @@ from icmax.linalg import (
     _verified_solve,
     approx_eff_res,
     build_laplacian,
+    grounded_inverse,
     hutchinson_sample_count,
     hutchinson_trace,
     lapl_solve,
@@ -106,6 +107,41 @@ def test_pseudoinverse_refuses_oversize():
     g = path_graph(DENSE_NODE_LIMIT + 1)
     with pytest.raises(ValueError, match="solver"):
         pseudoinverse(build_laplacian(g))
+
+
+# ---------------------------------------------------------------------------
+# Dense grounded inverse
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grounded_inverse_matches_dense_inverse(seed):
+    g = random_connected_graph(seed, n=25, weighted=True)
+    v = seed * 7 % g.n
+    keep = np.arange(g.n) != v
+    grounded = build_laplacian(g).toarray()[np.ix_(keep, keep)]
+    inv = grounded_inverse(build_laplacian(g), v)
+    assert inv.shape == (g.n - 1, g.n - 1)
+    assert np.allclose(inv, np.linalg.inv(grounded), rtol=1e-10, atol=1e-12)
+
+
+def test_grounded_inverse_path3_row_layout():
+    # P3 grounded at the middle node: both ends hang off it by unit edges
+    assert np.allclose(grounded_inverse(build_laplacian(path_graph(3)), 1), np.eye(2), atol=1e-14)
+    # grounded at node 0: node u sits at row u - 1
+    inv = grounded_inverse(build_laplacian(path_graph(3)), 0)
+    assert np.allclose(inv, [[1.0, 1.0], [1.0, 2.0]], atol=1e-14)
+
+
+def test_grounded_inverse_rejects_disconnected():
+    g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match="connected"):
+        grounded_inverse(build_laplacian(g), 0)
+
+
+def test_grounded_inverse_refuses_oversize():
+    g = path_graph(DENSE_NODE_LIMIT + 1)
+    with pytest.raises(ValueError, match="solver"):
+        grounded_inverse(build_laplacian(g), 0)
 
 
 # ---------------------------------------------------------------------------
