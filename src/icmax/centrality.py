@@ -5,10 +5,10 @@ pseudoinverse diagonal + trace, grounded-Laplacian trace), the pairwise
 information throughput I_uv through B = L + J, and the closed-form marginal
 gain of inserting one edge incident to v.
 
-The grounded trace is the one-node evaluator the optimizers share; the
-others serve as oracles, and the pseudoinverse ranks every node at once.
-Everything here is exact dense linear algebra. Gains are framed as
-resistance reductions, with I_v = n/R_v derived for display.
+The grounded trace is the one-node evaluator the optimizers share, and one
+grounded Cholesky inverse ranks every node at once; the other routes serve
+as oracles. Everything here is exact dense linear algebra. Gains are framed
+as resistance reductions, with I_v = n/R_v derived for display.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import numpy as np
 import scipy.linalg
 
 from .graphs import Graph, is_connected
-from .linalg import build_laplacian, grounded_inverse, pseudoinverse
+from .linalg import build_laplacian, grounded_cholesky_inverse, grounded_inverse
+
+_TIE_RTOL = 1e-12  # exact values this close, relatively, are ties
 
 
 class NodeResistance(NamedTuple):
@@ -129,14 +131,29 @@ def marginal_gain_exact(p: np.ndarray, e, w: float, v: int, n: int | None = None
 
 
 def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
-    """All nodes by descending I_v, ties broken by ascending id.
+    """All nodes by descending I_v. Scores within _TIE_RTOL of the first of
+    their run are ties: they rank by ascending id and share its value, so
+    that roundoff does not order interchangeable nodes.
 
-    One pseudoinverse serves every node: R_v = n * diag(p)_v + trace(p).
+    One Cholesky inverse T grounded at node 0 serves every node. With
+    M = T^T T padded by a zero row and column at node 0,
+    R_v = sum_u R_uv = n M_vv - 2 (M 1)_v + tr(M), where diag(M) holds the
+    squared column norms of T and M 1 = T^T (T 1).
     """
     if g.n == 1:
         raise ValueError("information centrality is undefined for a single node")
-    p = pseudoinverse(build_laplacian(g))
-    resistances = g.n * np.diag(p) + np.trace(p)
-    scores = g.n / resistances
-    order = sorted(range(g.n), key=lambda v: (-scores[v], v))
-    return [CentralityScore(v, float(scores[v])) for v in order]
+    t = grounded_cholesky_inverse(build_laplacian(g), 0)
+    diag = np.zeros(g.n)
+    diag[1:] = np.einsum("ij,ij->j", t, t)
+    sums = np.zeros(g.n)
+    sums[1:] = t.T @ t.sum(axis=1)
+    scores = g.n / (g.n * diag - 2.0 * sums + diag.sum())
+    order = np.argsort(-scores, kind="stable")
+    ranked: list[CentralityScore] = []
+    start = 0
+    for i in range(1, g.n + 1):
+        lead = float(scores[order[start]])
+        if i == g.n or scores[order[i]] < lead * (1.0 - _TIE_RTOL):
+            ranked += [CentralityScore(int(v), lead) for v in sorted(order[start:i])]
+            start = i
+    return ranked

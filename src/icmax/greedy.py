@@ -6,9 +6,13 @@ approximate greedy, three non-adaptive baselines, and a brute-force oracle
 for small instances.
 
 Every candidate edge ends at the target v, so it only adds its weight to
-one diagonal entry of the Laplacian grounded at v, whose inverse has trace
-R_v. Exact values come from that inverse held densely; the approximate
-greedy solves with a sparse factor of the same matrix.
+one diagonal entry of the Laplacian grounded at v, whose inverse M has
+trace R_v. The exact greedy holds M densely. Traces whose insertion order
+does not depend on M (the baselines, the oracle's replay and the
+approximate greedy's exact values) read R_v and a few columns of M from
+the triangular inverse of its Cholesky factor, and the oracle takes each
+subset's R_v from its own. The approximate greedy solves with a sparse
+factor of the same matrix.
 
 All optimizers consume an explicit candidate list and return a GreedyTrace
 holding the chosen edges and the per-step resistance/centrality trajectory.
@@ -21,32 +25,32 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import Graph, is_connected
 from .linalg import (
     GroundedFactor,
     SolverSpec,
+    _cholesky_inverse,
+    _grounded_dense,
     _project_out_mean,
     _rademacher_block_solve,
     _verified_solve,
     approx_eff_res,
     build_laplacian,
+    grounded_cholesky_inverse,
     grounded_inverse,
     solver_tolerance,
 )
-from .centrality import rank_all_by_centrality
+from .centrality import _TIE_RTOL, rank_all_by_centrality
 from .rand import child_seed, seeded_rng
 
 # Above this size approxi_sm stops maintaining a dense grounded inverse for
 # trace values and chains estimated resistances instead.
 EXACT_TRACE_LIMIT = 2000
-
-_TIE_RTOL = 1e-12  # exact gains this close to the best, relatively, are ties
 
 _BRUTE_FORCE_GUARD = 1_000_000
 
@@ -191,35 +195,43 @@ def _exact_gains(inv: np.ndarray, v: int, candidates: Sequence[CandidateEdge]) -
     return weights * sq_norms / (1.0 + weights * inv[rows, rows])
 
 
-def _dense_trace(
+def _exact_trace(
     g: Graph,
     v: int,
     rounds: int,
-    pick: Callable[[np.ndarray, int], tuple[CandidateEdge, float | None]],
+    pick: Callable[[int], tuple[CandidateEdge, float | None]],
     algorithm: str,
     seed: int,
 ) -> GreedyTrace:
-    """The exact-valued insertion loop every dense optimizer shares.
+    """Exact values along an insertion order that does not depend on them.
 
-    Holds M, the grounded inverse at v, so R_v = tr(M); each round asks
-    pick(M, round) for the candidate (u, v, w) to insert and its reported
-    gain, and updates M in place by M -= m m^T, m = sqrt(w / (1 + w M_uu)) M e_u.
-    A gain of None reports the realized drop in R_v.
+    Each round inserts the candidate (u, v, w) that pick(round) returns with
+    its reported gain; a gain of None reports the realized drop in R_v.
+    T = C^-1 for the Cholesky factor C of the Laplacian grounded at v gives
+    the grounded inverse M = T^T T and R_v = ||T||_F^2. Inserting (u, v, w)
+    subtracts m m^T from M, m = sqrt(w / (1 + w M_uu)) M e_u, and lowers R_v
+    by ||m||^2. The corrections stay as the columns of W, so the current
+    M e_u = T^T (T e_u) - W W[u]^T: O(k n^2 + k^2 n) after the factor, with
+    no n x n update.
     """
-    inv = grounded_inverse(build_laplacian(g), v)
-    r0 = r_prev = float(np.trace(inv))
+    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    flat = t.ravel(order="K")
+    r0 = r_prev = float(flat @ flat)
+    corrections = np.empty((t.shape[0], rounds), order="F")
     steps: list[TraceStep] = []
     times: list[float] = []
     for round_idx in range(rounds):
         started = time.perf_counter()
-        chosen, gain = pick(inv, round_idx)
+        chosen, gain = pick(round_idx)
         row = chosen.other - (chosen.other > v)
-        m = inv[:, row] * math.sqrt(chosen.weight / (1.0 + chosen.weight * inv[row, row]))
-        inv -= np.outer(m, m)
-        r = float(np.trace(inv))
+        done = corrections[:, :round_idx]
+        col = t[row:].T @ t[row:, row] - done @ done[row]  # T e_u is zero above row u
+        m = corrections[:, round_idx] = col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[row]))
+        drop = float(m @ m)
+        r = r_prev - drop
         times.append(time.perf_counter() - started)
         edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, r_prev - r if gain is None else gain, r, g.n / r))
+        steps.append(TraceStep(edge, chosen.weight, drop if gain is None else gain, r, g.n / r))
         r_prev = r
     return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
 
@@ -227,19 +239,30 @@ def _dense_trace(
 def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> GreedyTrace:
     """Exact greedy: k rounds of best-marginal-gain selection.
 
-    One dense grounded inverse up front, then each round scores every live
-    candidate in closed form and applies a rank-1 update for the first
-    candidate within _TIE_RTOL of the best gain. O(n^3 + k n^2) overall. The
-    selection is within a (1 - 1/e) factor of the optimal reduction.
+    One dense grounded inverse M up front, so R_v = tr(M); each round scores
+    every live candidate in closed form and takes the first candidate within
+    _TIE_RTOL of the best gain, then updates M -= m m^T with
+    m = sqrt(w / (1 + w M_uu)) M e_u. O(n^3 + k n^2) overall. The selection
+    is within a (1 - 1/e) factor of the optimal reduction.
     """
     live = _check_candidates(g, v, candidates, k)
-
-    def pick(inv: np.ndarray, _round: int) -> tuple[CandidateEdge, float]:
+    inv = grounded_inverse(build_laplacian(g), v)
+    r0 = float(np.trace(inv))
+    steps: list[TraceStep] = []
+    times: list[float] = []
+    for _ in range(k):
+        started = time.perf_counter()
         gains = _exact_gains(inv, v, live)
         best = int(np.flatnonzero(gains >= gains.max() * (1.0 - _TIE_RTOL))[0])
-        return live.pop(best), float(gains[best])
-
-    return _dense_trace(g, v, k, pick, "exact", 0)
+        chosen = live.pop(best)
+        row = chosen.other - (chosen.other > v)
+        m = inv[:, row] * math.sqrt(chosen.weight / (1.0 + chosen.weight * inv[row, row]))
+        inv -= np.outer(m, m)
+        r = float(np.trace(inv))
+        times.append(time.perf_counter() - started)
+        edge = (min(chosen.other, v), max(chosen.other, v))
+        steps.append(TraceStep(edge, chosen.weight, float(gains[best]), r, g.n / r))
+    return GreedyTrace("exact", v, 0, r0, g.n / r0, tuple(steps), tuple(times))
 
 
 class VReffResult(NamedTuple):
@@ -369,8 +392,8 @@ def approxi_sm(
     working graph's Laplacian.
 
     Trace values: up to EXACT_TRACE_LIMIT nodes the per-step R_v is exact
-    (rank-1 updates of the dense grounded inverse); beyond that the trace
-    chains the estimator's own resistance values and is marked "estimated".
+    (the evaluator insertion_trace uses); beyond that the trace chains the
+    estimator's own resistance values and is marked "estimated".
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must be in (0, 1/2]")
@@ -403,7 +426,7 @@ def approxi_sm(
         return chosen, float(gains[best]), result.resistance_estimate
 
     if g.n <= EXACT_TRACE_LIMIT:
-        return _dense_trace(g, v, k, lambda _inv, round_idx: pick(round_idx)[:2], "approx", spec.seed)
+        return _exact_trace(g, v, k, lambda round_idx: pick(round_idx)[:2], "approx", spec.seed)
 
     # with no round to run, r0 still comes from round 0's estimator stream;
     # its R_v estimate does not depend on the candidates, so none are scored
@@ -466,7 +489,7 @@ def insertion_trace(
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
     with exact per-step values."""
-    return _dense_trace(g, v, len(picked), lambda _inv, round_idx: (picked[round_idx], None), algorithm, seed)
+    return _exact_trace(g, v, len(picked), lambda round_idx: (picked[round_idx], None), algorithm, seed)
 
 
 def brute_force_optimum(
@@ -474,10 +497,12 @@ def brute_force_optimum(
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exhaustive search over all k-subsets of candidates.
 
-    Returns the subset minimizing R_v (lexicographically first among exact
-    ties) and that optimal resistance. Every subset is evaluated from
-    scratch through the grounded Laplacian, independent of the update-based
-    optimizers. Guarded to C(|candidates|, k) <= 1e6 subsets.
+    Returns the lexicographically first subset whose R_v is within
+    _TIE_RTOL of the least, so that roundoff does not decide between tied
+    subsets, and its resistance. Every subset is evaluated from scratch as
+    ||C^-1||_F^2 for the Cholesky factor C of its grounded Laplacian,
+    independent of the update-based optimizers. Guarded to
+    C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
     if not is_connected(g):
@@ -486,21 +511,16 @@ def brute_force_optimum(
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
-    keep = np.arange(g.n) != v
-    base = build_laplacian(g).toarray()[np.ix_(keep, keep)]
-    eye = np.eye(g.n - 1)
-
-    best_r = math.inf
-    best_subset: tuple[CandidateEdge, ...] = ()
-    for subset in combinations(live, k):
-        lap = base.copy()
+    base = _grounded_dense(build_laplacian(g), v)
+    resistances = np.empty(total)
+    for i, subset in enumerate(combinations(live, k)):
+        lap = base.copy(order="F")
         for c in subset:
             gi = c.other - (c.other > v)
             lap[gi, gi] += c.weight  # edge (other, v): only the diagonal survives grounding
-        factor = scipy.linalg.cho_factor(lap, lower=True, check_finite=False)
-        r = float(np.trace(scipy.linalg.cho_solve(factor, eye, check_finite=False)))
-        if r < best_r:
-            best_r = r
-            best_subset = subset
+        flat = _cholesky_inverse(lap).ravel(order="K")
+        resistances[i] = flat @ flat
+    best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
+    best_subset = next(islice(combinations(live, k), best, None))
     edges = tuple((min(c.other, v), max(c.other, v)) for c in best_subset)
-    return edges, best_r
+    return edges, float(resistances[best])

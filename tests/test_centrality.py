@@ -246,6 +246,18 @@ def test_rank_all_orders_and_ties(p3, k3, star4):
     assert all(s.value == pytest.approx(0.8) for s in star_ranked[1:])
 
 
+def test_rank_all_karate_ties_go_to_the_smallest_id():
+    # karate has interchangeable nodes (4 and 10; 15, 18, 20 and 22) whose
+    # centralities tie exactly; roundoff must not order them
+    g, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    truth = {v: information_centrality(g, v).value for v in range(g.n)}
+    ranked = [s.node for s in rank_all_by_centrality(g)]
+    for a, b in zip(ranked, ranked[1:]):
+        if truth[a] == pytest.approx(truth[b], rel=1e-12):
+            assert a < b, f"tied nodes {a} and {b} out of id order"
+    assert ranked.index(15) + 3 == ranked.index(22)
+
+
 def test_rank_all_single_node():
     with pytest.raises(ValueError, match="single node"):
         rank_all_by_centrality(Graph.from_edges(1, []))

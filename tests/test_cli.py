@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,23 @@ def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
     ])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+    # the baselines' and the oracle's LAPACK calls report failure through
+    # info, not by raising; the program must raise on it
+    import icmax.linalg as linalg_mod
+
+    monkeypatch.setattr(
+        linalg_mod, "lapack",
+        types.SimpleNamespace(dpotrf=lambda a, **kw: (a, 2), dtrtri=linalg_mod.lapack.dtrtri),
+    )
+    for algo in ("top-degree", "oracle"):
+        rc = main([
+            "optimize", "--graph", str(graph), "--target", "0", "--algo", algo,
+            "--out", str(tmp_path / algo),
+        ])
+        assert rc == 3, algo
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "info=2" in err, algo
 
 
 # ---------------------------------------------------------------------------

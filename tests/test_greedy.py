@@ -165,14 +165,24 @@ def test_exact_sm_karate_ties_go_to_the_smallest_endpoint():
         _assert_replays_on_pseudoinverse(g, v, cands, exact_sm(g, v, cands, 3))
 
 
-@pytest.mark.parametrize("seed, n", [(71, 100), (72, 300), (73, 500)])
+@pytest.mark.parametrize("seed, n", [(71, 100), (72, 300), (73, 500), (74, 2)])
 def test_dense_traces_match_pseudoinverse_every_step(seed, n):
-    # criterion 6's graphs; the pseudoinverse route shares no code with the
-    # grounded inverse the traces hold
+    # criterion 6's graphs, and a single edge with no candidate; the
+    # pseudoinverse route shares no code with the grounded inverse the
+    # exact greedy holds or with the evaluator the other traces use
     g = random_connected_graph(seed, n=n, weighted=True)
     v = 0
     cands = [CandidateEdge(c.other, v, 0.5 + i % 4) for i, c in enumerate(default_candidates(g, v))]
-    for trace in (exact_sm(g, v, cands, 10), insertion_trace(g, v, cands[:10], "fixed")):
+    k = min(10, len(cands))
+    approx = approxi_sm(g, v, cands, k, 0.3, SolverSpec(seed=seed), m_cap=32, sketch_constant=1.0)
+    assert approx.value_mode == VALUES_EXACT
+    traces = (
+        exact_sm(g, v, cands, k),
+        insertion_trace(g, v, cands[:k], "fixed"),
+        insertion_trace(g, v, [], "empty"),
+        approx,
+    )
+    for trace in traces:
         added = []
         truth = node_resistance(pseudoinverse(build_laplacian(g)), v).value
         assert trace.initial_resistance == pytest.approx(truth, rel=1e-10)
@@ -205,6 +215,18 @@ def test_brute_force_tie_is_lexicographic():
     star = star_graph(3)
     edges, _ = brute_force_optimum(star, 1, default_candidates(star, 1), 1)
     assert edges == ((1, 2),)
+
+
+def test_brute_force_karate_ties_match_exact_greedy_at_k1():
+    # at k=1 the greedy is optimal; both must give tied subsets to the
+    # lexicographically first, whatever roundoff does to their R_v
+    g, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    for v in range(g.n):
+        cands = default_candidates(g, v)
+        edges, r = brute_force_optimum(g, v, cands, 1)
+        greedy_trace = exact_sm(g, v, cands, 1)
+        assert edges == greedy_trace.edges, f"target {v}"
+        assert r == pytest.approx(greedy_trace.final_resistance, rel=1e-12)
 
 
 def test_brute_force_guard_and_validation():

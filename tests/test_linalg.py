@@ -18,9 +18,11 @@ from icmax.linalg import (
     SolverConvergenceError,
     SolverSpec,
     _cg_multi,
+    _cholesky_inverse,
     _verified_solve,
     approx_eff_res,
     build_laplacian,
+    grounded_cholesky_inverse,
     grounded_inverse,
     hutchinson_sample_count,
     hutchinson_trace,
@@ -142,6 +144,41 @@ def test_grounded_inverse_refuses_oversize():
     g = path_graph(DENSE_NODE_LIMIT + 1)
     with pytest.raises(ValueError, match="solver"):
         grounded_inverse(build_laplacian(g), 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grounded_cholesky_inverse_factors_the_grounded_inverse(seed):
+    g = random_connected_graph(seed, n=25, weighted=True)
+    v = seed * 7 % g.n
+    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    inv = grounded_inverse(build_laplacian(g), v)
+    assert t.shape == (g.n - 1, g.n - 1)
+    assert np.array_equal(t, np.tril(t))
+    assert np.allclose(t.T @ t, inv, rtol=1e-10, atol=1e-12)
+    assert np.sum(t * t) == pytest.approx(np.trace(inv), rel=1e-12)
+
+
+def test_grounded_cholesky_inverse_path3():
+    # grounded at node 0: L_{-0} = [[2, -1], [-1, 1]] = C C^T with
+    # C = [[sqrt 2, 0], [-1/sqrt 2, 1/sqrt 2]]
+    t = grounded_cholesky_inverse(build_laplacian(path_graph(3)), 0)
+    root = math.sqrt(2.0)
+    assert np.allclose(t, [[1.0 / root, 0.0], [1.0 / root, root]], atol=1e-14)
+
+
+def test_grounded_cholesky_inverse_shares_the_dense_checks():
+    g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match="connected"):
+        grounded_cholesky_inverse(build_laplacian(g), 0)
+    with pytest.raises(ValueError, match="solver"):
+        grounded_cholesky_inverse(build_laplacian(path_graph(DENSE_NODE_LIMIT + 1)), 0)
+
+
+def test_cholesky_inverse_raises_on_lapack_failure():
+    # LAPACK reports a non-positive pivot through info; it must not pass
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf info=2"):
+        _cholesky_inverse(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]))
+    assert _cholesky_inverse(np.zeros((0, 0), order="F")).shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,3 +21,21 @@ def test_reproduce_quality_karate(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert (tmp_path / "quality_summary.csv").read_text(encoding="utf-8").startswith("k,mean_ratio")
+
+
+def test_reproduce_perf_small(tmp_path):
+    # literal estimator: the capped default voids the guarantee, and at n=60
+    # its quality ratio falls under the script's 0.98 gate
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "reproduce_perf.py"),
+            "--sizes", "60", "--families", "ws,ba", "--k", "2", "--targets", "2",
+            "--literal", "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8").startswith(
+        "graph,n,m,k,targets,mean_time_approx,mean_time_exact,time_ratio,"
+    )
