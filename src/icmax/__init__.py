@@ -1,8 +1,9 @@
 """Information-centrality maximization by incident edge addition.
 
-Public surface: graph loading/generation, exact and estimated resistance
-kernels, the exact and approximate greedy optimizers with baselines and a
-brute-force oracle. The CLI lives in icmax.cli.
+Public surface: graph loading/generation, the grounded-trace resistance
+and centrality evaluators, the sketch resistance estimator, and the exact
+and approximate greedy optimizers with baselines and a brute-force oracle.
+The CLI lives in icmax.cli.
 """
 
 from .graphs import (
@@ -22,24 +23,14 @@ from .linalg import (
     SolverSpec,
     approx_eff_res,
     build_laplacian,
-    hutchinson_sample_count,
-    hutchinson_trace,
-    lapl_solve,
-    pseudoinverse,
-    sherman_morrison_update,
     solver_tolerance,
 )
 from .centrality import (
     CentralityScore,
     NodeResistance,
     information_centrality,
-    information_centrality_via_B,
-    information_matrix_inverse,
-    marginal_gain_exact,
-    node_resistance,
     node_resistance_grounded,
     rank_all_by_centrality,
-    resistance_pair,
 )
 from .greedy import (
     BASELINE_STRATEGIES,
@@ -79,23 +70,13 @@ __all__ = [
     "exact_sm",
     "generate_ba",
     "generate_ws",
-    "hutchinson_sample_count",
-    "hutchinson_trace",
     "information_centrality",
-    "information_centrality_via_B",
-    "information_matrix_inverse",
     "insertion_trace",
     "is_connected",
-    "lapl_solve",
     "largest_connected_component",
     "load_edge_list",
-    "marginal_gain_exact",
-    "node_resistance",
     "node_resistance_grounded",
-    "pseudoinverse",
     "rank_all_by_centrality",
-    "resistance_pair",
-    "sherman_morrison_update",
     "solver_tolerance",
     "vreff_comp",
     "write_edge_list",

@@ -84,7 +84,6 @@ class RunConfig:
     weight: float = 1.0
     seed: int = 0
     solver_mode: str = "practical"
-    residual_target: float = 1e-8
     max_iterations: int = 50_000
     m_cap: int | None = None
     sketch_constant: float = 24.0
@@ -123,7 +122,7 @@ class RunConfig:
                 raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         if not self.formats:
             raise ConfigError("at least one output format is required")
-        # constructing the spec validates mode/residual/max_iterations
+        # constructing the spec validates mode and max_iterations
         try:
             self.solver_spec()
         except ValueError as exc:
@@ -132,7 +131,6 @@ class RunConfig:
     def solver_spec(self, seed: int | None = None) -> SolverSpec:
         return SolverSpec(
             mode=self.solver_mode,
-            residual_target=self.residual_target,
             max_iterations=self.max_iterations,
             seed=self.seed if seed is None else seed,
         )
@@ -210,8 +208,9 @@ def build_config(file_values: dict[str, str], overrides: dict) -> RunConfig:
 # -- graph plumbing -------------------------------------------------------
 
 
-def parse_generator_spec(spec: str, default_seed: int = 0):
-    """'ws N K P [seed=S]' or 'ba N ATTACH [seed=S]' -> Graph factory call."""
+def parse_generator_spec(spec: str, default_seed: int = 0) -> tuple[Graph, str, int]:
+    """'ws N K P [seed=S]' or 'ba N ATTACH [seed=S]' -> (graph, label, seed
+    it was generated with); a seed= token wins over default_seed."""
     tokens = spec.replace(",", " ").split()
     if not tokens:
         raise ConfigError("empty generator spec")
@@ -238,8 +237,8 @@ def parse_generator_spec(spec: str, default_seed: int = 0):
         raise ConfigError(f"trailing tokens in generator spec {spec!r}: {extra}")
     try:
         if family == "ws":
-            return generate_ws(n, k_ring, p_rewire, seed), f"ws-{n}-{k_ring}-{p_rewire}"
-        return generate_ba(n, attach, seed), f"ba-{n}-{attach}"
+            return generate_ws(n, k_ring, p_rewire, seed), f"ws-{n}-{k_ring}-{p_rewire}", seed
+        return generate_ba(n, attach, seed), f"ba-{n}-{attach}", seed
     except ValueError as exc:
         raise ConfigError(f"generator spec {spec!r}: {exc}") from exc
 
@@ -250,7 +249,7 @@ def _obtain_graph(config: RunConfig) -> tuple[Graph, np.ndarray, str]:
         g, ids = load_edge_list(config.graph_path)
         label = Path(config.graph_path).stem
     else:
-        g, label = parse_generator_spec(config.generate, default_seed=child_seed(config.seed, 40))
+        g, label, _ = parse_generator_spec(config.generate, default_seed=child_seed(config.seed, 40))
         ids = np.arange(g.n)
     full_n = g.n
     g, lcc_ids = largest_connected_component(g)
@@ -496,12 +495,10 @@ def cmd_compare_perf(config: RunConfig) -> dict:
         raise ConfigError("compare-perf requires both 'exact' and 'approx' algorithms")
     g, ids, label = _obtain_graph(config)
 
-    if config.targets or config.random_targets:
-        targets = _resolve_targets(config, g, ids)
-    else:
-        count = min(config.perf_targets, g.n)
-        rng = seeded_rng(config.seed, 41)
-        targets = sorted(int(t) for t in rng.choice(g.n, size=count, replace=False))
+    sampled = config
+    if not (config.targets or config.random_targets):
+        sampled = replace(config, random_targets=min(config.perf_targets, g.n))
+    targets = _resolve_targets(sampled, g, ids)
     _check_target_capacity(config, g, ids, targets)
 
     times = {"exact": [], "approx": []}
@@ -564,13 +561,7 @@ def cmd_compare_perf(config: RunConfig) -> dict:
 
 
 def cmd_gen(spec_tokens: list[str], out_path: str, seed: int = 0) -> Path:
-    for tok in spec_tokens:  # a trailing seed= token wins over --seed
-        if tok.startswith("seed="):
-            try:
-                seed = int(tok.split("=", 1)[1])
-            except ValueError:
-                pass  # parse_generator_spec reports this properly
-    g, label = parse_generator_spec(" ".join(spec_tokens), default_seed=seed)
+    g, label, seed = parse_generator_spec(" ".join(spec_tokens), default_seed=seed)
     comments = [f"generated: {label} seed={seed}", f"n={g.n} m={g.m}"]
     return write_edge_list(g, out_path, comments=comments)
 
@@ -593,7 +584,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight", type=float, help="candidate edge weight")
     p.add_argument("--seed", type=int, help="master seed for all randomness")
     p.add_argument("--solver-mode", dest="solver_mode", choices=["practical", "paper-literal"])
-    p.add_argument("--residual-target", dest="residual_target", type=float)
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
     p.add_argument("--m-cap", dest="m_cap", type=int,
                    help="cap the estimator sample count (voids the accuracy guarantee)")

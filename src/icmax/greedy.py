@@ -38,6 +38,7 @@ from .linalg import (
     _grounded_dense,
     _project_out_mean,
     _rademacher_block_solve,
+    _require_connected,
     _verified_solve,
     approx_eff_res,
     build_laplacian,
@@ -45,7 +46,7 @@ from .linalg import (
     grounded_inverse,
     solver_tolerance,
 )
-from .centrality import _TIE_RTOL, rank_all_by_centrality
+from .centrality import _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
 from .rand import child_seed, seeded_rng
 
 # Above this size approxi_sm stops maintaining a dense grounded inverse for
@@ -214,6 +215,7 @@ def _exact_trace(
     M e_u = T^T (T e_u) - W W[u]^T: O(k n^2 + k^2 n) after the factor, with
     no n x n update.
     """
+    _require_two_nodes(g.n)
     t = grounded_cholesky_inverse(build_laplacian(g), v)
     flat = t.ravel(order="K")
     r0 = r_prev = float(flat @ flat)
@@ -246,6 +248,7 @@ def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> G
     is within a (1 - 1/e) factor of the optimal reduction.
     """
     live = _check_candidates(g, v, candidates, k)
+    _require_two_nodes(g.n)
     inv = grounded_inverse(build_laplacian(g), v)
     r0 = float(np.trace(inv))
     steps: list[TraceStep] = []
@@ -357,12 +360,13 @@ def vreff_comp(
     With the literal M each estimate is within a factor e^{+-eps} of the
     exact gain with high probability. m_cap truncates M below the literal
     count, voiding that guarantee but keeping the estimator usable when M is
-    impractically large.
+    impractically large. g must be connected.
     """
     if not 0.0 < epsilon <= 1.5:
         raise ValueError("epsilon must be in (0, 3/2]")
     spec = spec or SolverSpec()
     live = _check_candidates(g, v, candidates, 0)
+    _require_connected(build_laplacian(g), "gain estimation")
     return _vreff_comp_full(
         g, v, live, epsilon, spec, m_cap=m_cap, sketch_constant=sketch_constant
     ).gains
@@ -399,9 +403,9 @@ def approxi_sm(
         raise ValueError("epsilon must be in (0, 1/2]")
     spec = spec or SolverSpec()
     live = _check_candidates(g, v, candidates, k)
-    if not is_connected(g):
-        raise ValueError("approximate greedy requires a connected graph")
-    factor = GroundedFactor.build(build_laplacian(g), v)
+    lap = build_laplacian(g)
+    _require_connected(lap, "approximate greedy")
+    factor = GroundedFactor.build(lap, v)
 
     def estimate(working: Graph, cands: list[CandidateEdge], round_idx: int) -> VReffResult:
         round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))

@@ -6,10 +6,9 @@ grounded_inverse forms its dense inverse M, grounded_cholesky_inverse the
 triangular T = C^-1 of its Cholesky factor C (M = T^T T, for callers that
 read only tr(M) and a few columns), and GroundedFactor a sparse factor kept
 across edge insertions at v by Woodbury updates. Verified solves apply the
-factor and check each column's residual, re-solving failures by CG. Also:
-Rademacher trace and sketch effective-resistance estimators, and the dense
-pseudoinverse via (L + J/n) with its rank-1 update, kept as test oracles.
-The dense routes are exact and O(n^3) and refuse graphs beyond
+factor and check each column's residual, re-solving failures by CG; the
+Rademacher block solve and the sketch effective-resistance estimator run on
+them. The dense routes are exact and O(n^3) and refuse graphs beyond
 DENSE_NODE_LIMIT nodes; larger ones go through the solver and estimators.
 """
 
@@ -56,21 +55,18 @@ class SolverConvergenceError(RuntimeError):
 class SolverSpec:
     """How tight to solve Laplacian systems and where the randomness comes from.
 
-    mode selects the estimator-accuracy-to-tolerance mapping (see
-    solver_tolerance); residual_target is the relative-residual stopping rule
-    actually enforced by lapl_solve.
+    mode selects the estimator-accuracy-to-residual mapping every solve is
+    held to (see solver_tolerance); max_iterations caps the CG re-solve of a
+    column the direct solve misses; seed roots the estimators' randomness.
     """
 
     mode: str = PRACTICAL
-    residual_target: float = 1e-8
     max_iterations: int = 50_000
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (PRACTICAL, PAPER_LITERAL):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if not (0.0 < self.residual_target < 1.0):
-            raise ValueError("residual_target must be in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -97,29 +93,19 @@ def build_laplacian(g: Graph) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
-def _require_dense(lap: sparse.csr_matrix, what: str) -> None:
-    """Refuse a dense route beyond DENSE_NODE_LIMIT or on a disconnected graph."""
-    n = lap.shape[0]
-    if n > DENSE_NODE_LIMIT:
-        raise ValueError(f"dense {what} refused for n={n} > {DENSE_NODE_LIMIT}; use the solver/estimator path")
+def _require_connected(lap: sparse.csr_matrix, what: str) -> None:
+    """Refuse a Laplacian whose graph is disconnected."""
     # L's sparsity pattern is the graph plus self-loops, which keep components
     if connected_components(lap, directed=False, return_labels=False) != 1:
         raise ValueError(f"{what} requires a connected graph")
 
 
-def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:
-    """Dense Moore-Penrose pseudoinverse, exact via (L + J/n)^-1 - J/n.
-
-    Requires a connected underlying graph; (L + J/n) is then symmetric
-    positive definite and a Cholesky factorization applies.
-    """
-    _require_dense(lap, "pseudoinverse")
+def _require_dense(lap: sparse.csr_matrix, what: str) -> None:
+    """Refuse a dense route beyond DENSE_NODE_LIMIT or on a disconnected graph."""
     n = lap.shape[0]
-    shifted = lap.toarray() + 1.0 / n
-    factor = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-    pinv = scipy.linalg.cho_solve(factor, np.eye(n), check_finite=False)
-    pinv -= 1.0 / n
-    return (pinv + pinv.T) / 2.0
+    if n > DENSE_NODE_LIMIT:
+        raise ValueError(f"dense {what} refused for n={n} > {DENSE_NODE_LIMIT}; use the solver/estimator path")
+    _require_connected(lap, what)
 
 
 def _grounded_dense(lap: sparse.csr_matrix, v: int) -> np.ndarray:
@@ -239,16 +225,6 @@ class GroundedFactor:
         return out
 
 
-def make_preconditioner(lap: sparse.csr_matrix):
-    """The solve of a GroundedFactor at node 0, or None when unavailable.
-
-    On the zero-sum subspace it is the exact inverse up to roundoff, so a
-    verified solve usually accepts its answer without CG iterations.
-    """
-    factor = GroundedFactor.build(lap, 0)
-    return None if factor is None else factor.solve
-
-
 def _cg_multi(
     lap: sparse.csr_matrix,
     rhs: np.ndarray,
@@ -344,56 +320,6 @@ def _verified_solve(
     return x
 
 
-def lapl_solve(lap: sparse.csr_matrix, z: np.ndarray, spec: SolverSpec | None = None) -> np.ndarray:
-    """Approximate y = pinv(L) z' where z' is z with its mean removed.
-
-    The projection makes the system consistent for any z (the pseudoinverse
-    annihilates constant vectors, so pinv(L) z' = pinv(L) z). The result has
-    zero mean and satisfies ||L y - z'|| <= residual_target * ||z'|| in the
-    2-norm; failure to converge raises SolverConvergenceError with the
-    achieved residual.
-    """
-    spec = spec or SolverSpec()
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != lap.shape[0]:
-        raise ValueError("z must be a length-n vector")
-    rhs = _project_out_mean(z[:, None].copy())
-    pre = make_preconditioner(lap)
-    y = _verified_solve(lap, rhs, spec.residual_target, spec.max_iterations, pre)[:, 0]
-    return y - y.mean()
-
-
-def hutchinson_trace(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    m_samples: int,
-    seed: int,
-) -> float:
-    """Monte-Carlo trace estimate (1/M) sum_i x_i^T A x_i with +-1 vectors.
-
-    Deterministic for a fixed seed; samples are averaged in draw order.
-    Exact whenever A is diagonal, since the squared entries of a sign vector
-    are identically 1.
-    """
-    if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
-    rng = seeded_rng(seed)
-    total = 0.0
-    for _ in range(m_samples):
-        x = rademacher(rng, n)
-        total += float(x @ apply(x))
-    return total / m_samples
-
-
-def hutchinson_sample_count(epsilon: float, delta: float, rank: int) -> int:
-    """Sample count sufficient for an epsilon-approximation with prob 1-delta."""
-    if not (0.0 < epsilon <= 0.5):
-        raise ValueError("epsilon must be in (0, 1/2]")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0, 1)")
-    return math.ceil(24.0 * epsilon**-2 * math.log(2.0 * rank / delta))
-
-
 def _rademacher_block_solve(
     lap: sparse.csr_matrix,
     rng: np.random.Generator,
@@ -462,8 +388,9 @@ def approx_eff_res(
     Laplacian solve, and reads R(u, v) off as the squared distance between
     sketch columns u and v. With the default constant each estimate is an
     epsilon-approximation of the true resistance with high probability.
-    pre is a direct solve for g's Laplacian to share with other calls
-    (default: a fresh factor); every solve is verified either way.
+    g must be connected. pre is a direct solve for g's Laplacian to share
+    with other calls (default: a fresh factor); every solve is verified
+    either way.
     """
     if not (0.0 < epsilon <= 0.5):
         raise ValueError("epsilon must be in (0, 1/2]")
@@ -476,8 +403,10 @@ def approx_eff_res(
         return {(u, v): 0.0 for u, v in pairs}
 
     lap = build_laplacian(g)
+    _require_connected(lap, "effective-resistance sketch")
     if pre is None:
-        pre = make_preconditioner(lap)
+        factor = GroundedFactor.build(lap, 0)
+        pre = None if factor is None else factor.solve
     tol = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
     inc_t = _signed_incidence_transpose(g)
     q = math.ceil(sketch_constant * math.log(n) / epsilon**2)
@@ -490,24 +419,6 @@ def approx_eff_res(
         tol, spec.max_iterations, pre, us, vs,
     )
     return {pair: float(est) for pair, est in zip(pairs, estimates)}
-
-
-def sherman_morrison_update(pinv: np.ndarray, e, w: float) -> np.ndarray:
-    """Pseudoinverse of the graph after adding edge e = (u, v) with weight w.
-
-    Rank-1 correction pinv - w (pinv b)(pinv b)^T / (1 + w b^T pinv b) with
-    b = e_u - e_v; O(n^2) and exact up to roundoff. The denominator is
-    strictly positive for any w > 0 because pinv is PSD.
-    """
-    u, v = int(e[0]), int(e[1])
-    if u == v:
-        raise ValueError("edge endpoints must differ")
-    if w <= 0.0:
-        raise ValueError("edge weight must be positive")
-    col = pinv[:, u] - pinv[:, v]
-    denom = 1.0 + w * (col[u] - col[v])
-    updated = pinv - np.outer(col, col) * (w / denom)
-    return (updated + updated.T) / 2.0
 
 
 def solver_deviation_notes(spec: SolverSpec) -> list[str]:

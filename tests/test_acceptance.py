@@ -10,15 +10,7 @@ import time
 
 import numpy as np
 
-from icmax.centrality import (
-    information_centrality,
-    information_centrality_via_B,
-    information_matrix_inverse,
-    marginal_gain_exact,
-    node_resistance,
-    node_resistance_grounded,
-    resistance_pair,
-)
+from icmax.centrality import information_centrality, node_resistance_grounded
 from icmax.cli import main
 from icmax.graphs import generate_ws
 from icmax.greedy import (
@@ -29,13 +21,13 @@ from icmax.greedy import (
     exact_sm,
 )
 from icmax.linalg import (
+    GroundedFactor,
     SolverSpec,
+    _project_out_mean,
+    _rademacher_block_solve,
     approx_eff_res,
     build_laplacian,
-    hutchinson_sample_count,
-    hutchinson_trace,
-    pseudoinverse,
-    sherman_morrison_update,
+    solver_tolerance,
 )
 from icmax.rand import child_seed, seeded_rng
 
@@ -46,6 +38,15 @@ from conftest import (
     random_connected_graph,
     record_acceptance,
     star_graph,
+)
+from oracles import (
+    hutchinson_sample_count,
+    information_centrality_via_B,
+    information_matrix_inverse,
+    marginal_gain_exact,
+    node_resistance,
+    pseudoinverse,
+    resistance_pair,
 )
 
 
@@ -210,37 +211,53 @@ def test_criterion_05_greedy_guarantee():
 
 def test_criterion_06_rank_one_update_fidelity():
     started = time.perf_counter()
-    worst = 0.0
+    factor_drift = trace_error = 0.0
     for seed, n in ((71, 100), (72, 300), (73, 500)):
         g = random_connected_graph(seed, n=n, weighted=True)
         v = 0
         cands = default_candidates(g, v)[:10]
-        p = pseudoinverse(build_laplacian(g))
-        edges = []
+        augmented = g.with_edges([(c.other, v, c.weight) for c in cands])
+        # approx's sparse factor after 10 Woodbury updates, against the
+        # pseudoinverse of the augmented graph
+        factor = GroundedFactor(build_laplacian(g), v)
         for c in cands:
-            p = sherman_morrison_update(p, (c.other, v), c.weight)
-            edges.append((c.other, v, c.weight))
-        fresh = pseudoinverse(build_laplacian(g.with_edges(edges)))
-        worst = max(worst, float(np.abs(p - fresh).max()))
+            factor.add(c.other, c.weight)
+        fresh = pseudoinverse(build_laplacian(augmented))
+        factor_drift = max(factor_drift, float(np.abs(factor.solve(np.eye(n) - 1.0 / n) - fresh).max()))
+        # exact greedy's dense rank-1 updates: k = 10 over these 10 candidates
+        # inserts all of them, so its final R_v is the augmented graph's
+        truth = node_resistance_grounded(augmented, v).value
+        final = exact_sm(g, v, cands, len(cands)).final_resistance
+        trace_error = max(trace_error, abs(final - truth) / truth)
     record_acceptance(
         "criterion 6: rank-1 update fidelity",
-        worst <= 1e-6,
-        f"10 successive updates on n in (100, 300, 500), "
-        f"max entry drift {worst:.2e} ({time.perf_counter() - started:.1f}s)",
+        factor_drift <= 1e-6 and trace_error <= 1e-10,
+        f"10 successive updates on n in (100, 300, 500): GroundedFactor.add "
+        f"max entry drift {factor_drift:.2e} (bound 1e-6), exact_sm final R_v "
+        f"relative error {trace_error:.2e} (bound 1e-10) "
+        f"({time.perf_counter() - started:.1f}s)",
     )
 
 
 def test_criterion_07_randomized_estimators():
     started = time.perf_counter()
-    # trace estimator at its analysed sample count
+    # approx's Rademacher trace sum at the analysed sample count
     g = random_connected_graph(70, n=40, weighted=True)
-    p = pseudoinverse(build_laplacian(g))
-    truth = float(np.trace(p))
+    lap = build_laplacian(g)
+    truth = float(np.trace(pseudoinverse(lap)))
     m = hutchinson_sample_count(0.3, 0.1, g.n - 1)
-    trace_misses = sum(
-        not _in_eps(hutchinson_trace(lambda x: p @ x, g.n, m, seed=t), truth, 0.3)
-        for t in range(100)
-    )
+    tol = solver_tolerance(SolverSpec(), 0.3, g.n, g.w_max)
+    pre = GroundedFactor.build(lap, 0).solve
+    nowhere = np.zeros(0, dtype=np.int64)
+
+    def trace_estimate(seed: int) -> float:
+        _, total = _rademacher_block_solve(
+            lap, seeded_rng(seed), (g.n, m), _project_out_mean, tol,
+            SolverSpec().max_iterations, pre, nowhere, nowhere, trace=True,
+        )
+        return total / m
+
+    trace_misses = sum(not _in_eps(trace_estimate(t), truth, 0.3) for t in range(100))
 
     # resistance sketch at eps = 0.2
     h = random_connected_graph(71, n=120, weighted=True)
@@ -259,8 +276,8 @@ def test_criterion_07_randomized_estimators():
     record_acceptance(
         "criterion 7: randomized estimator accuracy",
         trace_misses <= 15 and sketch_hits >= 95,
-        f"trace estimator misses {trace_misses}/100 (cap 15, M={m}); "
-        f"sketch clean runs {sketch_hits}/100 (floor 95) "
+        f"_rademacher_block_solve trace misses {trace_misses}/100 (cap 15, M={m}); "
+        f"approx_eff_res clean runs {sketch_hits}/100 (floor 95) "
         f"({time.perf_counter() - started:.1f}s)",
     )
 

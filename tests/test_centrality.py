@@ -13,19 +13,23 @@ from icmax.centrality import (
     CentralityScore,
     NodeResistance,
     information_centrality,
+    node_resistance_grounded,
+    rank_all_by_centrality,
+)
+from icmax.graphs import Graph, load_edge_list
+from icmax.greedy import default_candidates, exact_sm
+from icmax.linalg import build_laplacian
+
+from conftest import complete_graph, path_graph, random_connected_graph, star_graph
+from oracles import (
     information_centrality_via_B,
     information_matrix_inverse,
     marginal_gain_exact,
     node_resistance,
-    node_resistance_grounded,
-    rank_all_by_centrality,
+    pseudoinverse,
     resistance_pair,
+    sherman_morrison_update,
 )
-from icmax.graphs import Graph, load_edge_list
-from icmax.greedy import default_candidates, exact_sm
-from icmax.linalg import build_laplacian, pseudoinverse, sherman_morrison_update
-
-from conftest import complete_graph, path_graph, random_connected_graph, star_graph
 
 
 def _pinv(g: Graph) -> np.ndarray:

@@ -103,7 +103,6 @@ def _field_samples(tmp_path) -> dict[str, tuple[list[str], str]]:
         "weight": (["--weight", "2.5"], "2.5"),
         "seed": (["--seed", "5"], "5"),
         "solver_mode": (["--solver-mode", "paper-literal"], "paper-literal"),
-        "residual_target": (["--residual-target", "1e-6"], "1e-6"),
         "max_iterations": (["--max-iterations", "100"], "100"),
         "m_cap": (["--m-cap", "8"], "8"),
         "sketch_constant": (["--sketch-constant", "2.0"], "2.0"),
@@ -155,7 +154,6 @@ def test_config_validation(tmp_path):
         (dict(**ok, formats=("yaml",)), "unknown format"),
         (dict(**ok, formats=()), "output format"),
         (dict(**ok, solver_mode="fast"), "mode"),
-        (dict(**ok, residual_target=2.0), "residual_target"),
         (dict(**ok, perf_targets=0), "perf_targets"),
     ]
     for kwargs, pattern in cases:
@@ -164,11 +162,11 @@ def test_config_validation(tmp_path):
 
 
 def test_parse_generator_spec():
-    g, label = parse_generator_spec("ws 50 4 0.1")
-    assert label == "ws-50-4-0.1"
+    g, label, seed = parse_generator_spec("ws 50 4 0.1", default_seed=3)
+    assert label == "ws-50-4-0.1" and seed == 3
     assert g.n == 50 and g.m == 100
-    g, label = parse_generator_spec("ba 40 2 seed=7")
-    assert label == "ba-40-2"
+    g, label, seed = parse_generator_spec("ba 40 2 seed=7", default_seed=3)
+    assert label == "ba-40-2" and seed == 7
     assert g.n == 40
     for bad, pattern in [
         ("", "empty"),
@@ -584,3 +582,27 @@ def test_console_entry_point(tmp_path):
     assert proc.stderr == ""
     g, _ = load_edge_list(out)
     assert g.n == 20 and g.m == 40
+
+
+def test_public_surface():
+    # the package ships the grounded route; the other routes live in the tests
+    import icmax.centrality
+    import icmax.linalg
+
+    for name in icmax.__all__:
+        assert getattr(icmax, name) is not None, name
+    test_only = (
+        "hutchinson_sample_count",
+        "hutchinson_trace",
+        "information_centrality_via_B",
+        "information_matrix_inverse",
+        "lapl_solve",
+        "make_preconditioner",
+        "marginal_gain_exact",
+        "node_resistance",
+        "pseudoinverse",
+        "resistance_pair",
+        "sherman_morrison_update",
+    )
+    for module in (icmax, icmax.linalg, icmax.centrality):
+        assert not [name for name in test_only if hasattr(module, name)], module.__name__

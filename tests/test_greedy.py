@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icmax import greedy
-from icmax.centrality import marginal_gain_exact, node_resistance, node_resistance_grounded
+from icmax.centrality import node_resistance_grounded
 from icmax.graphs import Graph, load_edge_list
 from icmax.greedy import (
     BASELINE_STRATEGIES,
@@ -28,10 +28,11 @@ from icmax.greedy import (
     vreff_comp,
     _vreff_comp_full,
 )
-from icmax.linalg import SolverSpec, build_laplacian, pseudoinverse, sherman_morrison_update
+from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian
 from icmax.rand import child_seed
 
 from conftest import complete_graph, path_graph, random_connected_graph, star_graph
+from oracles import marginal_gain_exact, node_resistance, pseudoinverse, sherman_morrison_update
 
 
 def _eps_close(est: float, truth: float, eps: float) -> bool:
@@ -324,6 +325,30 @@ def test_vreff_sample_budget_accounting():
     assert capped.m_literal == full.m_literal
     # untruncated estimator also reports a usable R_v estimate
     assert full.resistance_estimate == pytest.approx(3.0, rel=0.1)
+
+
+def test_estimators_reject_disconnected_graphs():
+    # nodes in different components have no finite resistance between them
+    g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match="connected"):
+        approx_eff_res(g, [(0, 3)], 0.3)
+    with pytest.raises(ValueError, match="connected"):
+        vreff_comp(g, 0, [CandidateEdge(2, 0, 1.0)], 0.3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: exact_sm(g, 0, [], 0),
+        lambda g: approxi_sm(g, 0, [], 0, 0.3),
+        lambda g: insertion_trace(g, 0, [], "fixed"),
+        lambda g: baseline_select(g, 0, [], 0, "random"),
+    ],
+    ids=["exact_sm", "approxi_sm", "insertion_trace", "baseline_select"],
+)
+def test_single_node_graph_is_undefined(run):
+    with pytest.raises(ValueError, match="undefined for a single node"):
+        run(Graph.from_edges(1, []))
 
 
 # ---------------------------------------------------------------------------
