@@ -410,8 +410,8 @@ def _deviation_flags(config: RunConfig, report_traces) -> list[str]:
         trace.value_mode != "exact" for per_algo in report_traces.values() for trace in per_algo.values()
     ):
         flags.append(
-            "per-step resistance values in at least one approx trace are "
-            "solver estimates, not exact recomputations"
+            "in at least one approx trace the initial R_v is a Hutchinson "
+            "estimate; the per-step drops from it are exact"
         )
     return flags
 

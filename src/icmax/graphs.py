@@ -7,13 +7,14 @@ ids 0..n-1, no self-loops, no duplicate edges, strictly positive weights.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 
 from .rand import seeded_rng
 
@@ -104,22 +105,10 @@ class Graph:
 
 
 def component_labels(g: Graph) -> np.ndarray:
-    """BFS component label per node; labels are assigned in node-id order."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    current = 0
-    for start in range(g.n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if labels[y] < 0:
-                    labels[y] = current
-                    queue.append(y)
-        current += 1
-    return labels
+    """Component label per node; labels are assigned in node-id order."""
+    us, vs, _ = g.edge_arrays
+    adjacency = sparse.coo_matrix((np.ones(us.size), (us, vs)), shape=(g.n, g.n))
+    return connected_components(adjacency, directed=False)[1].astype(np.int64)
 
 
 def is_connected(g: Graph) -> bool:
@@ -137,6 +126,8 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     if g.n < 1:
         raise ValueError("empty graph")
     labels = component_labels(g)
+    if labels.max() == 0:
+        return g, np.arange(g.n, dtype=np.int64)
     sizes = np.bincount(labels)
     keep = int(np.argmax(sizes))  # first maximum: component with smallest ids
     orig_ids = np.flatnonzero(labels == keep).astype(np.int64)

@@ -7,12 +7,13 @@ for small instances.
 
 Every candidate edge ends at the target v, so it only adds its weight to
 one diagonal entry of the Laplacian grounded at v, whose inverse M has
-trace R_v. The exact greedy holds M densely. Traces whose insertion order
-does not depend on M (the baselines, the oracle's replay and the
-approximate greedy's exact values) read R_v and a few columns of M from
-the triangular inverse of its Cholesky factor, and the oracle takes each
+trace R_v, and inserting (u, v, w) lowers R_v by w ||M e_u||^2 / (1 + w M_uu).
+The exact greedy holds M densely. Fixed insertion orders (the baselines
+and the oracle's replay) read R_v and a few columns of M from the
+triangular inverse of its Cholesky factor, and the oracle takes each
 subset's R_v from its own. The approximate greedy solves with a sparse
-factor of the same matrix.
+factor of the same matrix and takes each accepted edge's drop from one
+more solve on it.
 
 All optimizers consume an explicit candidate list and return a GreedyTrace
 holding the chosen edges and the per-step resistance/centrality trajectory.
@@ -26,9 +27,10 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .graphs import Graph, is_connected
 from .linalg import (
@@ -49,9 +51,12 @@ from .linalg import (
 from .centrality import _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
 from .rand import child_seed, seeded_rng
 
-# Above this size approxi_sm stops maintaining a dense grounded inverse for
-# trace values and chains estimated resistances instead.
+# Up to this size approxi_sm takes the initial R_v from one dense Cholesky
+# inverse; above it, from its round-0 Hutchinson estimate.
 EXACT_TRACE_LIMIT = 2000
+
+# Relative residual of approxi_sm's per-step drop solves.
+_DROP_TOLERANCE = 1e-12
 
 _BRUTE_FORCE_GUARD = 1_000_000
 
@@ -84,7 +89,8 @@ class GreedyTrace:
 
     steps[i].resistance is R_v after inserting the first i+1 edges;
     initial_resistance is R_v of the untouched graph. value_mode records
-    whether those resistances are exact or chained solver estimates.
+    whether those resistances are exact or an estimated initial R_v less
+    the exact drops.
     """
 
     algorithm: str
@@ -103,8 +109,7 @@ class GreedyTrace:
             raise ValueError("one timing entry per step required")
         prev = self.initial_resistance
         for step in self.steps:
-            ok = step.resistance < prev if self.value_mode == VALUES_EXACT else step.resistance <= prev
-            if not ok:
+            if not step.resistance < prev:
                 raise ValueError(
                     f"resistance must decrease along the trace; got {prev} -> {step.resistance}"
                 )
@@ -196,48 +201,6 @@ def _exact_gains(inv: np.ndarray, v: int, candidates: Sequence[CandidateEdge]) -
     return weights * sq_norms / (1.0 + weights * inv[rows, rows])
 
 
-def _exact_trace(
-    g: Graph,
-    v: int,
-    rounds: int,
-    pick: Callable[[int], tuple[CandidateEdge, float | None]],
-    algorithm: str,
-    seed: int,
-) -> GreedyTrace:
-    """Exact values along an insertion order that does not depend on them.
-
-    Each round inserts the candidate (u, v, w) that pick(round) returns with
-    its reported gain; a gain of None reports the realized drop in R_v.
-    T = C^-1 for the Cholesky factor C of the Laplacian grounded at v gives
-    the grounded inverse M = T^T T and R_v = ||T||_F^2. Inserting (u, v, w)
-    subtracts m m^T from M, m = sqrt(w / (1 + w M_uu)) M e_u, and lowers R_v
-    by ||m||^2. The corrections stay as the columns of W, so the current
-    M e_u = T^T (T e_u) - W W[u]^T: O(k n^2 + k^2 n) after the factor, with
-    no n x n update.
-    """
-    _require_two_nodes(g.n)
-    t = grounded_cholesky_inverse(build_laplacian(g), v)
-    flat = t.ravel(order="K")
-    r0 = r_prev = float(flat @ flat)
-    corrections = np.empty((t.shape[0], rounds), order="F")
-    steps: list[TraceStep] = []
-    times: list[float] = []
-    for round_idx in range(rounds):
-        started = time.perf_counter()
-        chosen, gain = pick(round_idx)
-        row = chosen.other - (chosen.other > v)
-        done = corrections[:, :round_idx]
-        col = t[row:].T @ t[row:, row] - done @ done[row]  # T e_u is zero above row u
-        m = corrections[:, round_idx] = col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[row]))
-        drop = float(m @ m)
-        r = r_prev - drop
-        times.append(time.perf_counter() - started)
-        edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, drop if gain is None else gain, r, g.n / r))
-        r_prev = r
-    return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
-
-
 def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> GreedyTrace:
     """Exact greedy: k rounds of best-marginal-gain selection.
 
@@ -285,15 +248,16 @@ def _vreff_comp_full(
     epsilon: float,
     spec: SolverSpec,
     *,
+    lap: sparse.csr_matrix,
     m_cap: int | None = None,
     sketch_constant: float = 24.0,
     factor: GroundedFactor | None = None,
 ) -> VReffResult:
-    """One round of estimates on g. factor, a GroundedFactor of g's
-    Laplacian at v, serves every solve of the round; without one the round
-    factors its own, and falls back to Jacobi CG if that fails."""
+    """One round of estimates on g, whose Laplacian is lap. factor, a
+    GroundedFactor of lap at v, serves every solve of the round; without
+    one the round factors its own, and falls back to Jacobi CG if that
+    fails."""
     n = g.n
-    lap = build_laplacian(g)
     if factor is None:
         factor = GroundedFactor.build(lap, v)
     pre = None if factor is None else factor.solve
@@ -307,7 +271,7 @@ def _vreff_comp_full(
     weights = np.array([c.weight for c in candidates], dtype=np.float64)
 
     # (1/M) sum_i (b_e^T y_i)^2 accumulated blockwise; same stream also
-    # feeds the z_i^T y_i trace estimate used for the resistance chain.
+    # feeds the z_i^T y_i trace estimate behind the R_v estimate.
     t_sums, trace_sum = _rademacher_block_solve(
         lap, seeded_rng(spec.seed, 10), (n, m_used), _project_out_mean,
         tol1, spec.max_iterations, pre, others, np.array([v]), trace=True,
@@ -366,9 +330,10 @@ def vreff_comp(
         raise ValueError("epsilon must be in (0, 3/2]")
     spec = spec or SolverSpec()
     live = _check_candidates(g, v, candidates, 0)
-    _require_connected(build_laplacian(g), "gain estimation")
+    lap = build_laplacian(g)
+    _require_connected(lap, "gain estimation")
     return _vreff_comp_full(
-        g, v, live, epsilon, spec, m_cap=m_cap, sketch_constant=sketch_constant
+        g, v, live, epsilon, spec, lap=lap, m_cap=m_cap, sketch_constant=sketch_constant
     ).gains
 
 
@@ -395,61 +360,68 @@ def approxi_sm(
     absorbs by a Woodbury update. Every solve is verified against the
     working graph's Laplacian.
 
-    Trace values: up to EXACT_TRACE_LIMIT nodes the per-step R_v is exact
-    (the evaluator insertion_trace uses); beyond that the trace chains the
-    estimator's own resistance values and is marked "estimated".
+    Trace values: each accepted (u, v, w) lowers R_v by exactly
+    w ||M e_u||^2 / (1 + w M_uu), read from one more solve against
+    e_u - e_v on the factor. The initial R_v is exact up to
+    EXACT_TRACE_LIMIT nodes; beyond that it is round 0's Hutchinson
+    estimate, and the trace is marked "estimated".
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must be in (0, 1/2]")
     spec = spec or SolverSpec()
     live = _check_candidates(g, v, candidates, k)
+    _require_two_nodes(g.n)
     lap = build_laplacian(g)
     _require_connected(lap, "approximate greedy")
     factor = GroundedFactor.build(lap, v)
+    pre = None if factor is None else factor.solve
 
-    def estimate(working: Graph, cands: list[CandidateEdge], round_idx: int) -> VReffResult:
+    def estimate(
+        working: Graph, working_lap: sparse.csr_matrix, cands: list[CandidateEdge], round_idx: int
+    ) -> VReffResult:
         round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
         return _vreff_comp_full(
             working, v, cands, 3.0 * epsilon, round_spec,
-            m_cap=m_cap, sketch_constant=sketch_constant, factor=factor,
+            lap=working_lap, m_cap=m_cap, sketch_constant=sketch_constant, factor=factor,
         )
 
-    working = g
-
-    def pick(round_idx: int) -> tuple[CandidateEdge, float, float]:
-        """Insert the round's estimated-best candidate into the working graph;
-        returns it, its estimated gain and the round's R_v estimate."""
-        nonlocal working
-        result = estimate(working, live, round_idx)
-        gains = np.array([ge.gain for ge in result.gains], dtype=np.float64)
-        best = int(np.argmax(gains))
-        chosen = live.pop(best)
-        working = working.with_edges([(chosen.other, v, chosen.weight)])
-        if factor is not None:
-            factor.add(chosen.other, chosen.weight)
-        return chosen, float(gains[best]), result.resistance_estimate
-
-    if g.n <= EXACT_TRACE_LIMIT:
-        return _exact_trace(g, v, k, lambda round_idx: pick(round_idx)[:2], "approx", spec.seed)
-
-    # with no round to run, r0 still comes from round 0's estimator stream;
-    # its R_v estimate does not depend on the candidates, so none are scored
-    r0 = estimate(g, [], 0).resistance_estimate if k == 0 else math.nan
+    value_mode = VALUES_EXACT if g.n <= EXACT_TRACE_LIMIT else VALUES_ESTIMATED
+    if value_mode == VALUES_EXACT:
+        flat = grounded_cholesky_inverse(lap, v).ravel(order="K")
+        r0 = float(flat @ flat)
+    else:
+        # R_0 is round 0's estimate; with no round to run it still comes from
+        # round 0's stream, and does not depend on the candidates, so none
+        # are scored
+        r0 = estimate(g, lap, [], 0).resistance_estimate if k == 0 else math.nan
     r_prev = r0
+    working = g
     steps: list[TraceStep] = []
     times: list[float] = []
     for round_idx in range(k):
         started = time.perf_counter()
-        chosen, gain, resistance_estimate = pick(round_idx)
-        if round_idx == 0:
-            r0 = r_prev = resistance_estimate
-        r = min(r_prev - gain, r_prev)
+        if round_idx:
+            lap = build_laplacian(working)
+        result = estimate(working, lap, live, round_idx)
+        if round_idx == 0 and value_mode == VALUES_ESTIMATED:
+            r0 = r_prev = result.resistance_estimate
+        gains = np.array([ge.gain for ge in result.gains], dtype=np.float64)
+        best = int(np.argmax(gains))
+        chosen = live.pop(best)
+        u, w = chosen.other, chosen.weight
+        rhs = np.zeros((g.n, 1))
+        rhs[u], rhs[v] = 1.0, -1.0
+        x = _verified_solve(lap, rhs, _DROP_TOLERANCE, spec.max_iterations, pre)[:, 0]
+        x -= x[v]  # the grounded solution: M e_u off row v, so x[u] = M_uu
+        r = r_prev - w * float(x @ x) / (1.0 + w * x[u])
+        working = working.with_edges([(u, v, w)])
+        if factor is not None:
+            factor.add(u, w)
         times.append(time.perf_counter() - started)
-        edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, gain, r, g.n / r))
+        steps.append(TraceStep((min(u, v), max(u, v)), w, float(gains[best]), r, g.n / r))
         r_prev = r
     return GreedyTrace(
-        "approx", v, spec.seed, r0, g.n / r0, tuple(steps), tuple(times), value_mode=VALUES_ESTIMATED
+        "approx", v, spec.seed, r0, g.n / r0, tuple(steps), tuple(times), value_mode=value_mode
     )
 
 
@@ -492,8 +464,35 @@ def insertion_trace(
     g: Graph, v: int, picked: Sequence[CandidateEdge], algorithm: str, seed: int = 0
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
-    with exact per-step values."""
-    return _exact_trace(g, v, len(picked), lambda round_idx: (picked[round_idx], None), algorithm, seed)
+    with exact per-step values; each step's gain is its realized drop.
+
+    T = C^-1 for the Cholesky factor C of the Laplacian grounded at v gives
+    the grounded inverse M = T^T T and R_v = ||T||_F^2. Inserting (u, v, w)
+    subtracts m m^T from M, m = sqrt(w / (1 + w M_uu)) M e_u, and lowers R_v
+    by ||m||^2. The corrections stay as the columns of W, so the current
+    M e_u = T^T (T e_u) - W W[u]^T: O(k n^2 + k^2 n) after the factor, with
+    no n x n update.
+    """
+    _require_two_nodes(g.n)
+    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    flat = t.ravel(order="K")
+    r0 = r_prev = float(flat @ flat)
+    corrections = np.empty((t.shape[0], len(picked)), order="F")
+    steps: list[TraceStep] = []
+    times: list[float] = []
+    for round_idx, chosen in enumerate(picked):
+        started = time.perf_counter()
+        row = chosen.other - (chosen.other > v)
+        done = corrections[:, :round_idx]
+        col = t[row:].T @ t[row:, row] - done @ done[row]  # T e_u is zero above row u
+        m = corrections[:, round_idx] = col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[row]))
+        drop = float(m @ m)
+        r = r_prev - drop
+        times.append(time.perf_counter() - started)
+        edge = (min(chosen.other, v), max(chosen.other, v))
+        steps.append(TraceStep(edge, chosen.weight, drop, r, g.n / r))
+        r_prev = r
+    return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
 
 
 def brute_force_optimum(
@@ -509,6 +508,7 @@ def brute_force_optimum(
     C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
+    _require_two_nodes(g.n)
     if not is_connected(g):
         raise ValueError("brute force requires a connected graph")
     total = math.comb(len(live), k)

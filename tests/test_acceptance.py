@@ -308,11 +308,15 @@ def test_criterion_08_approx_quality_and_speed():
         final_graph = g.with_edges([(u, w, 1.0) for u, w in approx.edges])
         approx_final = information_centrality(final_graph, v).value
         ratio = approx_final / exact.final_centrality
-        ok = ok and ratio >= 0.98
+        # the reported value: exact up to 2000 nodes, an estimated R_0 less
+        # exact drops beyond
+        value_error = approx.final_centrality / approx_final - 1.0
+        ok = ok and ratio >= 0.98 and abs(value_error) <= 0.01
         if n == 5000:
             time_ratio_at_largest = approx_seconds / exact_seconds
         details.append(
-            f"n={n} ratio {ratio:.4f} ({approx_seconds:.2f}s vs {exact_seconds:.2f}s)"
+            f"n={n} ratio {ratio:.4f}, reported I_v off by {value_error:+.2e} "
+            f"({approx_seconds:.2f}s vs {exact_seconds:.2f}s)"
         )
     ok = ok and time_ratio_at_largest < 1.0
     record_acceptance(

@@ -79,6 +79,16 @@ class TestComponents:
         assert labels[0] != labels[2]
         assert not is_connected(g)
 
+    def test_labels_follow_node_ids(self):
+        g = Graph.from_edges(5, [(0, 3, 1.0), (1, 2, 1.0)])
+        assert component_labels(g).tolist() == [0, 1, 1, 0, 2]
+        assert component_labels(Graph.from_edges(1, [])).tolist() == [0]
+
+    def test_lcc_returns_a_connected_input_unchanged(self, p4):
+        sub, ids = largest_connected_component(p4)
+        assert sub is p4
+        assert ids.tolist() == [0, 1, 2, 3]
+
     def test_lcc_picks_largest(self):
         g = Graph.from_edges(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 2.0)])
         sub, ids = largest_connected_component(g)

@@ -317,10 +317,11 @@ def test_vreff_validation():
 def test_vreff_sample_budget_accounting():
     g = path_graph(3)
     spec = SolverSpec(seed=4)
-    full = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec)
+    lap = build_laplacian(g)
+    full = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap)
     assert full.m_literal == math.ceil(432.0 * 0.5**-2 * math.log(6.0))
     assert full.m_used == full.m_literal
-    capped = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, m_cap=64)
+    capped = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap, m_cap=64)
     assert capped.m_used == 64
     assert capped.m_literal == full.m_literal
     # untruncated estimator also reports a usable R_v estimate
@@ -343,8 +344,9 @@ def test_estimators_reject_disconnected_graphs():
         lambda g: approxi_sm(g, 0, [], 0, 0.3),
         lambda g: insertion_trace(g, 0, [], "fixed"),
         lambda g: baseline_select(g, 0, [], 0, "random"),
+        lambda g: brute_force_optimum(g, 0, [], 0),
     ],
-    ids=["exact_sm", "approxi_sm", "insertion_trace", "baseline_select"],
+    ids=["exact_sm", "approxi_sm", "insertion_trace", "baseline_select", "brute_force_optimum"],
 )
 def test_single_node_graph_is_undefined(run):
     with pytest.raises(ValueError, match="undefined for a single node"):
@@ -396,11 +398,28 @@ def test_approxi_sm_estimated_mode(monkeypatch):
     assert trace.value_mode == VALUES_ESTIMATED
     assert math.isfinite(trace.initial_resistance)
     resistances = [trace.initial_resistance] + [s.resistance for s in trace.steps]
-    assert all(b <= a for a, b in zip(resistances, resistances[1:]))
-    # chained estimates should still land near the exact trajectory
+    assert all(b < a for a, b in zip(resistances, resistances[1:]))
+    # only the initial value is estimated, and it lands near the exact one
     assert trace.initial_resistance == pytest.approx(
         node_resistance_grounded(g, 0).value, rel=0.15
     )
+
+
+@pytest.mark.parametrize("seed, n", [(71, 100), (72, 300)])
+def test_approxi_sm_estimated_mode_drops_are_exact(monkeypatch, seed, n):
+    # above the limit only R_0 is estimated: every step's drop is the exact
+    # one that the dense evaluator gives for the same edges
+    monkeypatch.setattr(greedy, "EXACT_TRACE_LIMIT", 2)
+    g = random_connected_graph(seed, n=n, weighted=True)
+    v = 0
+    cands = [CandidateEdge(c.other, v, 0.5 + i % 4) for i, c in enumerate(default_candidates(g, v))]
+    approx = approxi_sm(g, v, cands, 6, 0.3, SolverSpec(seed=seed), m_cap=32, sketch_constant=1.0)
+    assert approx.value_mode == VALUES_ESTIMATED
+    by_other = {c.other: c for c in cands}
+    picked = [by_other[a if b == v else b] for a, b in approx.edges]
+    exact = insertion_trace(g, v, picked, "fixed")
+    approx_r = [approx.initial_resistance] + [s.resistance for s in approx.steps]
+    np.testing.assert_allclose(-np.diff(approx_r), [s.gain for s in exact.steps], rtol=1e-10)
 
 
 def test_approxi_sm_estimated_mode_k_zero(monkeypatch):
@@ -437,8 +456,10 @@ def test_approxi_sm_jacobi_fallback_picks_the_same_edges(monkeypatch):
     fallback = approxi_sm(g, 7, cands, 4, 0.3, SolverSpec(seed=2), m_cap=128)
     assert sum(cg_columns) > 0
     assert fallback.edges == direct.edges
+    assert fallback.initial_resistance == direct.initial_resistance
     for a, b in zip(fallback.steps, direct.steps):
         assert a.gain == pytest.approx(b.gain, rel=1e-9)
+        assert a.resistance == pytest.approx(b.resistance, rel=1e-10)
 
 
 def test_approxi_sm_validation():
