@@ -75,7 +75,7 @@ def main() -> int:
                 m_cap=None if args.literal else 256,
                 sketch_constant=24.0 if args.literal else 2.0,
                 out=str(out / f"{fam}-{n}"),
-                perf_targets=args.targets,
+                random_targets=args.targets,
             )
             row = cmd_compare_perf(config)
             rows.append(row)

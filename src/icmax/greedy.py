@@ -10,10 +10,10 @@ one diagonal entry of the Laplacian grounded at v, whose inverse M has
 trace R_v, and inserting (u, v, w) lowers R_v by w ||M e_u||^2 / (1 + w M_uu).
 The exact greedy holds M densely. Fixed insertion orders (the baselines
 and the oracle's replay) read R_v and a few columns of M from the
-triangular inverse of its Cholesky factor, and the oracle takes each
-subset's R_v from its own. The approximate greedy solves with a sparse
-factor of the same matrix and takes each accepted edge's drop from one
-more solve on it.
+triangular inverse of its Cholesky factor, and the oracle scores every
+k-subset from the same triangular inverse by the diagonal Woodbury
+identity. The approximate greedy solves with a sparse factor of the same
+matrix and takes each accepted edge's drop from one more solve on it.
 
 All optimizers consume an explicit candidate list and return a GreedyTrace
 holding the chosen edges and the per-step resistance/centrality trajectory.
@@ -32,12 +32,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .linalg import (
     GroundedFactor,
     SolverSpec,
-    _cholesky_inverse,
-    _grounded_dense,
     _project_out_mean,
     _rademacher_block_solve,
     _require_connected,
@@ -59,6 +57,7 @@ EXACT_TRACE_LIMIT = 2000
 _DROP_TOLERANCE = 1e-12
 
 _BRUTE_FORCE_GUARD = 1_000_000
+_BRUTE_FORCE_CHUNK = 50_000  # subsets per batched solve
 
 VALUES_EXACT = "exact"
 VALUES_ESTIMATED = "estimated"
@@ -502,28 +501,40 @@ def brute_force_optimum(
 
     Returns the lexicographically first subset whose R_v is within
     _TIE_RTOL of the least, so that roundoff does not decide between tied
-    subsets, and its resistance. Every subset is evaluated from scratch as
-    ||C^-1||_F^2 for the Cholesky factor C of its grounded Laplacian,
-    independent of the update-based optimizers. Guarded to
-    C(|candidates|, k) <= 1e6 subsets.
+    subsets, and its resistance. A subset S only adds its weights w_S to
+    the grounded diagonal at its rows, so by the Woodbury identity
+    R_v(S) = tr(M) - tr((diag(1/w_S) + M[S,S])^-1 (M^2)[S,S]). Both k x k
+    blocks are gathered from M[:, P] = T^T T[:, P] at the candidate rows P,
+    T = C^-1 for the Cholesky factor C of the grounded Laplacian, and the
+    subsets are scored in batched k x k solves. Each value is tr(M) less
+    its drop, so its roundoff is relative to tr(M), not to R_v(S). Guarded
+    to C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
-    if not is_connected(g):
-        raise ValueError("brute force requires a connected graph")
     total = math.comb(len(live), k)
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
-    base = _grounded_dense(build_laplacian(g), v)
+    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    flat = t.ravel(order="K")
+    r0 = float(flat @ flat)
+    rows = np.array([c.other - (c.other > v) for c in live], dtype=np.int64)
+    inv_weights = np.array([1.0 / c.weight for c in live])
+    m_cols = t.T @ t[:, rows]
+    m_block, m2_block = m_cols[rows], m_cols.T @ m_cols
+    diag = np.arange(k)
     resistances = np.empty(total)
-    for i, subset in enumerate(combinations(live, k)):
-        lap = base.copy(order="F")
-        for c in subset:
-            gi = c.other - (c.other > v)
-            lap[gi, gi] += c.weight  # edge (other, v): only the diagonal survives grounding
-        flat = _cholesky_inverse(lap).ravel(order="K")
-        resistances[i] = flat @ flat
+    subsets = combinations(range(len(live)), k)
+    done = 0
+    while chunk := list(islice(subsets, _BRUTE_FORCE_CHUNK)):
+        idx = np.array(chunk, dtype=np.int64)
+        pairs = (idx[:, :, None], idx[:, None, :])
+        cap = m_block[pairs]
+        cap[:, diag, diag] += inv_weights[idx]
+        drops = np.einsum("nii->n", np.linalg.solve(cap, m2_block[pairs]))
+        resistances[done : done + len(chunk)] = r0 - drops
+        done += len(chunk)
     best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
     best_subset = next(islice(combinations(live, k), best, None))
     edges = tuple((min(c.other, v), max(c.other, v)) for c in best_subset)

@@ -5,20 +5,25 @@ the independent routes to the same quantities: the dense pseudoinverse via
 (L + J/n) with its rank-1 edge update and closed-form marginal gain,
 resistances read off the pseudoinverse, the pairwise throughput through
 B = L + J, and the Hutchinson sample count. They share no arithmetic with
-the grounded route beyond building the Laplacian.
+the grounded route beyond building the Laplacian. The one exception is the
+exhaustive k-subset search, which factors every subset's grounded
+Laplacian from scratch instead of updating one factor.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations, islice
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from icmax.centrality import NodeResistance, _check_node
+from icmax.centrality import _TIE_RTOL, NodeResistance, _check_node, _require_two_nodes
 from icmax.graphs import Graph, is_connected
-from icmax.linalg import _require_dense, build_laplacian
+from icmax.greedy import _BRUTE_FORCE_GUARD, CandidateEdge, _check_candidates
+from icmax.linalg import _cholesky_inverse, _grounded_dense, _require_dense, build_laplacian
 
 
 def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:
@@ -130,3 +135,38 @@ def information_centrality_via_B(g: Graph, u: int, v: int, b_inv: np.ndarray | N
         b_inv = information_matrix_inverse(g)
     denom = float(b_inv[u, u] + b_inv[v, v] - 2.0 * b_inv[u, v])
     return 1.0 / denom
+
+
+def brute_force_optimum_from_scratch(
+    g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int
+) -> tuple[tuple[tuple[int, int], ...], float]:
+    """Exhaustive search over all k-subsets of candidates.
+
+    Returns the lexicographically first subset whose R_v is within
+    _TIE_RTOL of the least, so that roundoff does not decide between tied
+    subsets, and its resistance. Every subset is evaluated from scratch as
+    ||C^-1||_F^2 for the Cholesky factor C of its grounded Laplacian,
+    independent of the update-based optimizers. Guarded to
+    C(|candidates|, k) <= 1e6 subsets.
+    """
+    live = _check_candidates(g, v, candidates, k)
+    _require_two_nodes(g.n)
+    if not is_connected(g):
+        raise ValueError("brute force requires a connected graph")
+    total = math.comb(len(live), k)
+    if total > _BRUTE_FORCE_GUARD:
+        raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
+
+    base = _grounded_dense(build_laplacian(g), v)
+    resistances = np.empty(total)
+    for i, subset in enumerate(combinations(live, k)):
+        lap = base.copy(order="F")
+        for c in subset:
+            gi = c.other - (c.other > v)
+            lap[gi, gi] += c.weight  # edge (other, v): only the diagonal survives grounding
+        flat = _cholesky_inverse(lap).ravel(order="K")
+        resistances[i] = flat @ flat
+    best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
+    best_subset = next(islice(combinations(live, k), best, None))
+    edges = tuple((min(c.other, v), max(c.other, v)) for c in best_subset)
+    return edges, float(resistances[best])

@@ -108,7 +108,6 @@ def _field_samples(tmp_path) -> dict[str, tuple[list[str], str]]:
         "sketch_constant": (["--sketch-constant", "2.0"], "2.0"),
         "out": (["--out", out], out),
         "formats": (["--format", "json"], "json"),
-        "perf_targets": (["--perf-targets", "3"], "3"),
     }
 
 
@@ -154,7 +153,6 @@ def test_config_validation(tmp_path):
         (dict(**ok, formats=("yaml",)), "unknown format"),
         (dict(**ok, formats=()), "output format"),
         (dict(**ok, solver_mode="fast"), "mode"),
-        (dict(**ok, perf_targets=0), "perf_targets"),
     ]
     for kwargs, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
@@ -523,7 +521,7 @@ def test_compare_perf_outputs(tmp_path, capsys):
     out = tmp_path / "perf"
     argv = [
         "compare-perf", "--generate", "ws 30 4 0.1", "--k", "2",
-        "--perf-targets", "4", "--epsilon", "0.3", "--m-cap", "32",
+        "--random-targets", "4", "--epsilon", "0.3", "--m-cap", "32",
         "--seed", "5", "--out", str(out),
     ]
     assert main(argv) == 0
@@ -545,7 +543,7 @@ def test_compare_perf_small_ws_quality(tmp_path):
     out = tmp_path / "perf"
     rc = main([
         "compare-perf", "--generate", "ws 50 4 0.1", "--k", "1",
-        "--perf-targets", "5", "--epsilon", "0.3", "--seed", "2",
+        "--random-targets", "5", "--epsilon", "0.3", "--seed", "2",
         "--out", str(out),
     ])
     assert rc == 0
@@ -562,6 +560,33 @@ def test_compare_perf_explicit_targets(tmp_path):
     assert rc == 0
     row = (out / "perf_results.csv").read_text(encoding="utf-8").splitlines()[1]
     assert row.split(",")[4] == "1"  # one target evaluated
+
+
+def test_compare_perf_samples_twenty_targets_by_default(tmp_path):
+    # at most 20 sampled targets, and every node of a smaller graph
+    for n, expected in ((24, "20"), (12, "12")):
+        out = tmp_path / f"perf{n}"
+        rc = main([
+            "compare-perf", "--generate", f"ws {n} 4 0.1", "--k", "1",
+            "--m-cap", "16", "--out", str(out),
+        ])
+        assert rc == 0
+        row = (out / "perf_results.csv").read_text(encoding="utf-8").splitlines()[1]
+        assert row.split(",")[4] == expected
+
+
+def test_compare_perf_notes_an_estimated_initial_resistance(tmp_path, monkeypatch, capsys):
+    import icmax.greedy as greedy_mod
+
+    monkeypatch.setattr(greedy_mod, "EXACT_TRACE_LIMIT", 2)
+    rc = main([
+        "compare-perf", "--generate", "ws 30 4 0.1", "--random-targets", "1", "--k", "1",
+        "--m-cap", "16", "--out", str(tmp_path / "perf"),
+    ])
+    assert rc == 0
+    assert "note: in at least one approx trace the initial R_v is a Hutchinson estimate" in (
+        capsys.readouterr().err
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,16 @@ from icmax.greedy import (
     _vreff_comp_full,
 )
 from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian
-from icmax.rand import child_seed
+from icmax.rand import child_seed, seeded_rng
 
-from conftest import complete_graph, path_graph, random_connected_graph, star_graph
-from oracles import marginal_gain_exact, node_resistance, pseudoinverse, sherman_morrison_update
+from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph, star_graph
+from oracles import (
+    brute_force_optimum_from_scratch,
+    marginal_gain_exact,
+    node_resistance,
+    pseudoinverse,
+    sherman_morrison_update,
+)
 
 
 def _eps_close(est: float, truth: float, eps: float) -> bool:
@@ -237,6 +243,63 @@ def test_brute_force_guard_and_validation():
     disconnected = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(ValueError, match="connected"):
         brute_force_optimum(disconnected, 0, [CandidateEdge(2, 0, 1.0)], 1)
+
+
+def _grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1, 1.0) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c, 1.0) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _oracle_cases():
+    """(g, v, candidates, k): symmetric unweighted graphs full of tied
+    subsets at every target and k = 0..4, then random graphs whose edge and
+    candidate weights are log-uniform over 1e-2..1e2, at five targets and
+    k = 1..3."""
+    bipartite = Graph.from_edges(10, [(i, j, 1.0) for i in range(4) for j in range(4, 10)])
+    tie_heavy = [cycle_graph(n) for n in (4, 5, 6, 7, 8)]
+    tie_heavy += [star_graph(6), _grid_graph(3, 3), _grid_graph(2, 4), bipartite]
+    for g in tie_heavy:
+        for v in range(g.n):
+            cands = default_candidates(g, v)
+            for k in range(min(4, len(cands)) + 1):
+                yield g, v, cands, k
+    for seed in range(25):
+        rng = seeded_rng(seed, 7)
+        shape = random_connected_graph(seed, n=int(rng.integers(6, 11)))
+        heads, tails, _ = shape.edge_arrays
+        g = Graph.from_edges(
+            shape.n, [(int(a), int(b), float(10 ** rng.uniform(-2, 2))) for a, b in zip(heads, tails)]
+        )
+        for v in rng.choice(g.n, size=5, replace=False):
+            v = int(v)
+            cands = [
+                CandidateEdge(c.other, v, float(10 ** rng.uniform(-2, 2)))
+                for c in default_candidates(g, v)
+            ]
+            for k in range(1, min(3, len(cands)) + 1):
+                yield g, v, cands, k
+
+
+def test_brute_force_matches_the_from_scratch_enumerator():
+    # each Woodbury value is R_0 less its drop, so its roundoff is relative
+    # to R_0: where a subset removes nearly all of R_v (weights near 1e2 on
+    # a graph with 1e-2 edges) it is up to 2e-12 of R(S), 2e-15 of R_0
+    for g, v, cands, k in _oracle_cases():
+        edges, r = brute_force_optimum(g, v, cands, k)
+        ref_edges, ref_r = brute_force_optimum_from_scratch(g, v, cands, k)
+        r0 = brute_force_optimum(g, v, cands, 0)[1]
+        assert edges == ref_edges, (v, k)
+        assert abs(r - ref_r) <= 1e-12 * r0, (v, k, r, ref_r)
+
+
+def test_brute_force_ties_across_chunks(monkeypatch):
+    # all C(5, 3) subsets tie at a leaf of the star; five tie at karate's node 0
+    karate, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    cases = [(star_graph(6), 1), (karate, 0)]
+    whole = [brute_force_optimum(g, v, default_candidates(g, v), 3) for g, v in cases]
+    monkeypatch.setattr(greedy, "_BRUTE_FORCE_CHUNK", 7)
+    assert [brute_force_optimum(g, v, default_candidates(g, v), 3) for g, v in cases] == whole
 
 
 @settings(max_examples=10, deadline=None)
