@@ -7,7 +7,9 @@ found by exhaustive enumeration. Writes per-target and aggregate CSVs.
 
 The optimum is the library's brute_force_optimum, which scores every
 subset from one grounded Cholesky inverse by the diagonal Woodbury
-identity, up to its guard of 1e6 subsets per (target, k).
+identity, up to its guard of 1e6 subsets per (target, k). A --k-max that
+would pass the guard for a sampled target is refused before any work, with
+the largest k that fits.
 
 Usage:
   python3 scripts/reproduce_quality.py [--graph data/karate.txt] [--k-max 6]
@@ -15,6 +17,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,8 +25,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from icmax.graphs import largest_connected_component, load_edge_list
-from icmax.greedy import brute_force_optimum, default_candidates, exact_sm
+from icmax.greedy import _BRUTE_FORCE_GUARD, brute_force_optimum, default_candidates, exact_sm
 from icmax.rand import seeded_rng
+
+
+def _largest_k_within_guard(counts: list[int], k_max: int) -> int:
+    """Largest k <= k_max for which every target, with counts[i] candidates,
+    has at most the oracle's guard of subsets of each size 1..k."""
+    k = 0
+    while k < k_max and all(math.comb(c, k + 1) <= _BRUTE_FORCE_GUARD for c in counts):
+        k += 1
+    return k
 
 
 def main() -> int:
@@ -42,6 +54,13 @@ def main() -> int:
 
     rng = seeded_rng(args.seed, 41)
     targets = sorted(int(t) for t in rng.choice(g.n, size=min(args.targets, g.n), replace=False))
+    counts = [len(default_candidates(g, v)) for v in targets]
+    fits = _largest_k_within_guard(counts, args.k_max)
+    if fits < args.k_max:
+        print(f"error: --k-max {args.k_max} needs more k-subsets of some target's candidates "
+              f"than the oracle's guard of {_BRUTE_FORCE_GUARD}; the largest k that fits is {fits}",
+              file=sys.stderr)
+        return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

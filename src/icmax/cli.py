@@ -25,6 +25,7 @@ import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .graphs import (
     load_edge_list,
     write_edge_list,
 )
+from .centrality import CentralityScore, rank_all_by_centrality
 from .greedy import (
     BASELINE_STRATEGIES,
     GreedyTrace,
@@ -48,7 +50,13 @@ from .greedy import (
     exact_sm,
     insertion_trace,
 )
-from .linalg import SolverSpec, SolverConvergenceError, solver_deviation_notes
+from .linalg import (
+    SolverSpec,
+    SolverConvergenceError,
+    build_laplacian,
+    grounded_cholesky_inverse,
+    solver_deviation_notes,
+)
 from .rand import child_seed, seeded_rng
 
 EXIT_OK = 0
@@ -281,17 +289,35 @@ def _resolve_targets(config: RunConfig, g: Graph, ids: np.ndarray) -> list[int]:
 # -- running algorithms ---------------------------------------------------
 
 
-def _oracle_trace(g: Graph, v: int, candidates, k: int) -> GreedyTrace:
+@dataclass
+class _Target:
+    """One target v of g, with the read-only inputs its fixed-order
+    algorithms (baselines and oracle) share: the run's centrality ranking,
+    and t, the grounded_cholesky_inverse at v, computed at its first use.
+    Dropping the holder frees t."""
+
+    g: Graph
+    v: int
+    ranking: list[CentralityScore] | None = None
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        t = grounded_cholesky_inverse(build_laplacian(self.g), self.v)
+        t.flags.writeable = False  # one algorithm's write would corrupt the next
+        return t
+
+
+def _oracle_trace(target: _Target, candidates, k: int) -> GreedyTrace:
     """Brute-force optimum, replayed as an insertion trace for uniform output."""
-    edges, _ = brute_force_optimum(g, v, candidates, k)
+    g, v = target.g, target.v
+    edges, _ = brute_force_optimum(g, v, candidates, k, t=target.t)
     chosen_others = {u if w == v else w for u, w in edges}
     picked = sorted((c for c in candidates if c.other in chosen_others), key=lambda c: c.other)
-    return insertion_trace(g, v, picked, "oracle", seed=0)
+    return insertion_trace(g, v, picked, "oracle", seed=0, t=target.t)
 
 
-def run_algorithm(
-    algo: str, g: Graph, v: int, k: int, config: RunConfig
-) -> GreedyTrace:
+def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> GreedyTrace:
+    g, v = target.g, target.v
     candidates = default_candidates(g, v, config.weight)
     if algo == "exact":
         return exact_sm(g, v, candidates, k)
@@ -308,9 +334,12 @@ def run_algorithm(
             sketch_constant=config.sketch_constant,
         )
     if algo == "oracle":
-        return _oracle_trace(g, v, candidates, k)
+        return _oracle_trace(target, candidates, k)
     if algo in BASELINE_STRATEGIES:
-        return baseline_select(g, v, candidates, k, algo, seed=child_seed(config.seed, 51, v))
+        return baseline_select(
+            g, v, candidates, k, algo, seed=child_seed(config.seed, 51, v),
+            t=target.t, ranking=target.ranking,
+        )
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
@@ -427,15 +456,25 @@ def cmd_optimize(config: RunConfig) -> RunReport:
     targets = _resolve_targets(config, g, ids)
     _check_target_capacity(config, g, ids, targets)
 
+    ranking = None
+    if "top-cent" in config.algorithms:
+        started = time.perf_counter()
+        ranking = rank_all_by_centrality(g)
+        ranking_s = time.perf_counter() - started
     traces: dict[int, dict[str, GreedyTrace]] = {}
     walls: dict[int, dict[str, float]] = {}
     for v in targets:
+        target = _Target(g, v, ranking)
         traces[v] = {}
         walls[v] = {}
         for algo in config.algorithms:
             started = time.perf_counter()
-            traces[v][algo] = run_algorithm(algo, g, v, config.k, config)
+            traces[v][algo] = run_algorithm(algo, target, config.k, config)
             walls[v][algo] = time.perf_counter() - started
+        del target  # frees t before the next target's exact_sm allocates its own n^2
+    if ranking is not None:
+        # one ranking serves every target's top-cent; the first target's carries its time
+        walls[targets[0]]["top-cent"] += ranking_s
 
     report = RunReport(config, label, ids, traces, walls)
     report.deviation_flags = _deviation_flags(
@@ -503,7 +542,7 @@ def cmd_compare_perf(config: RunConfig) -> dict:
     for v in targets:
         for algo in ("approx", "exact"):
             started = time.perf_counter()
-            traces[algo].append(run_algorithm(algo, g, v, config.k, config))
+            traces[algo].append(run_algorithm(algo, _Target(g, v), config.k, config))
             times[algo].append(time.perf_counter() - started)
     finals = {algo: [trace.final_centrality for trace in ts] for algo, ts in traces.items()}
 

@@ -6,6 +6,8 @@ ids 0..n-1, no self-loops, no duplicate edges, strictly positive weights.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,18 +49,12 @@ class Graph:
         canonical: list[Edge] = []
         seen: set[tuple[int, int]] = set()
         for item in edges:
-            u, v, w = int(item[0]), int(item[1]), float(item[2])
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
+            edge = _canonical_edge(n, item)
+            key = edge[:2]
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-            canonical.append((key[0], key[1], w))
+            canonical.append(edge)
         canonical.sort()
         return cls(n=n, edges=tuple(canonical))
 
@@ -100,8 +96,43 @@ class Graph:
         return self.adjacency[u][v]
 
     def with_edges(self, extra: Iterable[Sequence]) -> "Graph":
-        """New graph with the extra (u, v, w) edges added; rejects duplicates."""
-        return Graph.from_edges(self.n, list(self.edges) + [tuple(e) for e in extra])
+        """New graph with the extra (u, v, w) edges added; rejects duplicates.
+
+        Equals Graph.from_edges(n, list(self.edges) + list(extra)), errors
+        included, but validates only the extra edges and merges them into
+        the sorted edge tuple by bisection.
+        """
+        added: list[Edge] = []
+        seen: set[tuple[int, int]] = set()
+        for item in extra:
+            edge = _canonical_edge(self.n, item)
+            key = edge[:2]
+            at = bisect.bisect_left(self.edges, key)  # (u, v) sorts just before (u, v, w)
+            if key in seen or (at < len(self.edges) and self.edges[at][:2] == key):
+                raise ValueError(f"duplicate edge {key}")
+            seen.add(key)
+            added.append(edge)
+        added.sort()
+        pieces = []
+        start = 0
+        for edge in added:
+            at = bisect.bisect_left(self.edges, edge, start)
+            pieces += [self.edges[start:at], (edge,)]
+            start = at
+        pieces.append(self.edges[start:])
+        return Graph(n=self.n, edges=tuple(itertools.chain.from_iterable(pieces)))
+
+
+def _canonical_edge(n: int, item: Sequence) -> Edge:
+    """One validated edge of an n-node graph as (u, v, w) with u < v."""
+    u, v, w = int(item[0]), int(item[1]), float(item[2])
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    if not np.isfinite(w) or w <= 0.0:
+        raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+    return (u, v, w) if u < v else (v, u, w)
 
 
 def component_labels(g: Graph) -> np.ndarray:

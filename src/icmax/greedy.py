@@ -10,9 +10,12 @@ one diagonal entry of the Laplacian grounded at v, whose inverse M has
 trace R_v, and inserting (u, v, w) lowers R_v by w ||M e_u||^2 / (1 + w M_uu).
 The exact greedy holds M densely. Fixed insertion orders (the baselines
 and the oracle's replay) read R_v and a few columns of M from the
-triangular inverse of its Cholesky factor, and the oracle scores every
-k-subset from the same triangular inverse by the diagonal Woodbury
-identity. The approximate greedy solves with a sparse factor of the same
+triangular inverse T of its Cholesky factor, and the oracle scores every
+k-subset from the same T by the diagonal Woodbury identity. These
+fixed-order functions accept a caller's T (keyword t) and top-cent its
+centrality ranking (keyword ranking), so that a run computes each once
+per target and once per graph; called without them, each computes its
+own. The approximate greedy solves with a sparse factor of the same
 matrix and takes each accepted edge's drop from one more solve on it.
 
 All optimizers consume an explicit candidate list and return a GreedyTrace
@@ -46,7 +49,7 @@ from .linalg import (
     grounded_inverse,
     solver_tolerance,
 )
-from .centrality import _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
+from .centrality import CentralityScore, _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
 from .rand import child_seed, seeded_rng
 
 # Up to this size approxi_sm takes the initial R_v from one dense Cholesky
@@ -296,6 +299,7 @@ def _vreff_comp_full(
         spec=spec,
         sketch_constant=sketch_constant,
         pre=pre,
+        lap=lap,
     )
     r_vec = np.array([r_hat[pair] for pair in pairs], dtype=np.float64)
 
@@ -434,13 +438,18 @@ def baseline_select(
     k: int,
     strategy: str,
     seed: int = 0,
+    *,
+    t: np.ndarray | None = None,
+    ranking: Sequence[CentralityScore] | None = None,
 ) -> GreedyTrace:
     """Non-adaptive baselines: pick k candidates up front, insert them all.
 
     random samples uniformly without replacement; top-degree prefers
     candidates whose other endpoint has the largest original-graph degree;
-    top-cent prefers the highest information-centrality endpoints. Ties fall
-    back to ascending node id. The trace still records exact R_v per step.
+    top-cent prefers the highest information-centrality endpoints, in the
+    order of ranking, rank_all_by_centrality(g) (computed when not given).
+    Ties fall back to ascending node id. The trace still records exact R_v
+    per step, from t as insertion_trace takes it.
     """
     live = _check_candidates(g, v, candidates, k)
     if strategy not in BASELINE_STRATEGIES:
@@ -452,15 +461,34 @@ def baseline_select(
     elif strategy == "top-degree":
         picked = sorted(live, key=lambda c: (-g.degree(c.other), c.other))[:k]
     else:
-        ranking = rank_all_by_centrality(g)
+        if ranking is None:
+            ranking = rank_all_by_centrality(g)
         position = {score.node: rank for rank, score in enumerate(ranking)}
         picked = sorted(live, key=lambda c: (position[c.other], c.other))[:k]
 
-    return insertion_trace(g, v, picked, strategy, seed)
+    return insertion_trace(g, v, picked, strategy, seed, t=t)
+
+
+def _grounded_t(g: Graph, v: int, t: np.ndarray | None) -> np.ndarray:
+    """The caller's t, which is only read, or a fresh
+    grounded_cholesky_inverse of g's Laplacian at v when t is None."""
+    if t is None:
+        return grounded_cholesky_inverse(build_laplacian(g), v)
+    if t.shape != (g.n - 1, g.n - 1):
+        raise ValueError(
+            f"t has shape {t.shape}; the Laplacian grounded at {v} gives {(g.n - 1, g.n - 1)}"
+        )
+    return t
 
 
 def insertion_trace(
-    g: Graph, v: int, picked: Sequence[CandidateEdge], algorithm: str, seed: int = 0
+    g: Graph,
+    v: int,
+    picked: Sequence[CandidateEdge],
+    algorithm: str,
+    seed: int = 0,
+    *,
+    t: np.ndarray | None = None,
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
     with exact per-step values; each step's gain is its realized drop.
@@ -470,10 +498,10 @@ def insertion_trace(
     subtracts m m^T from M, m = sqrt(w / (1 + w M_uu)) M e_u, and lowers R_v
     by ||m||^2. The corrections stay as the columns of W, so the current
     M e_u = T^T (T e_u) - W W[u]^T: O(k n^2 + k^2 n) after the factor, with
-    no n x n update.
+    no n x n update. t is that T, computed here when not given.
     """
     _require_two_nodes(g.n)
-    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    t = _grounded_t(g, v, t)
     flat = t.ravel(order="K")
     r0 = r_prev = float(flat @ flat)
     corrections = np.empty((t.shape[0], len(picked)), order="F")
@@ -495,7 +523,12 @@ def insertion_trace(
 
 
 def brute_force_optimum(
-    g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int
+    g: Graph,
+    v: int,
+    candidates: Sequence[CandidateEdge],
+    k: int,
+    *,
+    t: np.ndarray | None = None,
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exhaustive search over all k-subsets of candidates.
 
@@ -507,8 +540,9 @@ def brute_force_optimum(
     blocks are gathered from M[:, P] = T^T T[:, P] at the candidate rows P,
     T = C^-1 for the Cholesky factor C of the grounded Laplacian, and the
     subsets are scored in batched k x k solves. Each value is tr(M) less
-    its drop, so its roundoff is relative to tr(M), not to R_v(S). Guarded
-    to C(|candidates|, k) <= 1e6 subsets.
+    its drop, so its roundoff is relative to tr(M), not to R_v(S). t is
+    that T, computed here when not given. Guarded to
+    C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
@@ -516,7 +550,7 @@ def brute_force_optimum(
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
-    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    t = _grounded_t(g, v, t)
     flat = t.ravel(order="K")
     r0 = float(flat @ flat)
     rows = np.array([c.other - (c.other > v) for c in live], dtype=np.int64)

@@ -380,6 +380,7 @@ def approx_eff_res(
     spec: SolverSpec | None = None,
     sketch_constant: float = 24.0,
     pre=None,
+    lap: sparse.csr_matrix | None = None,
 ) -> dict[tuple[int, int], float]:
     """Sketch-based effective-resistance estimates for the requested pairs.
 
@@ -390,7 +391,8 @@ def approx_eff_res(
     epsilon-approximation of the true resistance with high probability.
     g must be connected. pre is a direct solve for g's Laplacian to share
     with other calls (default: a fresh factor); every solve is verified
-    either way.
+    either way. lap is g's Laplacian when the caller already holds it, and
+    has checked that g is connected; without it both happen here.
     """
     if not (0.0 < epsilon <= 0.5):
         raise ValueError("epsilon must be in (0, 1/2]")
@@ -402,8 +404,9 @@ def approx_eff_res(
     if n == 1:
         return {(u, v): 0.0 for u, v in pairs}
 
-    lap = build_laplacian(g)
-    _require_connected(lap, "effective-resistance sketch")
+    if lap is None:
+        lap = build_laplacian(g)
+        _require_connected(lap, "effective-resistance sketch")
     if pre is None:
         factor = GroundedFactor.build(lap, 0)
         pre = None if factor is None else factor.solve

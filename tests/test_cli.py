@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,74 @@ def test_optimize_karate_exact_tracks_oracle(tmp_path):
             assert exact_final <= oracle_final + 1e-9
             ratios.append(exact_final / oracle_final)
         assert sum(ratios) / len(ratios) >= 0.98
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Record the calls of function `name` through every given module that
+    binds it; the first module holds the original."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch):
+    # three baselines per target share one grounded factor, and every target
+    # shares one ranking; exact_sm forms its own dense inverse
+    factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
+    rankings = _count_calls(
+        monkeypatch, "rank_all_by_centrality", icmax.centrality, icmax.greedy, icmax.cli
+    )
+    config = RunConfig(
+        generate="ws 60 4 0.1", random_targets=3, k=3,
+        algorithms=("exact", "random", "top-degree", "top-cent"), out=str(tmp_path),
+    )
+    cmd_optimize(config)
+    assert (len(factors), len(rankings)) == (3 + 1, 1)
+
+
+def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatch):
+    # no factor of an earlier target (or the ranking's) is alive while
+    # exact_sm of a later one runs
+    made = []
+    original_inverse = icmax.linalg._cholesky_inverse
+    original_exact = icmax.cli.exact_sm
+
+    def remembered(a):
+        t = original_inverse(a)
+        made.append(weakref.ref(t))
+        return t
+
+    def exact_checked(*args, **kwargs):
+        assert all(ref() is None for ref in made)
+        return original_exact(*args, **kwargs)
+
+    monkeypatch.setattr(icmax.linalg, "_cholesky_inverse", remembered)
+    monkeypatch.setattr(icmax.cli, "exact_sm", exact_checked)
+    config = RunConfig(
+        generate="ws 60 4 0.1", random_targets=3, k=2,
+        algorithms=("exact", "top-cent", "random"), out=str(tmp_path),
+    )
+    cmd_optimize(config)
+    assert len(made) == 4
+
+
+def test_optimize_oracle_shares_the_targets_factor(tmp_path, monkeypatch):
+    factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
+    karate = Path(__file__).resolve().parents[1] / "data" / "karate.txt"
+    config = RunConfig(
+        graph_path=str(karate), random_targets=4, k=2,
+        algorithms=("exact", "oracle"), seed=1, out=str(tmp_path),
+    )
+    cmd_optimize(config)
+    assert len(factors) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from icmax import (
     load_edge_list,
     write_edge_list,
 )
+from icmax.rand import seeded_rng
 from conftest import path_graph, random_connected_graph
 
 
@@ -65,6 +66,43 @@ class TestGraphConstruction:
         assert p3.m == 2  # original untouched
         with pytest.raises(ValueError):
             p3.with_edges([(0, 1, 1.0)])
+
+
+def test_with_edges_equals_the_from_edges_rebuild():
+    for seed in range(300):
+        g = random_connected_graph(seed, weighted=True)
+        rng = seeded_rng(seed, 97)
+        free = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        count = int(rng.integers(0, min(6, len(free)) + 1))
+        extra = []
+        for i in rng.permutation(len(free))[:count]:
+            u, v = free[int(i)]
+            extra.append((v, u, float(rng.uniform(0.5, 2.0))) if rng.random() < 0.5 else (u, v, 1.0))
+        assert g.with_edges(extra) == Graph.from_edges(g.n, list(g.edges) + extra)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [(1, 1, 1.0)],
+        [(0, 3, 1.0)],
+        [(-1, 2, 1.0)],
+        [(0, 2, 0.0)],
+        [(0, 2, float("nan"))],
+        [(1, 0, 2.0)],
+        [(2, 1, 1.0)],
+        [(0, 2, 1.0), (2, 0, 2.0)],
+        [(0, 2, 1.0), (1, 1, 1.0)],
+    ],
+    ids=["self-loop", "out-of-range", "negative-id", "zero-weight", "nan-weight",
+         "existing-edge", "existing-last-edge", "repeated-extra", "second-extra-bad"],
+)
+def test_with_edges_errors_match_the_from_edges_rebuild(p3, extra):
+    with pytest.raises(ValueError) as rebuilt:
+        Graph.from_edges(p3.n, list(p3.edges) + extra)
+    with pytest.raises(ValueError) as merged:
+        p3.with_edges(extra)
+    assert str(merged.value) == str(rebuilt.value)
 
 
 class TestComponents:

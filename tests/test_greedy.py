@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icmax import greedy
-from icmax.centrality import node_resistance_grounded
+from icmax.centrality import node_resistance_grounded, rank_all_by_centrality
 from icmax.graphs import Graph, load_edge_list
 from icmax.greedy import (
     BASELINE_STRATEGIES,
@@ -28,7 +28,7 @@ from icmax.greedy import (
     vreff_comp,
     _vreff_comp_full,
 )
-from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian
+from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian, grounded_cholesky_inverse
 from icmax.rand import child_seed, seeded_rng
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph, star_graph
@@ -621,6 +621,42 @@ def test_insertion_trace_records_gains():
     assert trace.initial_resistance - trace.final_resistance == pytest.approx(
         sum(s.gain for s in trace.steps), abs=1e-10
     )
+
+
+def test_fixed_order_algorithms_take_a_shared_factor_and_ranking():
+    # a caller's t and ranking give the answers each function computes for
+    # itself; t is read-only, so a write would raise
+    g = random_connected_graph(12, n=14, weighted=True)
+    ranking = rank_all_by_centrality(g)
+    for v in (0, 5, 13):
+        t = grounded_cholesky_inverse(build_laplacian(g), v)
+        t.flags.writeable = False
+        before = t.copy()
+        cands = default_candidates(g, v)
+        k = min(3, len(cands))
+        for strategy in BASELINE_STRATEGIES:
+            own = baseline_select(g, v, cands, k, strategy, seed=2)
+            shared = baseline_select(g, v, cands, k, strategy, seed=2, t=t, ranking=ranking)
+            assert shared.to_dict() == own.to_dict()
+        picked = cands[::-1][:k]
+        assert (
+            insertion_trace(g, v, picked, "fixed", t=t).to_dict()
+            == insertion_trace(g, v, picked, "fixed").to_dict()
+        )
+        assert brute_force_optimum(g, v, cands, k, t=t) == brute_force_optimum(g, v, cands, k)
+        assert np.array_equal(t, before)
+
+
+def test_fixed_order_algorithms_reject_a_wrong_shape_factor():
+    g = path_graph(5)
+    cands = default_candidates(g, 0)
+    wrong = grounded_cholesky_inverse(build_laplacian(path_graph(4)), 0)
+    with pytest.raises(ValueError, match="shape"):
+        insertion_trace(g, 0, cands[:1], "fixed", t=wrong)
+    with pytest.raises(ValueError, match="shape"):
+        baseline_select(g, 0, cands, 1, "top-degree", t=wrong)
+    with pytest.raises(ValueError, match="shape"):
+        brute_force_optimum(g, 0, cands, 1, t=wrong)
 
 
 # ---------------------------------------------------------------------------

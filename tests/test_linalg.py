@@ -502,6 +502,14 @@ def test_sketch_trivial_graph():
     assert approx_eff_res(g, [(0, 0)], 0.3) == {(0, 0): 0.0}
 
 
+def test_sketch_accepts_the_callers_laplacian():
+    g = random_connected_graph(45, n=18, weighted=True)
+    pairs = [(0, 4), (2, 7), (9, 3)]
+    assert approx_eff_res(g, pairs, 0.3, seed=2, lap=build_laplacian(g)) == approx_eff_res(
+        g, pairs, 0.3, seed=2
+    )
+
+
 def test_sketch_accepts_shared_preconditioner():
     g = random_connected_graph(44, n=18, weighted=True)
     pre = _direct_solve(build_laplacian(g))

@@ -38,6 +38,24 @@ def test_reproduce_quality_saturated_target(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_reproduce_quality_refuses_k_past_the_oracle_guard(tmp_path):
+    # C(32, 7) karate subsets exceed the oracle's 1e6 guard; C(32, 6) do not
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "reproduce_quality.py"),
+            "--graph", str(ROOT / "data" / "karate.txt"),
+            "--k-max", "7", "--targets", "34", "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "guard of 1000000" in errors[0]
+    assert errors[0].endswith("the largest k that fits is 6")
+
+
 def test_reproduce_perf_small(tmp_path):
     # literal estimator: the capped default voids the guarantee, and at n=60
     # its quality ratio falls under the script's 0.98 gate
