@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ from .graphs import Graph
 from .linalg import (
     GroundedFactor,
     SolverSpec,
+    _cholesky_inverse,
+    _grounded_dense,
     _project_out_mean,
     _rademacher_block_solve,
     _require_connected,
@@ -61,6 +63,10 @@ _DROP_TOLERANCE = 1e-12
 
 _BRUTE_FORCE_GUARD = 1_000_000
 _BRUTE_FORCE_CHUNK = 50_000  # subsets per batched solve
+# Subsets whose batched R_v lies within this of the least are rescored from
+# scratch before the _TIE_RTOL rule: the batched values' roundoff is
+# relative to R_0, and can pass _TIE_RTOL of a small R_v(S).
+_RESCORE_RTOL = 1e-9
 
 VALUES_EXACT = "exact"
 VALUES_ESTIMATED = "estimated"
@@ -540,9 +546,14 @@ def brute_force_optimum(
     blocks are gathered from M[:, P] = T^T T[:, P] at the candidate rows P,
     T = C^-1 for the Cholesky factor C of the grounded Laplacian, and the
     subsets are scored in batched k x k solves. Each value is tr(M) less
-    its drop, so its roundoff is relative to tr(M), not to R_v(S). t is
-    that T, computed here when not given. Guarded to
-    C(|candidates|, k) <= 1e6 subsets.
+    its drop, so its roundoff is relative to tr(M), not to R_v(S). So the
+    subsets within _RESCORE_RTOL of the least are rescored from scratch,
+    as ||C_S^-1||_F^2 for the Cholesky factor C_S of the grounded
+    Laplacian plus w_S on its diagonal, and the tie rule and the returned
+    R_v use those values. That is one dense (n-1) x (n-1) factorization
+    per near-tied subset, and for every subset where all of them tie, as
+    at a leaf of a star. t is that T, computed here when not given.
+    Guarded to C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
@@ -569,7 +580,18 @@ def brute_force_optimum(
         drops = np.einsum("nii->n", np.linalg.solve(cap, m2_block[pairs]))
         resistances[done : done + len(chunk)] = r0 - drops
         done += len(chunk)
-    best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
-    best_subset = next(islice(combinations(live, k), best, None))
-    edges = tuple((min(c.other, v), max(c.other, v)) for c in best_subset)
-    return edges, float(resistances[best])
+
+    near = (resistances <= resistances.min() * (1.0 + _RESCORE_RTOL)).tolist()
+    near_subsets = list(compress(combinations(live, k), near))
+    base = _grounded_dense(build_laplacian(g), v)
+    rescored = np.empty(len(near_subsets))
+    for i, subset in enumerate(near_subsets):
+        grounded = base.copy(order="F")
+        for c in subset:
+            row = c.other - (c.other > v)
+            grounded[row, row] += c.weight
+        flat = _cholesky_inverse(grounded).ravel(order="K")
+        rescored[i] = flat @ flat
+    best = int(np.flatnonzero(rescored <= rescored.min() * (1.0 + _TIE_RTOL))[0])
+    edges = tuple((min(c.other, v), max(c.other, v)) for c in near_subsets[best])
+    return edges, float(rescored[best])

@@ -150,8 +150,9 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return t
 
 
-def _project_out_mean(x: np.ndarray) -> np.ndarray:
-    return x - x.mean(axis=0, keepdims=True)
+def _project_out_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x less its column means, written into out when given."""
+    return np.subtract(x, x.mean(axis=0, keepdims=True), out=out)
 
 
 class GroundedFactor:
@@ -208,20 +209,29 @@ class GroundedFactor:
         cap = self._w[self._rows, :] + np.diag(self._inv_weights)
         self._cap = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """pinv(L') r for an n x k block r of zero-sum columns, where L' is
         the factored Laplacian plus every added edge: the grounded solution,
-        zero at v, with its column means removed."""
+        zero at v, with its column means removed. It is written into out
+        when given, an array of r's shape that does not overlap r."""
         v = self.v
-        y = self._lu.solve(np.delete(r, v, axis=0))
+        n, k = r.shape
+        if out is None:
+            out = np.empty_like(r)
+        # SuperLU solves a Fortran-order copy of its input, so the grounded
+        # rows are gathered in that order, and its copy does not transpose.
+        # They are gathered into out's storage, free again once it is copied.
+        grounded = out.ravel(order="K")[: (n - 1) * k].reshape((n - 1, k), order="F")
+        grounded[:v] = r[:v]
+        grounded[v:] = r[v + 1 :]
+        y = self._lu.solve(grounded)
         if self._rows.size:
             coef = scipy.linalg.cho_solve(self._cap, y[self._rows], check_finite=False)
             y = blas.dgemm(-1.0, self._w, coef, 1.0, y, overwrite_c=True)  # y -= W coef
-        out = np.empty_like(r)
         out[:v] = y[:v]
         out[v] = 0.0
         out[v + 1 :] = y[v:]
-        out -= out.mean(axis=0, keepdims=True)
+        out -= np.add.reduce(out, axis=0) / n  # the bits of out.mean(axis=0)
         return out
 
 
@@ -298,18 +308,25 @@ def _cg_multi(
 
 
 def _verified_solve(
-    lap: sparse.csr_matrix, rhs: np.ndarray, tol: float, max_iterations: int, pre
+    lap: sparse.csr_matrix,
+    rhs: np.ndarray,
+    tol: float,
+    max_iterations: int,
+    pre,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve L x = rhs for zero-sum columns to relative residual tol each.
 
-    pre is a direct solve (a GroundedFactor's); its answer stands for every
-    column with ||rhs - L x|| <= tol ||rhs||, and the other columns are
-    re-solved by CG preconditioned with pre. Without pre every column goes
-    through Jacobi CG. Raises SolverConvergenceError as _cg_multi does.
+    pre is a direct solve (a GroundedFactor's), called as pre(rhs, out);
+    its answer stands for every column with ||rhs - L x|| <= tol ||rhs||,
+    and the other columns are re-solved by CG preconditioned with pre.
+    Without pre every column goes through Jacobi CG, and out is unused.
+    out, an array of rhs's shape, is where pre writes x. Raises
+    SolverConvergenceError as _cg_multi does.
     """
     if pre is None:
         return _cg_multi(lap, rhs, tol, max_iterations)
-    x = pre(rhs)
+    x = pre(rhs, out)
     res = lap @ x
     res -= rhs
     res_sq = np.einsum("ij,ij->j", res, res)
@@ -320,11 +337,17 @@ def _verified_solve(
     return x
 
 
+def _prefix(store: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The first height * width entries of the flat store as a C-order
+    height x width array."""
+    return store[: height * width].reshape(height, width)
+
+
 def _rademacher_block_solve(
     lap: sparse.csr_matrix,
     rng: np.random.Generator,
     shape: tuple[int, int],
-    to_rhs: Callable[[np.ndarray], np.ndarray],
+    to_rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
     max_iterations: int,
     pre,
@@ -333,29 +356,50 @@ def _rademacher_block_solve(
     *,
     trace: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Solve L y = to_rhs(z) for a Rademacher z of the given (rows, count)
-    shape, drawn and solved _BLOCK columns at a time by _verified_solve with
-    pre; to_rhs must return zero-sum columns. Returns
+    """Solve L y = to_rhs(z, out) for a Rademacher z of the given
+    (rows, count) shape, drawn and solved _BLOCK columns at a time by
+    _verified_solve with pre. to_rhs must return zero-sum columns, and may
+    build them in out, an n x width array. Returns
     sum_j (y[u, j] - y[v, j])^2 for each u, v in zip(us, vs) (a single v
     broadcasts) and, with trace set, the Hutchinson sum_j z_j^T y_j, after
     projecting each y block onto the zero-sum subspace.
     """
     rows, count = shape
+    n = lap.shape[0]
+    for idx in (us, vs):
+        if idx.size and not 0 <= idx.min() <= idx.max() < n:
+            raise IndexError(f"row indices must lie in [0, {n})")
     sq_dists = np.zeros(len(us), dtype=np.float64)
     trace_sum = 0.0
     produced = 0
     while produced < count:
         width = min(_BLOCK, count - produced)
         z = rademacher(rng, (rows, width))
-        # rhs stays named and y is centred in place: freeing either early lets
-        # malloc trim the heap, and at n=1000 page faults more than doubled
-        rhs = to_rhs(z)
-        y = _verified_solve(lap, rhs, tol, max_iterations, pre)
+        if not produced:
+            # Each block's right-hand side, solution and gathered rows are
+            # written into three arrays allocated once, after the first draw
+            # (the other order raised the peak RSS of an n=5000 run by 11 MB),
+            # and reused by every block until this call returns: fresh
+            # n x _BLOCK temporaries per block cost page faults. The rows us
+            # overwrite the right-hand side, which is dead once its block is
+            # solved. A block views the C-contiguous prefix of each that its
+            # width needs (_prefix), never a strided column slice, whose sums
+            # NumPy may order differently.
+            rhs_store, y_store, far_store = (
+                np.empty(h * width) for h in (max(n, len(us)), n, len(vs))
+            )
+        rhs = to_rhs(z, _prefix(rhs_store, n, width))
+        if not trace:
+            del z  # unread from here on; the sketch's is its largest array
+        y = _verified_solve(lap, rhs, tol, max_iterations, pre, _prefix(y_store, n, width))
         if trace:
             y -= y.mean(axis=0, keepdims=True)
             trace_sum += float(np.einsum("ij,ij->", z, y))
-        diff = y[us, :] - y[vs, :]
-        sq_dists += np.einsum("ij,ij->i", diff, diff)
+        # mode "clip" lets take write into its out without a buffer; the
+        # indices were checked above
+        near = np.take(y, us, axis=0, out=_prefix(rhs_store, len(us), width), mode="clip")
+        near -= np.take(y, vs, axis=0, out=_prefix(far_store, len(vs), width), mode="clip")
+        sq_dists += np.einsum("ij,ij->i", near, near)
         produced += width
     return sq_dists, trace_sum
 
@@ -411,14 +455,16 @@ def approx_eff_res(
         factor = GroundedFactor.build(lap, 0)
         pre = None if factor is None else factor.solve
     tol = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
-    inc_t = _signed_incidence_transpose(g)
     q = math.ceil(sketch_constant * math.log(n) / epsilon**2)
-    scale = 1.0 / math.sqrt(q)
+    # the sketch is inc_t @ (block * (1 / sqrt(q))); with block's entries
+    # +-1, scaling inc_t once instead gives every product, hence every sum,
+    # the same bits
+    inc_t = _signed_incidence_transpose(g) * (1.0 / math.sqrt(q))
     us = np.array([u for u, _ in pairs], dtype=np.int64)
     vs = np.array([v for _, v in pairs], dtype=np.int64)
     # columns of inc_t @ block are in range(L), hence zero-sum
     estimates, _ = _rademacher_block_solve(
-        lap, seeded_rng(seed, 4), (g.m, q), lambda block: inc_t @ (block * scale),
+        lap, seeded_rng(seed, 4), (g.m, q), lambda block, _: inc_t @ block,
         tol, spec.max_iterations, pre, us, vs,
     )
     return {pair: float(est) for pair, est in zip(pairs, estimates)}

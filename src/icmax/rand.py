@@ -25,6 +25,14 @@ def child_seed(seed: int, *key: int) -> int:
     return int(seeded_rng(seed, *key).integers(0, 2**63 - 1))
 
 
+# -1.0 as an int64 bit pattern; flipping its sign bit gives +1.0
+_MINUS_ONE_BITS = np.float64(-1.0).view(np.int64)
+
+
 def rademacher(rng: np.random.Generator, shape) -> np.ndarray:
-    """Array of independent +-1 entries."""
-    return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+    """Array of independent +-1 entries: a draw of 0 gives -1.0 and 1
+    gives +1.0, written as bit patterns into the integer draw's storage."""
+    x = rng.integers(0, 2, size=shape)
+    x <<= 63
+    x ^= _MINUS_ONE_BITS
+    return x.view(np.float64)

@@ -7,7 +7,10 @@ resistances read off the pseudoinverse, the pairwise throughput through
 B = L + J, and the Hutchinson sample count. They share no arithmetic with
 the grounded route beyond building the Laplacian. The one exception is the
 exhaustive k-subset search, which factors every subset's grounded
-Laplacian from scratch instead of updating one factor.
+Laplacian from scratch instead of updating one factor. The last three are
+the block pipeline of the approximate greedy as first written, with fresh
+arrays at every step: the Rademacher draw, the grounded factor's solve and
+the block solve, which the package must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +22,20 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.linalg import blas
 
 from icmax.centrality import _TIE_RTOL, NodeResistance, _check_node, _require_two_nodes
 from icmax.graphs import Graph, is_connected
 from icmax.greedy import _BRUTE_FORCE_GUARD, CandidateEdge, _check_candidates
-from icmax.linalg import _cholesky_inverse, _grounded_dense, _require_dense, build_laplacian
+from icmax.linalg import (
+    _BLOCK,
+    GroundedFactor,
+    _cg_multi,
+    _cholesky_inverse,
+    _grounded_dense,
+    _require_dense,
+    build_laplacian,
+)
 
 
 def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:
@@ -170,3 +182,69 @@ def brute_force_optimum_from_scratch(
     best_subset = next(islice(combinations(live, k), best, None))
     edges = tuple((min(c.other, v), max(c.other, v)) for c in best_subset)
     return edges, float(resistances[best])
+
+
+def rademacher_reference(rng: np.random.Generator, shape) -> np.ndarray:
+    """+-1 entries by the float formula 2x - 1 on the integer draw."""
+    return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+
+
+def grounded_factor_solve_reference(factor: GroundedFactor, r: np.ndarray) -> np.ndarray:
+    """factor.solve(r) by np.delete of row v, a solve of the C-order
+    result, three-slice assembly and .mean."""
+    v = factor.v
+    y = factor._lu.solve(np.delete(r, v, axis=0))
+    if factor._rows.size:
+        coef = scipy.linalg.cho_solve(factor._cap, y[factor._rows], check_finite=False)
+        y = blas.dgemm(-1.0, factor._w, coef, 1.0, y, overwrite_c=True)
+    out = np.empty_like(r)
+    out[:v] = y[:v]
+    out[v] = 0.0
+    out[v + 1 :] = y[v:]
+    out -= out.mean(axis=0, keepdims=True)
+    return out
+
+
+def rademacher_block_solve_reference(
+    lap: sparse.csr_matrix,
+    rng: np.random.Generator,
+    shape: tuple[int, int],
+    to_rhs,
+    tol: float,
+    max_iterations: int,
+    factor: GroundedFactor,
+    us: np.ndarray,
+    vs: np.ndarray,
+    *,
+    trace: bool = False,
+) -> tuple[np.ndarray, float]:
+    """linalg._rademacher_block_solve with pre = factor's solve, and fresh
+    arrays in every block: the reference draw, a new right-hand side
+    to_rhs(z), the reference solve, the residual check with its CG
+    re-solve, and y[us] - y[vs]."""
+    def pre(r):
+        return grounded_factor_solve_reference(factor, r)
+
+    rows, count = shape
+    sq_dists = np.zeros(len(us), dtype=np.float64)
+    trace_sum = 0.0
+    produced = 0
+    while produced < count:
+        width = min(_BLOCK, count - produced)
+        z = rademacher_reference(rng, (rows, width))
+        rhs = to_rhs(z)
+        y = pre(rhs)
+        res = lap @ y
+        res -= rhs
+        res_sq = np.einsum("ij,ij->j", res, res)
+        b_sq = np.einsum("ij,ij->j", rhs, rhs)
+        failed = np.flatnonzero(res_sq > tol**2 * np.where(b_sq > 0.0, b_sq, 1.0))
+        if failed.size:
+            y[:, failed] = _cg_multi(lap, rhs[:, failed], tol, max_iterations, pre=pre)
+        if trace:
+            y -= y.mean(axis=0, keepdims=True)
+            trace_sum += float(np.einsum("ij,ij->", z, y))
+        diff = y[us, :] - y[vs, :]
+        sq_dists += np.einsum("ij,ij->i", diff, diff)
+        produced += width
+    return sq_dists, trace_sum

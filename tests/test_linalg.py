@@ -22,6 +22,7 @@ from icmax.linalg import (
     _cholesky_inverse,
     _project_out_mean,
     _rademacher_block_solve,
+    _signed_incidence_transpose,
     _verified_solve,
     approx_eff_res,
     build_laplacian,
@@ -33,7 +34,13 @@ from icmax.linalg import (
 from icmax.rand import seeded_rng
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
-from oracles import hutchinson_sample_count, pseudoinverse, sherman_morrison_update
+from oracles import (
+    grounded_factor_solve_reference,
+    hutchinson_sample_count,
+    pseudoinverse,
+    rademacher_block_solve_reference,
+    sherman_morrison_update,
+)
 
 # Exact pseudoinverse of the 3-path 0-1-2 with unit weights.
 P3_PINV = np.array(
@@ -375,6 +382,79 @@ def test_grounded_factor_validation():
         factor.add(1, 1.0)
     with pytest.raises(ValueError, match="positive"):
         factor.add(3, 0.0)
+
+
+@pytest.mark.parametrize("adds", [0, 3])
+def test_grounded_factor_solve_has_the_bits_of_the_reference(adds):
+    g = random_connected_graph(8, n=50, weighted=True)
+    lap = build_laplacian(g)
+    for v in (0, g.n // 2, g.n - 1):
+        factor = GroundedFactor(lap, v)
+        for u in [u for u in range(g.n) if u != v and not g.has_edge(u, v)][:adds]:
+            factor.add(u, 0.7)
+        for width in (1, 17, 256):
+            r = _project_out_mean(seeded_rng(v, width).normal(size=(g.n, width)))
+            ref = grounded_factor_solve_reference(factor, r)
+            assert factor.solve(r).tobytes() == ref.tobytes(), (v, width)
+            out = np.empty_like(r)
+            assert factor.solve(r, out) is out
+            assert out.tobytes() == ref.tobytes(), (v, width)
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["factor", "wrong-factor"])
+@pytest.mark.parametrize("trace", [True, False], ids=["trace", "sketch"])
+def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, trace, wrong):
+    import icmax.linalg as linalg_mod
+
+    g = random_connected_graph(5, n=40, weighted=True)
+    lap = build_laplacian(g)
+    factor = GroundedFactor(lap, 0)
+    if wrong:  # as in the test below: every column goes through the CG re-solve
+        factor.add(next(u for u in range(1, g.n) if not g.has_edge(u, 0)), 0.5)
+    resolved = []
+
+    def counting_cg(lap, rhs, tol, max_iterations, pre=None):
+        resolved.append(rhs.shape[1])
+        return _cg_multi(lap, rhs, tol, max_iterations, pre=pre)
+
+    monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
+    count = 2 * 256 + 17  # two full blocks and a partial one
+    if trace:
+        rows, us, vs = g.n, np.arange(1, g.n), np.array([0])
+        to_rhs, ref_rhs = _project_out_mean, _project_out_mean
+    else:  # approx_eff_res's sketch, at arbitrary pairs
+        rows = g.m
+        us, vs = seeded_rng(2).integers(0, g.n, size=(2, 25))
+        inc_t, scale = _signed_incidence_transpose(g), 1.0 / math.sqrt(count)
+        scaled = inc_t * scale
+
+        def to_rhs(z, _):
+            return scaled @ z
+
+        def ref_rhs(z):
+            return inc_t @ (z * scale)
+
+    args = (1e-12, 1000)
+    got = _rademacher_block_solve(
+        lap, seeded_rng(7), (rows, count), to_rhs, *args, factor.solve, us, vs, trace=trace
+    )
+    ref = rademacher_block_solve_reference(
+        lap, seeded_rng(7), (rows, count), ref_rhs, *args, factor, us, vs, trace=trace
+    )
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1] == ref[1]
+    assert (sum(resolved) == count) if wrong else not resolved
+
+
+def test_block_solve_checks_its_row_indices():
+    g = path_graph(5)
+    lap = build_laplacian(g)
+    for us, vs in (([1, 5], [0]), ([1, 2], [-1])):
+        with pytest.raises(IndexError):
+            _rademacher_block_solve(
+                lap, seeded_rng(1), (g.n, 3), _project_out_mean, 1e-10, 100,
+                _direct_solve(lap), np.array(us), np.array(vs),
+            )
 
 
 def test_verified_solve_resolves_columns_a_wrong_factor_misses(monkeypatch):
