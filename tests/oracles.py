@@ -10,7 +10,8 @@ exhaustive k-subset search, which factors every subset's grounded
 Laplacian from scratch instead of updating one factor. The last three are
 the block pipeline of the approximate greedy as first written, with fresh
 arrays at every step: the Rademacher draw, the grounded factor's solve and
-the block solve, which the package must match bit for bit.
+the block solve, which the package must match bit for bit wherever it
+solves with SuperLU.
 """
 
 from __future__ import annotations
@@ -189,18 +190,45 @@ def rademacher_reference(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
-def grounded_factor_solve_reference(factor: GroundedFactor, r: np.ndarray) -> np.ndarray:
-    """factor.solve(r) by np.delete of row v, a solve of the C-order
-    result, three-slice assembly and .mean."""
-    v = factor.v
-    y = factor._lu.solve(np.delete(r, v, axis=0))
-    if factor._rows.size:
-        coef = scipy.linalg.cho_solve(factor._cap, y[factor._rows], check_finite=False)
-        y = blas.dgemm(-1.0, factor._w, coef, 1.0, y, overwrite_c=True)
-    out = np.empty_like(r)
-    out[:v] = y[:v]
-    out[v] = 0.0
-    out[v + 1 :] = y[v:]
+def grounded_factor_solve_reference(
+    factor: GroundedFactor, r: np.ndarray, lap: sparse.csr_matrix | None = None
+) -> np.ndarray:
+    """factor.solve(r) by np.delete of row v, a SuperLU solve of the C-order
+    result, np.insert of the zero row, the Woodbury correction by one BLAS
+    product, and .mean.
+
+    While the factor keeps SuperLU's LU, this solves with that LU and the
+    factor's own W and capacitance, for the bits of factor.solve. A factor
+    that released its LU for a level schedule needs lap, the Laplacian it
+    factored: the LU, W and capacitance are then built here afresh, with
+    the same options, for the same added edges.
+    """
+    v, rows = factor.v, factor._rows
+    lu = factor._lu
+    if lu is None:
+        keep = np.arange(factor.n) != v
+        lu = sparse.linalg.splu(
+            lap[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+        )
+
+    def inverse(b):  # laid out as b is, as the means below are summed in its order
+        out = np.empty_like(b)
+        out[...] = np.insert(lu.solve(np.delete(b, v, axis=0)), v, 0.0, axis=0)
+        return out
+
+    out = inverse(r)
+    if rows.size:
+        if factor._lu is not None:
+            w, cap = factor._w, factor._cap
+        else:
+            units = np.zeros((factor.n, rows.size))
+            units[rows, np.arange(rows.size)] = 1.0
+            w = inverse(units)
+            cap = scipy.linalg.cho_factor(
+                w[rows, :] + np.diag(factor._inv_weights), lower=True, check_finite=False
+            )
+        coef = scipy.linalg.cho_solve(cap, out[rows], check_finite=False)
+        out[...] = blas.dgemm(-1.0, w, coef, 1.0, out)  # out - W coef
     out -= out.mean(axis=0, keepdims=True)
     return out
 
@@ -220,9 +248,13 @@ def rademacher_block_solve_reference(
 ) -> tuple[np.ndarray, float]:
     """linalg._rademacher_block_solve with pre = factor's solve, and fresh
     arrays in every block: the reference draw, a new right-hand side
-    to_rhs(z), the reference solve, the residual check with its CG
-    re-solve, and y[us] - y[vs]."""
+    to_rhs(z), the reference solve (or, for a factor on a level schedule,
+    which the reference cannot match bit for bit, the factor's own solve
+    into a fresh array), the residual check with its CG re-solve, and
+    y[us] - y[vs]."""
     def pre(r):
+        if factor._lu is None:
+            return factor.solve(r)
         return grounded_factor_solve_reference(factor, r)
 
     rows, count = shape

@@ -241,7 +241,7 @@ def test_optimize_exact_and_oracle(tmp_path, capsys):
     assert (out / "aggregate_resistance.csv").exists()
     assert (out / "aggregate_centrality.csv").exists()
     timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
-    assert set(timings["seconds_total"]) == {"exact", "oracle"}
+    assert set(timings["seconds_total"]) == {"exact", "oracle", "grounded_cholesky_inverse"}
     steps = timings["step_seconds"]["0"]
     assert set(steps) == {"exact", "oracle"}
     assert all(len(secs) == 1 and secs[0] >= 0.0 for secs in steps.values())
@@ -435,8 +435,20 @@ def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch)
         generate="ws 60 4 0.1", random_targets=3, k=3,
         algorithms=("exact", "random", "top-degree", "top-cent"), out=str(tmp_path),
     )
-    cmd_optimize(config)
+    report = cmd_optimize(config)
     assert (len(factors), len(rankings)) == (3 + 1, 1)
+    # the shared factors and ranking are charged to no algorithm, and the
+    # totals still sum every second of optimizer work
+    timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
+    totals = timings["seconds_total"]
+    assert set(totals) == set(config.algorithms) | {
+        "grounded_cholesky_inverse", "rank_all_by_centrality"
+    }
+    assert all(secs >= 0.0 for secs in totals.values())
+    assert sum(totals.values()) == pytest.approx(
+        sum(report.shared_seconds.values())
+        + sum(sum(per_algo.values()) for per_algo in report.wall_seconds.values())
+    )
 
 
 def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatch):

@@ -293,6 +293,31 @@ def test_brute_force_matches_the_from_scratch_enumerator():
         assert abs(r - ref_r) <= 1e-12 * ref_r, (v, k, r, ref_r)
 
 
+def test_brute_force_batched_values_stay_in_their_margin_on_larger_graphs():
+    # 100 nodes, weights over 1e-2..1e2 and R_0 / R_v(S) under 2, where the
+    # batched values stand unrescored: their gap to the from-scratch values
+    # (2.2e-13 R_0 at most over these seeds) is what _BATCH_ROUNDOFF covers
+    for seed in range(6):
+        rng = seeded_rng(seed, 8)
+        shape = random_connected_graph(seed, n=100)
+        heads, tails, _ = shape.edge_arrays
+        g = Graph.from_edges(
+            shape.n, [(int(a), int(b), float(10 ** rng.uniform(-2, 2))) for a, b in zip(heads, tails)]
+        )
+        v = int(rng.integers(g.n))
+        pool = default_candidates(g, v)
+        cands = [
+            CandidateEdge(pool[int(i)].other, v, float(10 ** rng.uniform(-2, 2)))
+            for i in sorted(rng.choice(len(pool), size=16, replace=False))
+        ]
+        r0 = brute_force_optimum_from_scratch(g, v, cands, 0)[1]
+        for k in (1, 2, 3):
+            edges, r = brute_force_optimum(g, v, cands, k)
+            ref_edges, ref_r = brute_force_optimum_from_scratch(g, v, cands, k)
+            assert edges == ref_edges, (seed, k)
+            assert abs(r - ref_r) <= greedy._BATCH_ROUNDOFF * r0, (seed, k, abs(r - ref_r) / r0)
+
+
 def test_brute_force_ties_across_chunks(monkeypatch):
     # all C(5, 3) subsets tie at a leaf of the star; five tie at karate's node 0
     karate, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
@@ -523,6 +548,28 @@ def test_approxi_sm_jacobi_fallback_picks_the_same_edges(monkeypatch):
     for a, b in zip(fallback.steps, direct.steps):
         assert a.gain == pytest.approx(b.gain, rel=1e-9)
         assert a.resistance == pytest.approx(b.resistance, rel=1e-10)
+
+
+def test_approxi_sm_needs_no_cg_resolve(monkeypatch):
+    # criterion 9's first target, with the estimator capped: every direct
+    # solve on the shared factor passes its residual check
+    import icmax.linalg as linalg_mod
+    from icmax.graphs import generate_ws
+
+    resolved = []
+    cg = linalg_mod._cg_multi
+
+    def counting_cg(lap, rhs, *args, **kwargs):
+        resolved.append(rhs.shape[1])
+        return cg(lap, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
+    g = generate_ws(1000, 4, 0.1, seed=23)
+    v = min(int(t) for t in seeded_rng(77, 41).choice(g.n, size=10, replace=False))
+    spec = SolverSpec(seed=child_seed(77, 50, v))
+    trace = approxi_sm(g, v, default_candidates(g, v), 20, 0.3, spec, m_cap=256)
+    assert len(trace.edges) == 20
+    assert resolved == []
 
 
 def test_approxi_sm_validation():

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmax.graphs import Graph
+from icmax.graphs import Graph, generate_ba, generate_ws
 from icmax.linalg import (
     DENSE_NODE_LIMIT,
     PAPER_LITERAL,
@@ -20,6 +20,7 @@ from icmax.linalg import (
     SolverSpec,
     _cg_multi,
     _cholesky_inverse,
+    _LevelSchedule,
     _project_out_mean,
     _rademacher_block_solve,
     _signed_incidence_transpose,
@@ -386,10 +387,11 @@ def test_grounded_factor_validation():
 
 @pytest.mark.parametrize("adds", [0, 3])
 def test_grounded_factor_solve_has_the_bits_of_the_reference(adds):
-    g = random_connected_graph(8, n=50, weighted=True)
+    g = random_connected_graph(3, n=50, weighted=True)
     lap = build_laplacian(g)
     for v in (0, g.n // 2, g.n - 1):
         factor = GroundedFactor(lap, v)
+        assert factor._levels is None  # SuperLU pivoted: its solve stays
         for u in [u for u in range(g.n) if u != v and not g.has_edge(u, v)][:adds]:
             factor.add(u, 0.7)
         for width in (1, 17, 256):
@@ -401,16 +403,144 @@ def test_grounded_factor_solve_has_the_bits_of_the_reference(adds):
             assert out.tobytes() == ref.tobytes(), (v, width)
 
 
+def _grid(rows: int, cols: int) -> Graph:
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.concatenate([
+        np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+        np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+    ])
+    return Graph.from_edges(rows * cols, [(int(a), int(b), 1.0) for a, b in pairs])
+
+
+_SCHEDULED_GRAPHS = {
+    "ws1000": lambda: generate_ws(1000, 4, 0.1, seed=23),
+    "ws2000": lambda: generate_ws(2000, 4, 0.1, seed=11),
+    "ba1000": lambda: generate_ba(1000, 2, seed=1),
+    # one dense triangle and no sparse level (and no new edge to add)
+    "complete30": lambda: complete_graph(30),
+    # about 1,000 levels of one or two rows
+    "cycle2000": lambda: cycle_graph(2000),
+    # a long chain of one-row levels, too sparse for a dense tail at v = 0
+    # and n/2, and a tail of 29 rows at n - 1
+    "grid10x100": lambda: _grid(10, 100),
+    "rand50": lambda: random_connected_graph(8, n=50, weighted=True),
+}
+
+
+@pytest.mark.parametrize("adds", [0, 3])
+@pytest.mark.parametrize("name", sorted(_SCHEDULED_GRAPHS))
+def test_level_schedule_solves_as_superlu_does(name, adds):
+    # the schedule's sums run in another order than SuperLU's, so the
+    # answers agree to roundoff, not bit for bit
+    g = _SCHEDULED_GRAPHS[name]()
+    lap = build_laplacian(g)
+    for v in (0, g.n // 2, g.n - 1):
+        factor = GroundedFactor(lap, v)
+        assert factor._levels is not None and factor._lu is None
+        for u in [u for u in range(g.n) if u != v and not g.has_edge(u, v)][:adds]:
+            factor.add(u, 0.7)
+        for width in (1, 17, 256):
+            r = _project_out_mean(seeded_rng(v, width).normal(size=(g.n, width)))
+            ref = grounded_factor_solve_reference(factor, r, lap)
+            tol = 1e-13 * np.abs(ref).max()
+            assert np.abs(factor.solve(r) - ref).max() <= tol, (v, width)
+            out = np.empty_like(r)
+            assert factor.solve(r, out) is out
+            assert np.abs(out - ref).max() <= tol, (v, width)
+        # Fortran-order blocks take the same path through copies
+        r = np.asfortranarray(r)
+        assert np.abs(factor.solve(r) - ref).max() <= tol
+
+
+def test_level_schedule_solves_a_grounded_graph_in_pieces():
+    # a leaf and a two-node path hang on v alone, so the grounded matrix
+    # falls apart into three blocks and L's elimination tree into a forest
+    us, vs, ws = generate_ws(1000, 4, 0.1, seed=23).edge_arrays
+    v = 4
+    edges = [(int(a), int(b), float(w)) for a, b, w in zip(us, vs, ws)]
+    g = Graph.from_edges(1003, edges + [(1000, v, 1.5), (1001, v, 0.5), (1002, 1001, 1.0)])
+    lap = build_laplacian(g)
+    factor = GroundedFactor(lap, v)
+    assert factor._levels is not None
+    for u in (10, 1002):
+        factor.add(u, 0.7)
+    for width in (1, 256):
+        r = _project_out_mean(seeded_rng(v, width).normal(size=(g.n, width)))
+        ref = grounded_factor_solve_reference(factor, r, lap)
+        assert np.abs(factor.solve(r) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_level_schedule_serves_every_factor_superlu_did_not_pivot():
+    for g, v in (
+        (generate_ws(1000, 4, 0.1, seed=23), 4),
+        (generate_ws(5000, 4, 0.1, seed=11), 17),
+        (cycle_graph(2000), 666),
+        (path_graph(2000), 666),
+        (random_connected_graph(8, n=50, weighted=True), 16),
+    ):
+        factor = GroundedFactor(build_laplacian(g), v)
+        assert factor._levels is not None and factor._lu is None
+    # the narrow grid's last one-row levels would make a triangle with more
+    # entries than L: they stay sparse levels, and no dense tail is left
+    levels = GroundedFactor(build_laplacian(_grid(10, 100)), 0)._levels
+    assert levels._t0 == len(levels._src) and levels._tail.size == 0
+    # SuperLU made row interchanges on this weighted graph's factor
+    g = random_connected_graph(3, n=50, weighted=True)
+    factor = GroundedFactor(build_laplacian(g), 16)
+    assert factor._levels is None and factor._lu is not None
+
+
+def test_level_schedule_refuses_factors_that_are_not_symmetric():
+    import scipy.sparse.linalg
+    from types import SimpleNamespace
+
+    g = generate_ws(1000, 4, 0.1, seed=23)
+    keep = np.arange(g.n) != 4
+    lu = scipy.sparse.linalg.splu(
+        build_laplacian(g)[keep][:, keep].tocsc(),
+        permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
+    )
+    assert _LevelSchedule.of(lu, 4) is not None
+    # a row interchange
+    swapped = lu.perm_r.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    pivoted = SimpleNamespace(perm_r=swapped, perm_c=lu.perm_c, L=lu.L, U=lu.U)
+    assert _LevelSchedule.of(pivoted, 4) is None
+    # one entry of U off D L^T by 1 %
+    upper = lu.U.copy()
+    cols = np.repeat(np.arange(g.n - 1), np.diff(upper.indptr))
+    upper.data[np.flatnonzero(upper.indices != cols)[0]] *= 1.01
+    skewed = SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, L=lu.L, U=upper)
+    assert _LevelSchedule.of(skewed, 4) is None
+
+
+def test_csr_matvecs_adds_a_row_block_product_into_its_output():
+    # SciPy's private CSR x dense kernel, which the level schedule and the
+    # sketch call directly, without SciPy's shape checks: a SciPy release
+    # that changes its arguments or its sums fails here
+    import icmax.linalg as linalg_mod
+    import scipy.sparse
+
+    rng = seeded_rng(3)
+    a = scipy.sparse.random(9, 6, density=0.4, format="csr", random_state=4)
+    x, y0 = rng.normal(size=(6, 5)), rng.normal(size=(9, 5))
+    y = np.zeros((9, 5))
+    linalg_mod.csr_matvecs(9, 6, 5, a.indptr, a.indices, a.data, x, y)
+    assert y.tobytes() == (a @ x).tobytes()
+    # rows 2..6 alone, through a slice of the row pointers, added onto y0
+    y = y0.copy()
+    linalg_mod.csr_matvecs(5, 6, 5, a.indptr[2:8], a.indices, a.data, x, y[2:7])
+    want = y0.copy()
+    want[2:7] += a.toarray()[2:7] @ x
+    assert np.array_equal(y[:2], y0[:2]) and np.array_equal(y[7:], y0[7:])
+    assert np.allclose(y, want, rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("wrong", [False, True], ids=["factor", "wrong-factor"])
 @pytest.mark.parametrize("trace", [True, False], ids=["trace", "sketch"])
 def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, trace, wrong):
     import icmax.linalg as linalg_mod
 
-    g = random_connected_graph(5, n=40, weighted=True)
-    lap = build_laplacian(g)
-    factor = GroundedFactor(lap, 0)
-    if wrong:  # as in the test below: every column goes through the CG re-solve
-        factor.add(next(u for u in range(1, g.n) if not g.has_edge(u, 0)), 0.5)
     resolved = []
 
     def counting_cg(lap, rhs, tol, max_iterations, pre=None):
@@ -419,31 +549,40 @@ def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, t
 
     monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
     count = 2 * 256 + 17  # two full blocks and a partial one
-    if trace:
-        rows, us, vs = g.n, np.arange(1, g.n), np.array([0])
-        to_rhs, ref_rhs = _project_out_mean, _project_out_mean
-    else:  # approx_eff_res's sketch, at arbitrary pairs
-        rows = g.m
-        us, vs = seeded_rng(2).integers(0, g.n, size=(2, 25))
-        inc_t, scale = _signed_incidence_transpose(g), 1.0 / math.sqrt(count)
-        scaled = inc_t * scale
+    # a factor SuperLU pivoted, which keeps its solve, and one with a schedule
+    for seed, scheduled in ((0, False), (5, True)):
+        g = random_connected_graph(seed, n=40, weighted=True)
+        lap = build_laplacian(g)
+        factor = GroundedFactor(lap, 0)
+        assert (factor._levels is not None) == scheduled
+        if wrong:  # as in the test below: every column goes through the CG re-solve
+            factor.add(next(u for u in range(1, g.n) if not g.has_edge(u, 0)), 0.5)
+        if trace:
+            rows, us, vs = g.n, np.arange(1, g.n), np.array([0])
+            to_rhs, ref_rhs = _project_out_mean, _project_out_mean
+        else:  # approx_eff_res's sketch, at arbitrary pairs
+            rows = g.m
+            us, vs = seeded_rng(2).integers(0, g.n, size=(2, 25))
+            inc_t, scale = _signed_incidence_transpose(g), 1.0 / math.sqrt(count)
+            scaled = inc_t * scale
 
-        def to_rhs(z, _):
-            return scaled @ z
+            def to_rhs(z, _):
+                return scaled @ z
 
-        def ref_rhs(z):
-            return inc_t @ (z * scale)
+            def ref_rhs(z):
+                return inc_t @ (z * scale)
 
-    args = (1e-12, 1000)
-    got = _rademacher_block_solve(
-        lap, seeded_rng(7), (rows, count), to_rhs, *args, factor.solve, us, vs, trace=trace
-    )
-    ref = rademacher_block_solve_reference(
-        lap, seeded_rng(7), (rows, count), ref_rhs, *args, factor, us, vs, trace=trace
-    )
-    assert got[0].tobytes() == ref[0].tobytes()
-    assert got[1] == ref[1]
-    assert (sum(resolved) == count) if wrong else not resolved
+        args = (1e-12, 1000)
+        resolved.clear()
+        got = _rademacher_block_solve(
+            lap, seeded_rng(7), (rows, count), to_rhs, *args, factor.solve, us, vs, trace=trace
+        )
+        assert (sum(resolved) == count) if wrong else not resolved
+        ref = rademacher_block_solve_reference(
+            lap, seeded_rng(7), (rows, count), ref_rhs, *args, factor, us, vs, trace=trace
+        )
+        assert got[0].tobytes() == ref[0].tobytes(), seed
+        assert got[1] == ref[1], seed
 
 
 def test_block_solve_checks_its_row_indices():
