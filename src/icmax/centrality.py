@@ -1,10 +1,10 @@
 """Resistance distance and information centrality.
 
 A node's resistance R_v = sum_u R_uv is the trace of the inverse Laplacian
-grounded at v, the one-node evaluator the optimizers share, and one
-grounded Cholesky inverse ranks every node at once. Everything here is
-exact dense linear algebra. Gains are framed as resistance reductions, with
-I_v = n/R_v derived for display.
+grounded at v, read from the triangular inverse T of its Cholesky factor
+as ||T||_F^2; one T grounded at node 0 ranks every node at once. All of
+it is exact dense linear algebra. Gains are framed as resistance
+reductions, with I_v = n/R_v derived for display.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .linalg import build_laplacian, grounded_cholesky_inverse, grounded_inverse
+from .linalg import build_laplacian, grounded_cholesky_inverse
 
 _TIE_RTOL = 1e-12  # exact values this close, relatively, are ties
 
@@ -43,12 +43,11 @@ def _require_two_nodes(n: int) -> None:
 
 
 def node_resistance_grounded(g: Graph, v: int) -> NodeResistance:
-    """R_v as the trace of the inverse grounded Laplacian (row/col v deleted).
-
-    The dense optimizers use the same grounded_inverse.
-    """
+    """R_v as the trace of the inverse grounded Laplacian (row/col v deleted),
+    ||T||_F^2 for its Cholesky inverse T."""
     v = _check_node(g.n, v)
-    return NodeResistance(v, float(np.trace(grounded_inverse(build_laplacian(g), v))))
+    flat = grounded_cholesky_inverse(build_laplacian(g), v).ravel(order="K")
+    return NodeResistance(v, float(flat @ flat))
 
 
 def information_centrality(g: Graph, v: int) -> CentralityScore:

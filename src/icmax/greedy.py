@@ -8,10 +8,11 @@ for small instances.
 Every candidate edge ends at the target v, so it only adds its weight to
 one diagonal entry of the Laplacian grounded at v, whose inverse M has
 trace R_v, and inserting (u, v, w) lowers R_v by w ||M e_u||^2 / (1 + w M_uu).
-The exact greedy holds M densely. Fixed insertion orders (the baselines
-and the oracle's replay) read R_v and a few columns of M from the
-triangular inverse T of its Cholesky factor, and the oracle scores every
-k-subset from the same T by the diagonal Woodbury identity. These
+Every dense value comes from the triangular inverse T of its Cholesky
+factor, M = T^T T: the exact greedy forms M from T once. Fixed insertion
+orders (the baselines and the oracle's replay) read R_v and a few columns
+of M from T, and the oracle scores every k-subset from the same T by the
+diagonal Woodbury identity. These
 fixed-order functions accept a caller's T (keyword t) and top-cent its
 centrality ranking (keyword ranking), so that a run computes each once
 per target and once per graph; called without them, each computes its
@@ -34,6 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import blas
 
 from .graphs import Graph
 from .linalg import (
@@ -219,9 +221,10 @@ def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> G
 
     One dense grounded inverse M up front, so R_v = tr(M); each round scores
     every live candidate in closed form and takes the first candidate within
-    _TIE_RTOL of the best gain, then updates M -= m m^T with
-    m = sqrt(w / (1 + w M_uu)) M e_u. O(n^3 + k n^2) overall. The selection
-    is within a (1 - 1/e) factor of the optimal reduction.
+    _TIE_RTOL of the best gain, then updates M -= m m^T in place (BLAS
+    dger), m = sqrt(w / (1 + w M_uu)) M e_u copied out of M. O(n^3 + k n^2)
+    overall. The selection is within a (1 - 1/e) factor of the optimal
+    reduction.
     """
     live = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
@@ -236,7 +239,7 @@ def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> G
         chosen = live.pop(best)
         row = chosen.other - (chosen.other > v)
         m = inv[:, row] * math.sqrt(chosen.weight / (1.0 + chosen.weight * inv[row, row]))
-        inv -= np.outer(m, m)
+        blas.dger(-1.0, m, m, a=inv, overwrite_a=1)
         r = float(np.trace(inv))
         times.append(time.perf_counter() - started)
         edge = (min(chosen.other, v), max(chosen.other, v))
@@ -245,10 +248,10 @@ def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> G
 
 
 class VReffResult(NamedTuple):
-    """Gain estimates plus the intermediates one round of the approximate
-    greedy needs for bookkeeping."""
+    """Gain estimates, one per candidate in order, plus the intermediates one
+    round of the approximate greedy needs for bookkeeping."""
 
-    gains: list[GainEstimate]
+    gains: np.ndarray
     m_literal: int
     m_used: int
     resistance_estimate: float
@@ -299,7 +302,7 @@ def _vreff_comp_full(
     resistance_estimate = float(n * x[v] + trace_sum / m_used)
 
     if not len(candidates):
-        return VReffResult([], m_literal, m_used, resistance_estimate)
+        return VReffResult(np.zeros(0), m_literal, m_used, resistance_estimate)
 
     pairs = [(c.other, v) for c in candidates]
     r_hat = approx_eff_res(
@@ -315,8 +318,7 @@ def _vreff_comp_full(
     r_vec = np.array([r_hat[pair] for pair in pairs], dtype=np.float64)
 
     alpha = (x[others] - x[v]) ** 2
-    estimates = weights * (n * alpha + t_sums / m_used) / (1.0 + weights * r_vec)
-    gains = [GainEstimate(c, float(est)) for c, est in zip(candidates, estimates)]
+    gains = weights * (n * alpha + t_sums / m_used) / (1.0 + weights * r_vec)
     return VReffResult(gains, m_literal, m_used, resistance_estimate)
 
 
@@ -346,9 +348,10 @@ def vreff_comp(
     live = _check_candidates(g, v, candidates, 0)
     lap = build_laplacian(g)
     _require_connected(lap, "gain estimation")
-    return _vreff_comp_full(
+    gains = _vreff_comp_full(
         g, v, live, epsilon, spec, lap=lap, m_cap=m_cap, sketch_constant=sketch_constant
     ).gains
+    return [GainEstimate(c, float(gain)) for c, gain in zip(live, gains)]
 
 
 def approxi_sm(
@@ -422,8 +425,7 @@ def approxi_sm(
         result = estimate(working, lap, live, round_idx)
         if round_idx == 0 and value_mode == VALUES_ESTIMATED:
             r0 = r_prev = result.resistance_estimate
-        gains = np.array([ge.gain for ge in result.gains], dtype=np.float64)
-        best = int(np.argmax(gains))
+        best = int(np.argmax(result.gains))
         chosen = live.pop(best)
         u, w = chosen.other, chosen.weight
         rhs = np.zeros((g.n, 1))
@@ -435,7 +437,7 @@ def approxi_sm(
         if factor is not None:
             factor.add(u, w)
         times.append(time.perf_counter() - started)
-        steps.append(TraceStep((min(u, v), max(u, v)), w, float(gains[best]), r, g.n / r))
+        steps.append(TraceStep((min(u, v), max(u, v)), w, float(result.gains[best]), r, g.n / r))
         r_prev = r
     return GreedyTrace(
         "approx", v, spec.seed, r0, g.n / r0, tuple(steps), tuple(times), value_mode=value_mode

@@ -1,19 +1,17 @@
 """Laplacian linear algebra.
 
 Every optimizer works on the Laplacian grounded at a target v (row and
-column v deleted), where an edge (u, v) only adds its weight at (u, u):
-grounded_inverse forms its dense inverse M, grounded_cholesky_inverse the
-triangular T = C^-1 of its Cholesky factor C (M = T^T T, for callers that
-read only tr(M) and a few columns), and GroundedFactor a sparse factor kept
-across edge insertions at v by Woodbury updates. Its triangular solves run
-level by level, one CSR product per level of rows on the whole block of
-right-hand sides plus one dense triangle for the last separator, wherever
-SuperLU's factor is symmetric (it made no row interchange); elsewhere
-SuperLU solves. Verified solves apply the factor and check each column's
-residual, re-solving failures by CG; the Rademacher block solve and the
-sketch effective-resistance estimator run on them. The dense routes are
-exact and O(n^3) and refuse graphs beyond DENSE_NODE_LIMIT nodes; larger
-ones go through the solver and estimators.
+column v deleted), where an edge (u, v) only adds its weight at (u, u).
+Dense: grounded_cholesky_inverse gives T = C^-1 for its Cholesky factor C,
+and grounded_inverse forms its inverse M = T^T T in T's storage. Sparse:
+GroundedFactor, kept across edge insertions at v by Woodbury updates,
+solves level by level, one CSR product per level of rows on the whole
+block of right-hand sides plus one dense triangle for the last separator.
+Verified solves apply the factor and check each column's residual,
+re-solving failures by CG; the Rademacher block solve and the sketch
+effective-resistance estimator run on them. The dense routes are exact
+and O(n^3) and refuse graphs beyond DENSE_NODE_LIMIT nodes; larger ones
+go through the solver and estimators.
 """
 
 from __future__ import annotations
@@ -41,10 +39,12 @@ PAPER_LITERAL = "paper-literal"
 _TOLERANCE_FLOOR = 1e-14
 
 _BLOCK = 256
+_PANEL = 64  # columns per step of grounded_inverse's mirror copy, whose temporary is _PANEL x n
 
 
 class SolverConvergenceError(RuntimeError):
-    """A solve hit CG's iteration cap before reaching the residual target."""
+    """A solve ended above its residual target: at CG's iteration cap, or
+    where CG could not go on (see _cg_multi)."""
 
     def __init__(self, target: float, achieved: float, iterations: int):
         self.target = target
@@ -123,10 +123,16 @@ def _grounded_dense(lap: sparse.csr_matrix, v: int) -> np.ndarray:
 
 
 def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
-    """Dense inverse M of _grounded_dense(lap, v), so R_v = tr(M)."""
-    grounded = _grounded_dense(lap, v)
-    factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
-    return scipy.linalg.cho_solve(factor, np.eye(grounded.shape[0], order="F"), overwrite_b=True, check_finite=False)
+    """Dense inverse M of _grounded_dense(lap, v), so R_v = tr(M): LAPACK
+    dlauum forms the lower triangle of T^T T in the storage of T =
+    grounded_cholesky_inverse(lap, v), and it is added into the zero upper
+    one _PANEL columns at a time. M is exactly symmetric, in Fortran order."""
+    m, info = lapack.dlauum(grounded_cholesky_inverse(lap, v), lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular product failed (LAPACK dlauum info={info})")
+    for s in range(0, m.shape[0], _PANEL):
+        m[: s + _PANEL, s : s + _PANEL] += np.tril(m[s : s + _PANEL, : s + _PANEL], s - 1).T
+    return m
 
 
 def grounded_cholesky_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
@@ -191,7 +197,7 @@ class _LevelSchedule:
     500-node path hanging off a clique, one row per level. The
     approximate greedy solves mostly wide blocks, and took 0.55 to 0.91
     of its time on SuperLU's solve on seven of those graphs, cycles and
-    paths included, so every factor the schedule can serve gets it.
+    paths included, so the schedule serves every factor.
     """
 
     @classmethod
@@ -322,11 +328,10 @@ class GroundedFactor:
     D their weights, W = A^-1 U and capacitance C = D^-1 + U^T W,
     (A + U D U^T)^-1 r = A^-1 r - W C^-1 (A^-1 r)[U].
 
-    The triangular solves run on a _LevelSchedule of the factor whenever
-    SuperLU's factor has the schedule's form, and SuperLU's own factor is
-    then released. A factor that SuperLU pivoted, as it does for some
-    weighted graphs, keeps SuperLU's solve. Either way the solve writes
-    into node rows, zero at v, and W keeps node rows too.
+    SuperLU keeps the diagonal pivots (a threshold of 0; its default swaps
+    rows of many weighted graphs' factors), so the factor is
+    P A P^T = L D L^T: its solves run on a _LevelSchedule, into node rows,
+    zero at v, and SuperLU's own factor is released. W keeps node rows.
     """
 
     def __init__(self, lap: sparse.csr_matrix, v: int):
@@ -338,10 +343,11 @@ class GroundedFactor:
         self.n = n
         self.v = v
         lu = sparse.linalg.splu(
-            grounded, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+            grounded, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
         )
         self._levels = _LevelSchedule.of(lu, v)
-        self._lu = lu if self._levels is None else None
+        if self._levels is None:
+            raise RuntimeError("SuperLU's factor is not L D L^T; no level schedule")
         self._rows = np.zeros(0, dtype=np.int64)  # the node of each update
         self._inv_weights = np.zeros(0)
         self._w = np.zeros((n, 0))
@@ -366,32 +372,13 @@ class GroundedFactor:
             raise ValueError("edge weight must be positive")
         unit = np.zeros((self.n, 1))
         unit[u] = 1.0
-        col = self._apply_inverse(unit, np.empty_like(unit))
+        col = self._levels.solve(unit, np.empty_like(unit))
         # Fortran order, like the solves it updates in place
         self._w = np.asfortranarray(np.hstack([self._w, col]))
         self._rows = np.append(self._rows, u)
         self._inv_weights = np.append(self._inv_weights, 1.0 / w)
         cap = self._w[self._rows, :] + np.diag(self._inv_weights)
         self._cap = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
-
-    def _apply_inverse(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The factored matrix's inverse, without the updates, applied to
-        the rows of r other than v, written into out with zero at v."""
-        if self._levels is not None:
-            return self._levels.solve(r, out)
-        v = self.v
-        n, k = r.shape
-        # SuperLU solves a Fortran-order copy of its input, so the grounded
-        # rows are gathered in that order, and its copy does not transpose.
-        # They are gathered into out's storage, free again once it is copied.
-        grounded = out.ravel(order="K")[: (n - 1) * k].reshape((n - 1, k), order="F")
-        grounded[:v] = r[:v]
-        grounded[v:] = r[v + 1 :]
-        y = self._lu.solve(grounded)
-        out[:v] = y[:v]
-        out[v] = 0.0
-        out[v + 1 :] = y[v:]
-        return out
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """pinv(L') r for an n x k block r of zero-sum columns, where L' is
@@ -401,7 +388,7 @@ class GroundedFactor:
         n = r.shape[0]
         if out is None:
             out = np.empty_like(r)
-        self._apply_inverse(r, out)
+        self._levels.solve(r, out)
         if self._rows.size:
             coef = scipy.linalg.cho_solve(self._cap, out[self._rows], check_finite=False)
             # out -= W coef, as out^T -= coef^T W^T in out's storage
@@ -423,13 +410,13 @@ def _cg_multi(
 
     Columns are independent: per-column step sizes mean batching changes a
     column's iterates only through floating-point reduction order (a few
-    ulps), never through coupling. Stops a column once its
-    2-norm residual falls below tol times the column's RHS norm; raises
-    SolverConvergenceError if any column is still above target at the cap.
-    pre maps a residual block to a preconditioned zero-mean block; the
-    default is Jacobi. _verified_solve passes a GroundedFactor's solve.
+    ulps), never through coupling. Stops a column once its 2-norm residual
+    falls below tol times the column's RHS norm, or once its p^T A p or
+    r^T z is not positive; raises SolverConvergenceError if any column
+    ends above target or at NaN. pre maps a residual block to a
+    preconditioned zero-mean block; the default is Jacobi. _verified_solve
+    passes a GroundedFactor's solve.
     """
-    n, k = rhs.shape
     diag = np.asarray(lap.diagonal(), dtype=np.float64)
     if np.any(diag <= 0.0):
         raise ValueError("Laplacian has a zero-degree node; graph is disconnected")
@@ -443,45 +430,49 @@ def _cg_multi(
     thresholds = tol * np.where(b_norm > 0.0, b_norm, 1.0)
     done = b_norm == 0.0
 
-    def finish() -> np.ndarray:
+    def finish(iterations: int) -> np.ndarray:
         res = np.linalg.norm(r, axis=0)
         rel = res / np.where(b_norm > 0.0, b_norm, 1.0)
-        worst = int(np.argmax(rel))
-        if rel[worst] > tol:
-            raise SolverConvergenceError(tol, float(rel[worst]), max_iterations)
+        worst = int(np.argmax(rel))  # a NaN's index, if there is one
+        if not rel[worst] <= tol:
+            raise SolverConvergenceError(tol, float(rel[worst]), iterations)
         return x
 
     if done.all():
-        return finish()
+        return finish(0)
 
     z = pre(r)
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
 
-    for _ in range(max_iterations):
+    for step in range(1, max_iterations + 1):
         active = np.flatnonzero(~done)
         p_act = p[:, active]
         ap = lap @ p_act
         pap = np.einsum("ij,ij->j", p_act, ap)
-        # pap <= 0 means the search direction vanished; that column is as
-        # converged as it will get. Freeze it; finish() verifies it anyway.
-        stalled = pap <= 0.0
-        safe_pap = np.where(stalled, 1.0, pap)
-        alpha = np.where(stalled, 0.0, rz[active] / safe_pap)
+        # pap <= 0 (or NaN) means the search direction vanished; that column
+        # is as converged as it will get. Freeze it; finish() verifies it.
+        moving = pap > 0.0
+        done[active[~moving]] = True
+        active, p_act, ap, pap = active[moving], p_act[:, moving], ap[:, moving], pap[moving]
+        alpha = rz[active] / pap
         x[:, active] += alpha * p_act
         r[:, active] -= alpha * ap
         res = np.linalg.norm(r[:, active], axis=0)
-        done[active] = (res <= thresholds[active]) | stalled
+        done[active] = res <= thresholds[active]
         still = np.flatnonzero(~done)
         if still.size == 0:
-            return finish()
+            return finish(step)
         z_new = pre(r[:, still])
         rz_new = np.einsum("ij,ij->j", r[:, still], z_new)
-        beta = rz_new / rz[still]
-        p[:, still] = z_new + beta * p[:, still]
+        # so is one whose r^T z vanished or is NaN, before it divides a beta
+        live = rz_new > 0.0
+        done[still[~live]] = True
+        still, z_new, rz_new = still[live], z_new[:, live], rz_new[live]
+        p[:, still] = z_new + (rz_new / rz[still]) * p[:, still]
         rz[still] = rz_new
 
-    return finish()
+    return finish(max_iterations)
 
 
 def _verified_solve(
@@ -508,7 +499,7 @@ def _verified_solve(
     res -= rhs
     res_sq = np.einsum("ij,ij->j", res, res)
     b_sq = np.einsum("ij,ij->j", rhs, rhs)
-    failed = np.flatnonzero(res_sq > tol**2 * np.where(b_sq > 0.0, b_sq, 1.0))
+    failed = np.flatnonzero(~(res_sq <= tol**2 * np.where(b_sq > 0.0, b_sq, 1.0)))  # NaN fails
     if failed.size:
         x[:, failed] = _cg_multi(lap, rhs[:, failed], tol, max_iterations, pre=pre)
     return x

@@ -5,13 +5,13 @@ the independent routes to the same quantities: the dense pseudoinverse via
 (L + J/n) with its rank-1 edge update and closed-form marginal gain,
 resistances read off the pseudoinverse, the pairwise throughput through
 B = L + J, and the Hutchinson sample count. They share no arithmetic with
-the grounded route beyond building the Laplacian. The one exception is the
-exhaustive k-subset search, which factors every subset's grounded
-Laplacian from scratch instead of updating one factor. The last three are
-the block pipeline of the approximate greedy as first written, with fresh
-arrays at every step: the Rademacher draw, the grounded factor's solve and
-the block solve, which the package must match bit for bit wherever it
-solves with SuperLU.
+the grounded route beyond building the Laplacian. Two exceptions work on
+the grounded Laplacian too: its dense inverse by a Cholesky solve against
+the identity, and the exhaustive k-subset search, which factors every
+subset's grounded Laplacian from scratch instead of updating one factor.
+The last three are the block pipeline of the approximate greedy as first
+written, with fresh arrays at every step: the Rademacher draw, the
+grounded factor's solve by SuperLU's own, and the block solve.
 """
 
 from __future__ import annotations
@@ -150,6 +150,14 @@ def information_centrality_via_B(g: Graph, u: int, v: int, b_inv: np.ndarray | N
     return 1.0 / denom
 
 
+def grounded_inverse_reference(lap: sparse.csr_matrix, v: int) -> np.ndarray:
+    """Dense inverse of _grounded_dense(lap, v) by cho_factor and cho_solve
+    against the identity, without the triangular inverse T."""
+    grounded = _grounded_dense(lap, v)
+    factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, np.eye(grounded.shape[0], order="F"), overwrite_b=True, check_finite=False)
+
+
 def brute_force_optimum_from_scratch(
     g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int
 ) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -191,25 +199,22 @@ def rademacher_reference(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def grounded_factor_solve_reference(
-    factor: GroundedFactor, r: np.ndarray, lap: sparse.csr_matrix | None = None
+    factor: GroundedFactor, r: np.ndarray, lap: sparse.csr_matrix
 ) -> np.ndarray:
     """factor.solve(r) by np.delete of row v, a SuperLU solve of the C-order
     result, np.insert of the zero row, the Woodbury correction by one BLAS
     product, and .mean.
 
-    While the factor keeps SuperLU's LU, this solves with that LU and the
-    factor's own W and capacitance, for the bits of factor.solve. A factor
-    that released its LU for a level schedule needs lap, the Laplacian it
-    factored: the LU, W and capacitance are then built here afresh, with
-    the same options, for the same added edges.
+    The LU of lap, the Laplacian the factor factored, is built here with
+    SuperLU's default pivot threshold, which swaps rows of some weighted
+    graphs' factors, and W and the capacitance afresh for the factor's
+    added edges.
     """
     v, rows = factor.v, factor._rows
-    lu = factor._lu
-    if lu is None:
-        keep = np.arange(factor.n) != v
-        lu = sparse.linalg.splu(
-            lap[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-        )
+    keep = np.arange(factor.n) != v
+    lu = sparse.linalg.splu(
+        lap[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+    )
 
     def inverse(b):  # laid out as b is, as the means below are summed in its order
         out = np.empty_like(b)
@@ -218,15 +223,12 @@ def grounded_factor_solve_reference(
 
     out = inverse(r)
     if rows.size:
-        if factor._lu is not None:
-            w, cap = factor._w, factor._cap
-        else:
-            units = np.zeros((factor.n, rows.size))
-            units[rows, np.arange(rows.size)] = 1.0
-            w = inverse(units)
-            cap = scipy.linalg.cho_factor(
-                w[rows, :] + np.diag(factor._inv_weights), lower=True, check_finite=False
-            )
+        units = np.zeros((factor.n, rows.size))
+        units[rows, np.arange(rows.size)] = 1.0
+        w = inverse(units)
+        cap = scipy.linalg.cho_factor(
+            w[rows, :] + np.diag(factor._inv_weights), lower=True, check_finite=False
+        )
         coef = scipy.linalg.cho_solve(cap, out[rows], check_finite=False)
         out[...] = blas.dgemm(-1.0, w, coef, 1.0, out)  # out - W coef
     out -= out.mean(axis=0, keepdims=True)
@@ -248,15 +250,9 @@ def rademacher_block_solve_reference(
 ) -> tuple[np.ndarray, float]:
     """linalg._rademacher_block_solve with pre = factor's solve, and fresh
     arrays in every block: the reference draw, a new right-hand side
-    to_rhs(z), the reference solve (or, for a factor on a level schedule,
-    which the reference cannot match bit for bit, the factor's own solve
-    into a fresh array), the residual check with its CG re-solve, and
-    y[us] - y[vs]."""
-    def pre(r):
-        if factor._lu is None:
-            return factor.solve(r)
-        return grounded_factor_solve_reference(factor, r)
-
+    to_rhs(z), the factor's solve into a fresh array, the residual check
+    with its CG re-solve, and y[us] - y[vs]."""
+    pre = factor.solve
     rows, count = shape
     sq_dists = np.zeros(len(us), dtype=np.float64)
     trace_sum = 0.0
@@ -270,7 +266,7 @@ def rademacher_block_solve_reference(
         res -= rhs
         res_sq = np.einsum("ij,ij->j", res, res)
         b_sq = np.einsum("ij,ij->j", rhs, rhs)
-        failed = np.flatnonzero(res_sq > tol**2 * np.where(b_sq > 0.0, b_sq, 1.0))
+        failed = np.flatnonzero(~(res_sq <= tol**2 * np.where(b_sq > 0.0, b_sq, 1.0)))
         if failed.size:
             y[:, failed] = _cg_multi(lap, rhs[:, failed], tol, max_iterations, pre=pre)
         if trace:

@@ -426,7 +426,7 @@ def _count_calls(monkeypatch, name, *modules):
 
 def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch):
     # three baselines per target share one grounded factor, and every target
-    # shares one ranking; exact_sm forms its own dense inverse
+    # shares one ranking; exact_sm forms its dense inverse from a T of its own
     factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
     rankings = _count_calls(
         monkeypatch, "rank_all_by_centrality", icmax.centrality, icmax.greedy, icmax.cli
@@ -436,7 +436,7 @@ def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch)
         algorithms=("exact", "random", "top-degree", "top-cent"), out=str(tmp_path),
     )
     report = cmd_optimize(config)
-    assert (len(factors), len(rankings)) == (3 + 1, 1)
+    assert (len(factors), len(rankings)) == (3 + 3 + 1, 1)
     # the shared factors and ranking are charged to no algorithm, and the
     # totals still sum every second of optimizer work
     timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
@@ -474,7 +474,7 @@ def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatc
         algorithms=("exact", "top-cent", "random"), out=str(tmp_path),
     )
     cmd_optimize(config)
-    assert len(made) == 4
+    assert len(made) == 3 + 3 + 1  # exact_sm's T, which becomes its M, included
 
 
 def test_optimize_oracle_shares_the_targets_factor(tmp_path, monkeypatch):
@@ -485,7 +485,7 @@ def test_optimize_oracle_shares_the_targets_factor(tmp_path, monkeypatch):
         algorithms=("exact", "oracle"), seed=1, out=str(tmp_path),
     )
     cmd_optimize(config)
-    assert len(factors) == 4
+    assert len(factors) == 4 + 4  # the oracle's shared T and exact_sm's own
 
 
 # ---------------------------------------------------------------------------
@@ -553,35 +553,25 @@ def test_exit_solver_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
-    import icmax.greedy as greedy_mod
-
-    def boom(lap, v):
-        raise np.linalg.LinAlgError("factorization blew up")
-
-    monkeypatch.setattr(greedy_mod, "grounded_inverse", boom)
-    graph = write_path4(tmp_path)
-    rc = main([
-        "optimize", "--graph", str(graph), "--target", "0", "--out", str(tmp_path / "r"),
-    ])
-    assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
-
-    # the baselines' and the oracle's LAPACK calls report failure through
-    # info, not by raising; the program must raise on it
+    # LAPACK reports failure through info, not by raising; the program must
+    # raise on it: in exact's dlauum and in the dpotrf every dense route runs
     import icmax.linalg as linalg_mod
 
-    monkeypatch.setattr(
-        linalg_mod, "lapack",
-        types.SimpleNamespace(dpotrf=lambda a, **kw: (a, 2), dtrtri=linalg_mod.lapack.dtrtri),
-    )
-    for algo in ("top-degree", "oracle"):
+    real = linalg_mod.lapack
+    graph = write_path4(tmp_path)
+    for algo, kernel, info in (
+        ("exact", "dlauum", 3), ("exact", "dpotrf", 2), ("top-degree", "dpotrf", 2), ("oracle", "dpotrf", 2),
+    ):
+        kernels = {name: getattr(real, name) for name in ("dpotrf", "dtrtri", "dlauum")}
+        kernels[kernel] = lambda a, **kw: (a, info)
+        monkeypatch.setattr(linalg_mod, "lapack", types.SimpleNamespace(**kernels))
         rc = main([
             "optimize", "--graph", str(graph), "--target", "0", "--algo", algo,
-            "--out", str(tmp_path / algo),
+            "--out", str(tmp_path / f"{algo}-{kernel}"),
         ])
-        assert rc == 3, algo
+        assert rc == 3, (algo, kernel)
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "info=2" in err, algo
+        assert "numerical failure" in err and f"{kernel} info={info}" in err, (algo, kernel)
 
 
 # ---------------------------------------------------------------------------

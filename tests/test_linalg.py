@@ -37,6 +37,7 @@ from icmax.rand import seeded_rng
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
 from oracles import (
     grounded_factor_solve_reference,
+    grounded_inverse_reference,
     hutchinson_sample_count,
     pseudoinverse,
     rademacher_block_solve_reference,
@@ -132,6 +133,25 @@ def test_grounded_inverse_matches_dense_inverse(seed):
     assert np.allclose(inv, np.linalg.inv(grounded), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, v",
+    [("rand60w", 0), ("rand60w", 31), ("rand300w", 7), ("rand300w", 299), ("ba700", 0), ("ba700", 350)],
+)
+def test_grounded_inverse_from_t_matches_the_cholesky_solve(name, v):
+    # wider than one panel of the mirror copy at 300 and 700 nodes
+    g = {
+        "rand60w": lambda: random_connected_graph(2, n=60, weighted=True),
+        "rand300w": lambda: random_connected_graph(9, n=300, weighted=True),
+        "ba700": lambda: generate_ba(700, 2, seed=4),
+    }[name]()
+    lap = build_laplacian(g)
+    inv = grounded_inverse(lap, v)
+    ref = grounded_inverse_reference(lap, v)
+    assert inv.flags.f_contiguous
+    assert np.array_equal(inv, inv.T)
+    assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_grounded_inverse_path3_row_layout():
     # P3 grounded at the middle node: both ends hang off it by unit edges
     assert np.allclose(grounded_inverse(build_laplacian(path_graph(3)), 1), np.eye(2), atol=1e-14)
@@ -157,7 +177,7 @@ def test_grounded_cholesky_inverse_factors_the_grounded_inverse(seed):
     g = random_connected_graph(seed, n=25, weighted=True)
     v = seed * 7 % g.n
     t = grounded_cholesky_inverse(build_laplacian(g), v)
-    inv = grounded_inverse(build_laplacian(g), v)
+    inv = grounded_inverse_reference(build_laplacian(g), v)
     assert t.shape == (g.n - 1, g.n - 1)
     assert np.array_equal(t, np.tril(t))
     assert np.allclose(t.T @ t, inv, rtol=1e-10, atol=1e-12)
@@ -385,24 +405,6 @@ def test_grounded_factor_validation():
         factor.add(3, 0.0)
 
 
-@pytest.mark.parametrize("adds", [0, 3])
-def test_grounded_factor_solve_has_the_bits_of_the_reference(adds):
-    g = random_connected_graph(3, n=50, weighted=True)
-    lap = build_laplacian(g)
-    for v in (0, g.n // 2, g.n - 1):
-        factor = GroundedFactor(lap, v)
-        assert factor._levels is None  # SuperLU pivoted: its solve stays
-        for u in [u for u in range(g.n) if u != v and not g.has_edge(u, v)][:adds]:
-            factor.add(u, 0.7)
-        for width in (1, 17, 256):
-            r = _project_out_mean(seeded_rng(v, width).normal(size=(g.n, width)))
-            ref = grounded_factor_solve_reference(factor, r)
-            assert factor.solve(r).tobytes() == ref.tobytes(), (v, width)
-            out = np.empty_like(r)
-            assert factor.solve(r, out) is out
-            assert out.tobytes() == ref.tobytes(), (v, width)
-
-
 def _grid(rows: int, cols: int) -> Graph:
     ids = np.arange(rows * cols).reshape(rows, cols)
     pairs = np.concatenate([
@@ -424,6 +426,8 @@ _SCHEDULED_GRAPHS = {
     # and n/2, and a tail of 29 rows at n - 1
     "grid10x100": lambda: _grid(10, 100),
     "rand50": lambda: random_connected_graph(8, n=50, weighted=True),
+    # SuperLU's default pivot threshold swaps rows of this one's factors
+    "rand50pivoted": lambda: random_connected_graph(3, n=50, weighted=True),
 }
 
 
@@ -436,7 +440,7 @@ def test_level_schedule_solves_as_superlu_does(name, adds):
     lap = build_laplacian(g)
     for v in (0, g.n // 2, g.n - 1):
         factor = GroundedFactor(lap, v)
-        assert factor._levels is not None and factor._lu is None
+        assert factor._levels is not None
         for u in [u for u in range(g.n) if u != v and not g.has_edge(u, v)][:adds]:
             factor.add(u, 0.7)
         for width in (1, 17, 256):
@@ -477,17 +481,39 @@ def test_level_schedule_serves_every_factor_superlu_did_not_pivot():
         (cycle_graph(2000), 666),
         (path_graph(2000), 666),
         (random_connected_graph(8, n=50, weighted=True), 16),
+        # SuperLU made row interchanges on this weighted graph's factor
+        # under its default pivot threshold
+        (random_connected_graph(3, n=50, weighted=True), 16),
     ):
         factor = GroundedFactor(build_laplacian(g), v)
-        assert factor._levels is not None and factor._lu is None
+        assert factor._levels is not None and not hasattr(factor, "_lu")
     # the narrow grid's last one-row levels would make a triangle with more
     # entries than L: they stay sparse levels, and no dense tail is left
     levels = GroundedFactor(build_laplacian(_grid(10, 100)), 0)._levels
     assert levels._t0 == len(levels._src) and levels._tail.size == 0
-    # SuperLU made row interchanges on this weighted graph's factor
-    g = random_connected_graph(3, n=50, weighted=True)
-    factor = GroundedFactor(build_laplacian(g), 16)
-    assert factor._levels is None and factor._lu is not None
+
+
+def test_weighted_factors_keep_their_diagonal_pivots():
+    # every grounded weighted Laplacian gets a schedule, with weights over
+    # 0.5..2 and over 1e-4..1e4 alike
+    for seed in range(12):
+        g = random_connected_graph(seed, n=100 if seed % 2 else 500, weighted=True)
+        if seed >= 6:
+            us, vs, _ = g.edge_arrays
+            spread = 10.0 ** seeded_rng(seed, 1).uniform(-4.0, 4.0, size=len(us))
+            g = Graph.from_edges(g.n, [(int(a), int(b), float(w)) for a, b, w in zip(us, vs, spread)])
+        for v in (0, g.n // 3):
+            assert GroundedFactor(build_laplacian(g), v)._levels is not None, (seed, v)
+
+
+def test_factor_without_a_schedule_falls_back_to_cg(monkeypatch):
+    # a factor the schedule refuses is no factor: build gives None, and the
+    # callers' Jacobi CG takes over
+    monkeypatch.setattr(_LevelSchedule, "of", classmethod(lambda cls, lu, v: None))
+    lap = build_laplacian(generate_ws(200, 4, 0.1, seed=2))
+    with pytest.raises(RuntimeError, match="schedule"):
+        GroundedFactor(lap, 5)
+    assert GroundedFactor.build(lap, 5) is None
 
 
 def test_level_schedule_refuses_factors_that_are_not_symmetric():
@@ -549,12 +575,12 @@ def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, t
 
     monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
     count = 2 * 256 + 17  # two full blocks and a partial one
-    # a factor SuperLU pivoted, which keeps its solve, and one with a schedule
-    for seed, scheduled in ((0, False), (5, True)):
+    # seed 0's factor SuperLU pivots under its default threshold, seed 5's not
+    for seed in (0, 5):
         g = random_connected_graph(seed, n=40, weighted=True)
         lap = build_laplacian(g)
         factor = GroundedFactor(lap, 0)
-        assert (factor._levels is not None) == scheduled
+        assert factor._levels is not None
         if wrong:  # as in the test below: every column goes through the CG re-solve
             factor.add(next(u for u in range(1, g.n) if not g.has_edge(u, 0)), 0.5)
         if trace:
@@ -635,6 +661,69 @@ def test_verified_solve_keeps_direct_answers_that_pass(monkeypatch):
     rhs -= rhs.mean(axis=0, keepdims=True)
     x = _verified_solve(lap, rhs, 1e-10, 1000, factor.solve)
     assert np.array_equal(x, factor.solve(rhs))
+
+
+def _orthogonal(r):
+    # nonzero, but r^T z = r_0 r_1 - r_1 r_0, exactly 0
+    z = np.zeros_like(r)
+    z[0], z[1] = r[1], -r[0]
+    return z
+
+
+_BAD_ANSWERS = {"nan": lambda r: np.full_like(r, math.nan), "zeros": np.zeros_like, "orthogonal": _orthogonal}
+
+
+@pytest.mark.parametrize("after", [0, 3])
+@pytest.mark.parametrize("bad", sorted(_BAD_ANSWERS))
+def test_cg_stops_where_the_preconditioner_breaks_down(bad, after):
+    # from its (after + 1)-th call on, the preconditioner answers NaN, zeros
+    # or a block orthogonal to r: the columns freeze there (at the latest
+    # one step later, once r^T z = 0), none divides 0 by 0, and the solve
+    # raises at the residual it reached instead of running to its cap
+    g = random_connected_graph(6, n=40, weighted=True)
+    lap = build_laplacian(g)
+    rhs = _project_out_mean(seeded_rng(4).normal(size=(g.n, 3)))
+    inv_diag, calls = 1.0 / lap.diagonal()[:, None], []
+
+    def pre(r):  # Jacobi, which needs more than `after` steps here
+        calls.append(r.shape[1])
+        return _project_out_mean(inv_diag * r) if len(calls) <= after else _BAD_ANSWERS[bad](r)
+
+    with np.errstate(all="raise"), pytest.raises(SolverConvergenceError) as raised:
+        _cg_multi(lap, rhs, 1e-13, 1000, pre=pre)
+    assert len(calls) == raised.value.iterations <= after + 2
+    assert math.isfinite(raised.value.achieved) and raised.value.achieved > 1e-13
+    # a NaN right-hand side is never converged
+    rhs[5, 1] = math.nan
+    with pytest.raises(SolverConvergenceError):
+        _cg_multi(lap, rhs, 1e-13, 1000, pre=pre)
+
+
+def test_verified_solve_never_accepts_a_nan_column():
+    g = random_connected_graph(6, n=40, weighted=True)
+    lap = build_laplacian(g)
+    rhs = _project_out_mean(seeded_rng(4).normal(size=(g.n, 4)))
+    factor, calls = GroundedFactor(lap, 3), []
+
+    def once_nan(r, out=None):
+        # the direct answer has a NaN column; CG's preconditioner calls do not
+        calls.append(r.shape[1])
+        x = factor.solve(r, out)
+        if len(calls) == 1:
+            x[:, 2] = math.nan
+        return x
+
+    tol = 1e-12
+    x = _verified_solve(lap, rhs, tol, 1000, once_nan)
+    assert calls[:2] == [4, 1]  # the NaN column alone is re-solved
+    assert np.all(np.isfinite(x))
+    assert np.all(np.linalg.norm(rhs - lap @ x, axis=0) <= tol * np.linalg.norm(rhs, axis=0))
+
+    def always_nan(r, out=None):
+        return np.full_like(r, math.nan)
+
+    with pytest.raises(SolverConvergenceError):
+        _verified_solve(lap, rhs, tol, 1000, always_nan)
 
 
 # ---------------------------------------------------------------------------
