@@ -54,7 +54,7 @@ from .linalg import (
     SolverSpec,
     SolverConvergenceError,
     build_laplacian,
-    grounded_cholesky_inverse,
+    grounded_inverse,
     solver_deviation_notes,
 )
 from .rand import child_seed, seeded_rng
@@ -291,39 +291,38 @@ def _resolve_targets(config: RunConfig, g: Graph, ids: np.ndarray) -> list[int]:
 
 @dataclass
 class _Target:
-    """One target v of g, with the read-only inputs its fixed-order
-    algorithms (baselines and oracle) share: the run's centrality ranking,
-    and t, the grounded_cholesky_inverse at v, computed at its first use.
-    Dropping the holder frees t."""
+    """One target v of g, with the read-only inputs that exact, the
+    baselines and the oracle share: the run's centrality ranking, and m,
+    the grounded_inverse at v, computed at first use and freed with it."""
 
     g: Graph
     v: int
     ranking: list[CentralityScore] | None = None
-    t_seconds: float = 0.0  # spent computing t, once it is read
+    m_seconds: float = 0.0  # spent computing m, once it is read
 
     @cached_property
-    def t(self) -> np.ndarray:
+    def m(self) -> np.ndarray:
         started = time.perf_counter()
-        t = grounded_cholesky_inverse(build_laplacian(self.g), self.v)
-        t.flags.writeable = False  # one algorithm's write would corrupt the next
-        self.t_seconds = time.perf_counter() - started
-        return t
+        m = grounded_inverse(build_laplacian(self.g), self.v)
+        m.flags.writeable = False  # one algorithm's write would corrupt the next
+        self.m_seconds = time.perf_counter() - started
+        return m
 
 
 def _oracle_trace(target: _Target, candidates, k: int) -> GreedyTrace:
     """Brute-force optimum, replayed as an insertion trace for uniform output."""
     g, v = target.g, target.v
-    edges, _ = brute_force_optimum(g, v, candidates, k, t=target.t)
+    edges, _ = brute_force_optimum(g, v, candidates, k, m=target.m)
     chosen_others = {u if w == v else w for u, w in edges}
     picked = sorted((c for c in candidates if c.other in chosen_others), key=lambda c: c.other)
-    return insertion_trace(g, v, picked, "oracle", seed=0, t=target.t)
+    return insertion_trace(g, v, picked, "oracle", seed=0, m=target.m)
 
 
 def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> GreedyTrace:
     g, v = target.g, target.v
     candidates = default_candidates(g, v, config.weight)
     if algo == "exact":
-        return exact_sm(g, v, candidates, k)
+        return exact_sm(g, v, candidates, k, m=target.m)
     if algo == "approx":
         spec = config.solver_spec(seed=child_seed(config.seed, 50, v))
         return approxi_sm(
@@ -341,7 +340,7 @@ def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> Gree
     if algo in BASELINE_STRATEGIES:
         return baseline_select(
             g, v, candidates, k, algo, seed=child_seed(config.seed, 51, v),
-            t=target.t, ranking=target.ranking,
+            m=target.m, ranking=target.ranking,
         )
     raise ConfigError(f"unknown algorithm {algo!r}")
 
@@ -407,7 +406,7 @@ class RunReport:
         """Wall-clock seconds: per (target, algorithm), per algorithm, and
         per greedy step of every trace. Work that algorithms share is
         charged to none of them: seconds_total lists it under the name of
-        the function that does it (each target's grounded_cholesky_inverse,
+        the function that does it (each target's grounded_inverse,
         the run's rank_all_by_centrality), so that its values still sum to
         all the optimizer work of the run."""
         ids = self.id_map
@@ -477,15 +476,14 @@ def cmd_optimize(config: RunConfig) -> RunReport:
         traces[v] = {}
         walls[v] = {}
         for algo in config.algorithms:
-            t_seconds = target.t_seconds
+            m_seconds = target.m_seconds
             started = time.perf_counter()
             traces[v][algo] = run_algorithm(algo, target, config.k, config)
-            # t's time, if this algorithm read it first, is shared
-            walls[v][algo] = time.perf_counter() - started - (target.t_seconds - t_seconds)
-        if target.t_seconds:
-            key = "grounded_cholesky_inverse"
-            shared[key] = shared.get(key, 0.0) + target.t_seconds
-        del target  # frees t before the next target's exact_sm allocates its own n^2
+            # m's time, if this algorithm read it first, is shared
+            walls[v][algo] = time.perf_counter() - started - (target.m_seconds - m_seconds)
+        if target.m_seconds:
+            shared["grounded_inverse"] = shared.get("grounded_inverse", 0.0) + target.m_seconds
+        del target  # frees m before the next target's is computed
 
     report = RunReport(config, label, ids, traces, walls, shared)
     report.deviation_flags = _deviation_flags(

@@ -8,15 +8,13 @@ for small instances.
 Every candidate edge ends at the target v, so it only adds its weight to
 one diagonal entry of the Laplacian grounded at v, whose inverse M has
 trace R_v, and inserting (u, v, w) lowers R_v by w ||M e_u||^2 / (1 + w M_uu).
-Every dense value comes from the triangular inverse T of its Cholesky
-factor, M = T^T T: the exact greedy forms M from T once. Fixed insertion
-orders (the baselines and the oracle's replay) read R_v and a few columns
-of M from T, and the oracle scores every k-subset from the same T by the
-diagonal Woodbury identity. These
-fixed-order functions accept a caller's T (keyword t) and top-cent its
-centrality ranking (keyword ranking), so that a run computes each once
-per target and once per graph; called without them, each computes its
-own. The approximate greedy solves with a sparse factor of the same
+The exact greedy and the fixed insertion orders (the baselines and the
+oracle's replay) run one loop on a read-only M, with each accepted edge's
+rank-1 correction kept as a column beside it; the oracle scores every
+k-subset from the same M by the diagonal Woodbury identity. All of them
+accept a caller's M (keyword m), and top-cent its centrality ranking
+(keyword ranking): a run computes each once per target and once per
+graph. The approximate greedy solves with a sparse factor of the same
 matrix and takes each accepted edge's drop from one more solve on it.
 
 All optimizers consume an explicit candidate list and return a GreedyTrace
@@ -35,7 +33,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import blas
 
 from .graphs import Graph
 from .linalg import (
@@ -49,11 +46,12 @@ from .linalg import (
     _verified_solve,
     approx_eff_res,
     build_laplacian,
-    grounded_cholesky_inverse,
     grounded_inverse,
     solver_tolerance,
 )
-from .centrality import CentralityScore, _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
+from .centrality import (
+    CentralityScore, _TIE_RTOL, _require_two_nodes, node_resistance_grounded, rank_all_by_centrality,
+)
 from .rand import child_seed, seeded_rng
 
 # Up to this size approxi_sm takes the initial R_v from one dense Cholesky
@@ -70,9 +68,11 @@ _BRUTE_FORCE_CHUNK = 50_000  # subsets per batched solve
 # 3.3e-14 R_0 over the oracle's small test cases (R_0 / R_v(S) up to
 # 1,100) and 2.2e-13 R_0 on 100-node graphs with weights over 1e-2..1e2.
 _BATCH_ROUNDOFF = 3e-13
-# Where that bound lets two batched values drift apart by _TIE_RTOL of the
-# least, the subsets within this of the least are rescored from scratch
-# before the tie rule.
+# Where roundoff could decide a tie, the values within this of the best
+# are rescored before the tie rule: the oracle's batched values, from
+# scratch, where _BATCH_ROUNDOFF allows it, and the exact greedy's tracked
+# gains, which drifted by up to 5.3e-13 of the best over 291 rounds, from
+# the current grounded inverse's columns.
 _RESCORE_RTOL = 1e-9
 
 VALUES_EXACT = "exact"
@@ -207,44 +207,25 @@ def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: 
     return out
 
 
-def _exact_gains(inv: np.ndarray, v: int, candidates: Sequence[CandidateEdge]) -> np.ndarray:
+def _exact_gains(
+    sq_norms: np.ndarray, diag: np.ndarray, v: int, candidates: Sequence[CandidateEdge]
+) -> np.ndarray:
     """Marginal R_v drops w ||M e_u||^2 / (1 + w M_uu) for every candidate,
-    where M is the grounded inverse at v and u the candidate's row."""
+    from the grounded inverse M's squared column norms and diagonal at the
+    candidates' rows u."""
     weights = np.array([c.weight for c in candidates], dtype=np.float64)
     rows = np.array([c.other - (c.other > v) for c in candidates], dtype=np.int64)
-    sq_norms = np.einsum("ij,ij->j", inv, inv)[rows]
-    return weights * sq_norms / (1.0 + weights * inv[rows, rows])
+    return weights * sq_norms[rows] / (1.0 + weights * diag[rows])
 
 
-def exact_sm(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> GreedyTrace:
-    """Exact greedy: k rounds of best-marginal-gain selection.
-
-    One dense grounded inverse M up front, so R_v = tr(M); each round scores
-    every live candidate in closed form and takes the first candidate within
-    _TIE_RTOL of the best gain, then updates M -= m m^T in place (BLAS
-    dger), m = sqrt(w / (1 + w M_uu)) M e_u copied out of M. O(n^3 + k n^2)
-    overall. The selection is within a (1 - 1/e) factor of the optimal
-    reduction.
-    """
+def exact_sm(
+    g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int, *, m: np.ndarray | None = None
+) -> GreedyTrace:
+    """Exact greedy: k rounds of best-marginal-gain selection (_rank1_trace)
+    on the grounded inverse m, O(n^3 + k n^2). The selection is within a
+    (1 - 1/e) factor of the optimal reduction."""
     live = _check_candidates(g, v, candidates, k)
-    _require_two_nodes(g.n)
-    inv = grounded_inverse(build_laplacian(g), v)
-    r0 = float(np.trace(inv))
-    steps: list[TraceStep] = []
-    times: list[float] = []
-    for _ in range(k):
-        started = time.perf_counter()
-        gains = _exact_gains(inv, v, live)
-        best = int(np.flatnonzero(gains >= gains.max() * (1.0 - _TIE_RTOL))[0])
-        chosen = live.pop(best)
-        row = chosen.other - (chosen.other > v)
-        m = inv[:, row] * math.sqrt(chosen.weight / (1.0 + chosen.weight * inv[row, row]))
-        blas.dger(-1.0, m, m, a=inv, overwrite_a=1)
-        r = float(np.trace(inv))
-        times.append(time.perf_counter() - started)
-        edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, float(gains[best]), r, g.n / r))
-    return GreedyTrace("exact", v, 0, r0, g.n / r0, tuple(steps), tuple(times))
+    return _rank1_trace(g, v, m, live, k, "exact", 0, by_gain=True)
 
 
 class VReffResult(NamedTuple):
@@ -404,11 +385,7 @@ def approxi_sm(
 
     value_mode = VALUES_EXACT if g.n <= EXACT_TRACE_LIMIT else VALUES_ESTIMATED
     if value_mode == VALUES_EXACT:
-        flat = grounded_cholesky_inverse(lap, v).ravel(order="K")
-        r0 = float(flat @ flat)
-        # dead from here on: freed now, not at return, the n x n inverse is
-        # not held through every round
-        del flat
+        r0 = node_resistance_grounded(g, v).value
     else:
         # R_0 is round 0's estimate; with no round to run it still comes from
         # round 0's stream, and does not depend on the candidates, so none
@@ -455,7 +432,7 @@ def baseline_select(
     strategy: str,
     seed: int = 0,
     *,
-    t: np.ndarray | None = None,
+    m: np.ndarray | None = None,
     ranking: Sequence[CentralityScore] | None = None,
 ) -> GreedyTrace:
     """Non-adaptive baselines: pick k candidates up front, insert them all.
@@ -465,7 +442,7 @@ def baseline_select(
     top-cent prefers the highest information-centrality endpoints, in the
     order of ranking, rank_all_by_centrality(g) (computed when not given).
     Ties fall back to ascending node id. The trace still records exact R_v
-    per step, from t as insertion_trace takes it.
+    per step, from m as insertion_trace takes it.
     """
     live = _check_candidates(g, v, candidates, k)
     if strategy not in BASELINE_STRATEGIES:
@@ -482,19 +459,17 @@ def baseline_select(
         position = {score.node: rank for rank, score in enumerate(ranking)}
         picked = sorted(live, key=lambda c: (position[c.other], c.other))[:k]
 
-    return insertion_trace(g, v, picked, strategy, seed, t=t)
+    return insertion_trace(g, v, picked, strategy, seed, m=m)
 
 
-def _grounded_t(g: Graph, v: int, t: np.ndarray | None) -> np.ndarray:
-    """The caller's t, which is only read, or a fresh
-    grounded_cholesky_inverse of g's Laplacian at v when t is None."""
-    if t is None:
-        return grounded_cholesky_inverse(build_laplacian(g), v)
-    if t.shape != (g.n - 1, g.n - 1):
-        raise ValueError(
-            f"t has shape {t.shape}; the Laplacian grounded at {v} gives {(g.n - 1, g.n - 1)}"
-        )
-    return t
+def _grounded_m(g: Graph, v: int, m: np.ndarray | None) -> np.ndarray:
+    """The caller's m, which is only read, or a fresh grounded_inverse of
+    g's Laplacian at v when m is None."""
+    if m is None:
+        return grounded_inverse(build_laplacian(g), v)
+    if m.shape != (g.n - 1, g.n - 1):
+        raise ValueError(f"m has shape {m.shape}; the Laplacian grounded at {v} gives {(g.n - 1, g.n - 1)}")
+    return m
 
 
 def insertion_trace(
@@ -504,38 +479,69 @@ def insertion_trace(
     algorithm: str,
     seed: int = 0,
     *,
-    t: np.ndarray | None = None,
+    m: np.ndarray | None = None,
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
-    with exact per-step values; each step's gain is its realized drop.
+    with exact per-step values from the grounded inverse m (_rank1_trace)."""
+    return _rank1_trace(g, v, m, picked, len(picked), algorithm, seed, by_gain=False)
 
-    T = C^-1 for the Cholesky factor C of the Laplacian grounded at v gives
-    the grounded inverse M = T^T T and R_v = ||T||_F^2. Inserting (u, v, w)
-    subtracts m m^T from M, m = sqrt(w / (1 + w M_uu)) M e_u, and lowers R_v
-    by ||m||^2. The corrections stay as the columns of W, so the current
-    M e_u = T^T (T e_u) - W W[u]^T: O(k n^2 + k^2 n) after the factor, with
-    no n x n update. t is that T, computed here when not given.
+
+def _rank1_trace(
+    g: Graph, v: int, m: np.ndarray | None, candidates: Sequence[CandidateEdge], k: int,
+    algorithm: str, seed: int, *, by_gain: bool,
+) -> GreedyTrace:
+    """k insertions from candidates: by_gain, each round takes the first
+    remaining candidate within _TIE_RTOL of the best gain; otherwise,
+    candidates in order. Each step's gain is its realized drop.
+
+    m, the grounded inverse M at v (computed here when None), is only
+    read: the accepted edges' corrections c stay as the columns of W (see
+    _correction), and R_v = tr(M) - sum ||c||^2. Scoring keeps the current
+    M's squared column norms s and diagonal d by s <- s - 2 c o (M c) +
+    ||c||^2 c o c and d <- d - c o c, M c = m c - W (W^T c). The roundoff
+    of s grows over the rounds, so where more than one gain is within
+    _RESCORE_RTOL of the best, the tie rule reads their drops instead.
     """
     _require_two_nodes(g.n)
-    t = _grounded_t(g, v, t)
-    flat = t.ravel(order="K")
-    r0 = r_prev = float(flat @ flat)
-    corrections = np.empty((t.shape[0], len(picked)), order="F")
+    m = _grounded_m(g, v, m)
+    live = list(candidates)
+    r0 = r = float(np.trace(m))
+    corrections = np.empty((m.shape[0], k), order="F")
+    if by_gain:
+        sq_norms, diag = np.einsum("ij,ij->j", m, m), m.diagonal().copy()
     steps: list[TraceStep] = []
     times: list[float] = []
-    for round_idx, chosen in enumerate(picked):
+    for round_idx in range(k):
         started = time.perf_counter()
-        row = chosen.other - (chosen.other > v)
         done = corrections[:, :round_idx]
-        col = t[row:].T @ t[row:, row] - done @ done[row]  # T e_u is zero above row u
-        m = corrections[:, round_idx] = col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[row]))
-        drop = float(m @ m)
-        r = r_prev - drop
+        if by_gain:
+            gains = _exact_gains(sq_norms, diag, v, live)
+            near = np.flatnonzero(gains >= gains.max() * (1.0 - _RESCORE_RTOL))
+            if near.size > 1:
+                drops = np.array([x @ x for x in (_correction(m, done, v, live[i]) for i in near)])
+                near = near[drops >= drops.max() * (1.0 - _TIE_RTOL)]
+            chosen = live.pop(int(near[0]))
+        else:
+            chosen = live[round_idx]
+        c = corrections[:, round_idx] = _correction(m, done, v, chosen)
+        drop = float(c @ c)
+        if by_gain:
+            sq_norms -= c * (2.0 * (m @ c - done @ (done.T @ c)) - drop * c)
+            diag -= c * c
+        r -= drop
         times.append(time.perf_counter() - started)
         edge = (min(chosen.other, v), max(chosen.other, v))
         steps.append(TraceStep(edge, chosen.weight, drop, r, g.n / r))
-        r_prev = r
     return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
+
+
+def _correction(m: np.ndarray, done: np.ndarray, v: int, chosen: CandidateEdge) -> np.ndarray:
+    """c = sqrt(w / (1 + w M_uu)) M e_u for inserting (u, v, w) into the
+    current grounded inverse M = m - W W^T, W the earlier corrections done:
+    M - c c^T is the inverse after it, and ||c||^2 is its R_v drop."""
+    row = chosen.other - (chosen.other > v)
+    col = m[:, row] - done @ done[row]
+    return col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[row]))
 
 
 def brute_force_optimum(
@@ -544,7 +550,7 @@ def brute_force_optimum(
     candidates: Sequence[CandidateEdge],
     k: int,
     *,
-    t: np.ndarray | None = None,
+    m: np.ndarray | None = None,
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exhaustive search over all k-subsets of candidates.
 
@@ -552,21 +558,18 @@ def brute_force_optimum(
     _TIE_RTOL of the least, so that roundoff does not decide between tied
     subsets, and its resistance. A subset S only adds its weights w_S to
     the grounded diagonal at its rows, so by the Woodbury identity
-    R_v(S) = tr(M) - tr((diag(1/w_S) + M[S,S])^-1 (M^2)[S,S]). Both k x k
-    blocks are gathered from M[:, P] = T^T T[:, P] at the candidate rows P,
-    T = C^-1 for the Cholesky factor C of the grounded Laplacian, and the
-    subsets are scored in batched k x k solves. Each value is tr(M) less
-    its drop, so its roundoff is relative to tr(M), not to R_v(S); the
-    measured margin _BATCH_ROUNDOFF tr(M) stands for it. Where twice that
-    could pass _TIE_RTOL of the least value, roundoff could decide a tie,
-    so the subsets within
-    _RESCORE_RTOL of the least are rescored from scratch, as
-    ||C_S^-1||_F^2 for the Cholesky factor C_S of the grounded Laplacian
-    plus w_S on its diagonal, and the tie rule and the returned R_v use
-    those values: one dense (n-1) x (n-1) factorization per near-tied
-    subset. Elsewhere, as at a leaf of a star where every subset ties, the
-    batched values stand. t is that T, computed here when not given.
-    Guarded to C(|candidates|, k) <= 1e6 subsets.
+    R_v(S) = tr(M) - tr((diag(1/w_S) + M[S,S])^-1 (M^2)[S,S]), for the
+    grounded inverse M (m, only read; computed here when not given). Both
+    blocks are gathered from M's candidate columns, and the subsets are
+    scored in batched k x k solves. A value's roundoff is relative to
+    tr(M), not to R_v(S); the measured margin _BATCH_ROUNDOFF tr(M) stands
+    for it. Where twice that could pass _TIE_RTOL of the least value, the
+    subsets within _RESCORE_RTOL of the least are rescored from scratch,
+    as ||C_S^-1||_F^2 for the Cholesky factor C_S of the grounded
+    Laplacian plus w_S on its diagonal, and the tie rule and the returned
+    R_v use those values. Elsewhere, as at a leaf of a star where every
+    subset ties, the batched values stand. Guarded to
+    C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
@@ -574,12 +577,11 @@ def brute_force_optimum(
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
-    t = _grounded_t(g, v, t)
-    flat = t.ravel(order="K")
-    r0 = float(flat @ flat)
+    m = _grounded_m(g, v, m)
+    r0 = float(np.trace(m))
     rows = np.array([c.other - (c.other > v) for c in live], dtype=np.int64)
     inv_weights = np.array([1.0 / c.weight for c in live])
-    m_cols = t.T @ t[:, rows]
+    m_cols = m[:, rows]
     m_block, m2_block = m_cols[rows], m_cols.T @ m_cols
     diag = np.arange(k)
     resistances = np.empty(total)

@@ -3,7 +3,8 @@
 Every optimizer works on the Laplacian grounded at a target v (row and
 column v deleted), where an edge (u, v) only adds its weight at (u, u).
 Dense: grounded_cholesky_inverse gives T = C^-1 for its Cholesky factor C,
-and grounded_inverse forms its inverse M = T^T T in T's storage. Sparse:
+enough for R_v = ||T||_F^2, and grounded_inverse forms the inverse
+M = T^T T in T's storage for the optimizers that read M. Sparse:
 GroundedFactor, kept across edge insertions at v by Woodbury updates,
 solves level by level, one CSR product per level of rows on the whole
 block of right-hand sides plus one dense triangle for the last separator.
@@ -136,12 +137,9 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
 
 
 def grounded_cholesky_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
-    """T = C^-1 for the lower Cholesky factor C of _grounded_dense(lap, v).
-
-    grounded_inverse(lap, v) is M = T^T T, so R_v = tr(M) = ||T||_F^2,
-    M_uu = ||T e_u||^2 and M e_u = T^T (T e_u), at about 2/7 of the flops
-    of forming M.
-    """
+    """T = C^-1 for the lower Cholesky factor C of _grounded_dense(lap, v):
+    grounded_inverse(lap, v) is M = T^T T, so R_v = ||T||_F^2 and
+    M_uu = ||T e_u||^2, at about 2/7 of the flops of forming M."""
     return _cholesky_inverse(_grounded_dense(lap, v))
 
 
@@ -356,7 +354,7 @@ class GroundedFactor:
     @classmethod
     def build(cls, lap: sparse.csr_matrix, v: int) -> "GroundedFactor | None":
         """The factor, or None when it is unavailable (callers fall back to
-        Jacobi CG). Every factorization of the package goes through here."""
+        Jacobi CG)."""
         if lap.shape[0] < 2:
             return None
         try:

@@ -241,7 +241,7 @@ def test_optimize_exact_and_oracle(tmp_path, capsys):
     assert (out / "aggregate_resistance.csv").exists()
     assert (out / "aggregate_centrality.csv").exists()
     timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
-    assert set(timings["seconds_total"]) == {"exact", "oracle", "grounded_cholesky_inverse"}
+    assert set(timings["seconds_total"]) == {"exact", "oracle", "grounded_inverse"}
     steps = timings["step_seconds"]["0"]
     assert set(steps) == {"exact", "oracle"}
     assert all(len(secs) == 1 and secs[0] >= 0.0 for secs in steps.values())
@@ -425,8 +425,8 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch):
-    # three baselines per target share one grounded factor, and every target
-    # shares one ranking; exact_sm forms its dense inverse from a T of its own
+    # exact and three baselines per target share one grounded inverse, and
+    # every target shares one ranking
     factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
     rankings = _count_calls(
         monkeypatch, "rank_all_by_centrality", icmax.centrality, icmax.greedy, icmax.cli
@@ -436,13 +436,13 @@ def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch)
         algorithms=("exact", "random", "top-degree", "top-cent"), out=str(tmp_path),
     )
     report = cmd_optimize(config)
-    assert (len(factors), len(rankings)) == (3 + 3 + 1, 1)
+    assert (len(factors), len(rankings)) == (3 + 1, 1)
     # the shared factors and ranking are charged to no algorithm, and the
     # totals still sum every second of optimizer work
     timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
     totals = timings["seconds_total"]
     assert set(totals) == set(config.algorithms) | {
-        "grounded_cholesky_inverse", "rank_all_by_centrality"
+        "grounded_inverse", "rank_all_by_centrality"
     }
     assert all(secs >= 0.0 for secs in totals.values())
     assert sum(totals.values()) == pytest.approx(
@@ -452,8 +452,8 @@ def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch)
 
 
 def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatch):
-    # no factor of an earlier target (or the ranking's) is alive while
-    # exact_sm of a later one runs
+    # while exact_sm runs, the only factor alive is its own target's M: no
+    # earlier target's M, and not the ranking's T
     made = []
     original_inverse = icmax.linalg._cholesky_inverse
     original_exact = icmax.cli.exact_sm
@@ -463,9 +463,10 @@ def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatc
         made.append(weakref.ref(t))
         return t
 
-    def exact_checked(*args, **kwargs):
-        assert all(ref() is None for ref in made)
-        return original_exact(*args, **kwargs)
+    def exact_checked(*args, m, **kwargs):
+        alive = [ref() for ref in made if ref() is not None]
+        assert len(alive) == 1 and np.shares_memory(alive[0], m)
+        return original_exact(*args, m=m, **kwargs)
 
     monkeypatch.setattr(icmax.linalg, "_cholesky_inverse", remembered)
     monkeypatch.setattr(icmax.cli, "exact_sm", exact_checked)
@@ -474,7 +475,7 @@ def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatc
         algorithms=("exact", "top-cent", "random"), out=str(tmp_path),
     )
     cmd_optimize(config)
-    assert len(made) == 3 + 3 + 1  # exact_sm's T, which becomes its M, included
+    assert len(made) == 3 + 1  # one M per target, and the ranking's T
 
 
 def test_optimize_oracle_shares_the_targets_factor(tmp_path, monkeypatch):
@@ -485,7 +486,7 @@ def test_optimize_oracle_shares_the_targets_factor(tmp_path, monkeypatch):
         algorithms=("exact", "oracle"), seed=1, out=str(tmp_path),
     )
     cmd_optimize(config)
-    assert len(factors) == 4 + 4  # the oracle's shared T and exact_sm's own
+    assert len(factors) == 4  # one M per target, shared by exact and the oracle
 
 
 # ---------------------------------------------------------------------------

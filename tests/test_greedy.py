@@ -28,12 +28,13 @@ from icmax.greedy import (
     vreff_comp,
     _vreff_comp_full,
 )
-from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian, grounded_cholesky_inverse
+from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian, grounded_inverse
 from icmax.rand import child_seed, seeded_rng
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph, star_graph
 from oracles import (
     brute_force_optimum_from_scratch,
+    grounded_inverse_reference,
     marginal_gain_exact,
     node_resistance,
     pseudoinverse,
@@ -197,6 +198,36 @@ def test_dense_traces_match_pseudoinverse_every_step(seed, n):
             added.append((*step.edge, step.weight))
             truth = node_resistance(pseudoinverse(build_laplacian(g.with_edges(added))), v).value
             assert step.resistance == pytest.approx(truth, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed, n", [(71, 100), (72, 300), (73, 500)])
+def test_exact_sm_tracked_gains_do_not_drift(seed, n):
+    # criterion 6's graphs with weights over 1e-2..1e2, every candidate
+    # inserted: each round's gain against a from-scratch grounded inverse of
+    # the augmented graph, and each choice against the pseudoinverse route
+    g = random_connected_graph(seed, n=n, weighted=True)
+    v = 0
+    rng = seeded_rng(seed, 5)
+    cands = [CandidateEdge(c.other, v, float(10.0 ** rng.uniform(-2, 2))) for c in default_candidates(g, v)]
+    trace = exact_sm(g, v, cands, len(cands))
+    augmented = g
+    for step in trace.steps:
+        m = grounded_inverse_reference(build_laplacian(augmented), v)
+        u = step.edge[0] if step.edge[1] == v else step.edge[1]
+        row = u - (u > v)
+        truth = step.weight * float(m[:, row] @ m[:, row]) / (1.0 + step.weight * m[row, row])
+        assert step.gain == pytest.approx(truth, rel=1e-13)
+        augmented = augmented.with_edges([(u, v, step.weight)])
+    _assert_replays_on_pseudoinverse(g, v, cands, trace)
+
+
+def test_exact_sm_late_rounds_break_ties_by_endpoint():
+    # with most edges to v in place the remaining gains of a cycle crowd
+    # together; the tracked gains drift enough there to break a tie wrongly
+    g = cycle_graph(61)
+    for v in (0, 1):
+        cands = default_candidates(g, v)
+        _assert_replays_on_pseudoinverse(g, v, cands, exact_sm(g, v, cands, len(cands)))
 
 
 # ---------------------------------------------------------------------------
@@ -671,39 +702,42 @@ def test_insertion_trace_records_gains():
 
 
 def test_fixed_order_algorithms_take_a_shared_factor_and_ranking():
-    # a caller's t and ranking give the answers each function computes for
-    # itself; t is read-only, so a write would raise
+    # a caller's m and ranking give the answers each function computes for
+    # itself, exact_sm's included; m is read-only, so a write would raise
     g = random_connected_graph(12, n=14, weighted=True)
     ranking = rank_all_by_centrality(g)
     for v in (0, 5, 13):
-        t = grounded_cholesky_inverse(build_laplacian(g), v)
-        t.flags.writeable = False
-        before = t.copy()
+        m = grounded_inverse(build_laplacian(g), v)
+        m.flags.writeable = False
+        before = m.copy()
         cands = default_candidates(g, v)
         k = min(3, len(cands))
+        assert exact_sm(g, v, cands, k, m=m).to_dict() == exact_sm(g, v, cands, k).to_dict()
         for strategy in BASELINE_STRATEGIES:
             own = baseline_select(g, v, cands, k, strategy, seed=2)
-            shared = baseline_select(g, v, cands, k, strategy, seed=2, t=t, ranking=ranking)
+            shared = baseline_select(g, v, cands, k, strategy, seed=2, m=m, ranking=ranking)
             assert shared.to_dict() == own.to_dict()
         picked = cands[::-1][:k]
         assert (
-            insertion_trace(g, v, picked, "fixed", t=t).to_dict()
+            insertion_trace(g, v, picked, "fixed", m=m).to_dict()
             == insertion_trace(g, v, picked, "fixed").to_dict()
         )
-        assert brute_force_optimum(g, v, cands, k, t=t) == brute_force_optimum(g, v, cands, k)
-        assert np.array_equal(t, before)
+        assert brute_force_optimum(g, v, cands, k, m=m) == brute_force_optimum(g, v, cands, k)
+        assert np.array_equal(m, before)
 
 
 def test_fixed_order_algorithms_reject_a_wrong_shape_factor():
     g = path_graph(5)
     cands = default_candidates(g, 0)
-    wrong = grounded_cholesky_inverse(build_laplacian(path_graph(4)), 0)
+    wrong = grounded_inverse(build_laplacian(path_graph(4)), 0)
     with pytest.raises(ValueError, match="shape"):
-        insertion_trace(g, 0, cands[:1], "fixed", t=wrong)
+        exact_sm(g, 0, cands, 1, m=wrong)
     with pytest.raises(ValueError, match="shape"):
-        baseline_select(g, 0, cands, 1, "top-degree", t=wrong)
+        insertion_trace(g, 0, cands[:1], "fixed", m=wrong)
     with pytest.raises(ValueError, match="shape"):
-        brute_force_optimum(g, 0, cands, 1, t=wrong)
+        baseline_select(g, 0, cands, 1, "top-degree", m=wrong)
+    with pytest.raises(ValueError, match="shape"):
+        brute_force_optimum(g, 0, cands, 1, m=wrong)
 
 
 # ---------------------------------------------------------------------------
