@@ -92,7 +92,6 @@ class RunConfig:
     weight: float = 1.0
     seed: int = 0
     solver_mode: str = "practical"
-    max_iterations: int = 50_000
     m_cap: int | None = None
     sketch_constant: float = 24.0
     out: str = "results"
@@ -127,7 +126,7 @@ class RunConfig:
                 raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         if not self.formats:
             raise ConfigError("at least one output format is required")
-        # constructing the spec validates mode and max_iterations
+        # constructing the spec validates the mode
         try:
             self.solver_spec()
         except ValueError as exc:
@@ -136,7 +135,6 @@ class RunConfig:
     def solver_spec(self, seed: int | None = None) -> SolverSpec:
         return SolverSpec(
             mode=self.solver_mode,
-            max_iterations=self.max_iterations,
             seed=self.seed if seed is None else seed,
         )
 
@@ -630,7 +628,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight", type=float, help="candidate edge weight")
     p.add_argument("--seed", type=int, help="master seed for all randomness")
     p.add_argument("--solver-mode", dest="solver_mode", choices=["practical", "paper-literal"])
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
     p.add_argument("--m-cap", dest="m_cap", type=int,
                    help="cap the estimator sample count (voids the accuracy guarantee)")
     p.add_argument("--sketch-constant", dest="sketch_constant", type=float,

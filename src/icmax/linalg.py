@@ -5,14 +5,16 @@ column v deleted), where an edge (u, v) only adds its weight at (u, u).
 Dense: grounded_cholesky_inverse gives T = C^-1 for its Cholesky factor C,
 enough for R_v = ||T||_F^2, and grounded_inverse forms the inverse
 M = T^T T in T's storage for the optimizers that read M. Sparse:
-GroundedFactor, kept across edge insertions at v by Woodbury updates,
-solves level by level, one CSR product per level of rows on the whole
-block of right-hand sides plus one dense triangle for the last separator.
-Verified solves apply the factor and check each column's residual,
-re-solving failures by CG; the Rademacher block solve and the sketch
-effective-resistance estimator run on them. The dense routes are exact
-and O(n^3) and refuse graphs beyond DENSE_NODE_LIMIT nodes; larger ones
-go through the solver and estimators.
+GroundedFactor solves level by level on a read-only schedule of the
+grounded factor, one CSR product per level of rows on the whole block of
+right-hand sides plus one dense triangle for the last separator, less the
+rank-1 corrections of the edges inserted at v since it was built.
+Verified solves apply the factor and check each column's residual; a
+column that misses is checked again in long double and refined on the
+factor. The Rademacher block solve and the sketch effective-resistance
+estimator run on them. The dense routes are exact and O(n^3) and refuse
+graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the solver
+and estimators.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 from scipy.linalg import blas, lapack
 from scipy.sparse._sparsetools import csr_matvecs
@@ -44,15 +45,17 @@ _PANEL = 64  # columns per step of grounded_inverse's mirror copy, whose tempora
 
 
 class SolverConvergenceError(RuntimeError):
-    """A solve ended above its residual target: at CG's iteration cap, or
-    where CG could not go on (see _cg_multi)."""
+    """A verified solve ended above its residual target: a column's
+    residual, evaluated in long double, still missed it, or was NaN,
+    after _REFINEMENT_STEPS steps of refinement on the factor (see
+    _verified_solve)."""
 
-    def __init__(self, target: float, achieved: float, iterations: int):
+    def __init__(self, target: float, achieved: float, steps: int):
         self.target = target
         self.achieved = achieved
-        self.iterations = iterations
+        self.steps = steps
         super().__init__(
-            f"solver stopped after {iterations} iterations at relative residual "
+            f"solver stopped after {steps} refinement steps at relative residual "
             f"{achieved:.3e} (target {target:.3e})"
         )
 
@@ -62,19 +65,15 @@ class SolverSpec:
     """How tight to solve Laplacian systems and where the randomness comes from.
 
     mode selects the estimator-accuracy-to-residual mapping every solve is
-    held to (see solver_tolerance); max_iterations caps the CG re-solve of a
-    column the direct solve misses; seed roots the estimators' randomness.
+    held to (see solver_tolerance); seed roots the estimators' randomness.
     """
 
     mode: str = PRACTICAL
-    max_iterations: int = 50_000
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (PRACTICAL, PAPER_LITERAL):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def solver_tolerance(spec: SolverSpec, epsilon: float, n: int, w_max: float, power: int = 8) -> float:
@@ -317,19 +316,23 @@ def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) 
 
 
 class GroundedFactor:
-    """Inverse of a connected graph's Laplacian grounded at node v.
+    """Inverse of a connected graph's Laplacian grounded at node v, kept
+    across insertions of edges at v.
 
     Factors A = L with v's row and column removed once, as a sparse LU with
-    a symmetric minimum-degree ordering (A is SPD). Inserting an edge
-    (u, v, w) only adds w to A's diagonal at u, so add() keeps the factor
-    and applies the change by Woodbury: with U the added diagonal positions,
-    D their weights, W = A^-1 U and capacitance C = D^-1 + U^T W,
-    (A + U D U^T)^-1 r = A^-1 r - W C^-1 (A^-1 r)[U].
+    a symmetric minimum-degree ordering (A is SPD). SuperLU keeps the
+    diagonal pivots (a threshold of 0; its default swaps rows of many
+    weighted graphs' factors), so the factor is P A P^T = L D L^T: its
+    solves run on a read-only _LevelSchedule, into node rows, zero at v,
+    and SuperLU's own factor is released.
 
-    SuperLU keeps the diagonal pivots (a threshold of 0; its default swaps
-    rows of many weighted graphs' factors), so the factor is
-    P A P^T = L D L^T: its solves run on a _LevelSchedule, into node rows,
-    zero at v, and SuperLU's own factor is released. W keeps node rows.
+    Inserting an edge (u, v, w) only adds w to A's diagonal at u, so the
+    current inverse M loses one rank-1 term, M - c c^T with c = s M e_u
+    and s = sqrt(w / (1 + w M_uu)). add() appends c, from the caller's
+    M e_u, as a column of W (node rows). A solve is the schedule's
+    y = A^-1 r less W coef, where coef_j = c_j^T r is
+    s_j (y[u_j] - sum_{i<j} W[u_j, i] coef_i): one lower-triangular solve
+    with tril(W[rows], -1) + diag(1/s), built up by add().
     """
 
     def __init__(self, lap: sparse.csr_matrix, v: int):
@@ -346,37 +349,32 @@ class GroundedFactor:
         self._levels = _LevelSchedule.of(lu, v)
         if self._levels is None:
             raise RuntimeError("SuperLU's factor is not L D L^T; no level schedule")
-        self._rows = np.zeros(0, dtype=np.int64)  # the node of each update
-        self._inv_weights = np.zeros(0)
-        self._w = np.zeros((n, 0))
-        self._cap = None
+        self._rows = np.zeros(0, dtype=np.int64)  # the node u_j of each correction
+        self._w = np.zeros((n, 0), order="F")
+        self._tri = np.zeros((0, 0))
 
-    @classmethod
-    def build(cls, lap: sparse.csr_matrix, v: int) -> "GroundedFactor | None":
-        """The factor, or None when it is unavailable (callers fall back to
-        Jacobi CG)."""
-        if lap.shape[0] < 2:
-            return None
-        try:
-            return cls(lap, v)
-        except (RuntimeError, MemoryError):
-            return None
-
-    def add(self, u: int, w: float) -> None:
-        """Account for a new edge (u, v) of weight w."""
+    def add(self, u: int, w: float, x: np.ndarray) -> float:
+        """Account for a new edge (u, v) of weight w, given x = M e_u for
+        the current inverse M, in node rows with zero at v. Returns the
+        edge's R_v drop ||c||^2 = w ||x||^2 / (1 + w x_u)."""
         if u == self.v or not 0 <= u < self.n:
             raise ValueError(f"edge ({u}, {self.v}) is not a new edge at the grounded node")
         if w <= 0.0:
             raise ValueError("edge weight must be positive")
-        unit = np.zeros((self.n, 1))
-        unit[u] = 1.0
-        col = self._levels.solve(unit, np.empty_like(unit))
+        if x.shape != (self.n,):
+            raise ValueError(f"x has shape {x.shape}; expected ({self.n},)")
+        s = math.sqrt(w / (1.0 + w * x[u]))
+        c = x * s
+        j = len(self._rows)
+        tri = np.zeros((j + 1, j + 1))
+        tri[:j, :j] = self._tri
+        tri[j, :j] = self._w[u]
+        tri[j, j] = 1.0 / s
+        self._tri = tri
         # Fortran order, like the solves it updates in place
-        self._w = np.asfortranarray(np.hstack([self._w, col]))
+        self._w = np.asfortranarray(np.column_stack([self._w, c]))
         self._rows = np.append(self._rows, u)
-        self._inv_weights = np.append(self._inv_weights, 1.0 / w)
-        cap = self._w[self._rows, :] + np.diag(self._inv_weights)
-        self._cap = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
+        return float(c @ c)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """pinv(L') r for an n x k block r of zero-sum columns, where L' is
@@ -388,7 +386,7 @@ class GroundedFactor:
             out = np.empty_like(r)
         self._levels.solve(r, out)
         if self._rows.size:
-            coef = scipy.linalg.cho_solve(self._cap, out[self._rows], check_finite=False)
+            coef = blas.dtrsm(1.0, self._tri, out[self._rows], lower=1)
             # out -= W coef, as out^T -= coef^T W^T in out's storage
             fixed = blas.dgemm(-1.0, coef, self._w, 1.0, out.T, trans_a=1, trans_b=1, overwrite_c=True)
             if not out.flags.c_contiguous:  # dgemm solved a copy
@@ -397,110 +395,66 @@ class GroundedFactor:
         return out
 
 
-def _cg_multi(
-    lap: sparse.csr_matrix,
-    rhs: np.ndarray,
-    tol: float,
-    max_iterations: int,
-    pre=None,
-) -> np.ndarray:
-    """Preconditioned CG on the zero-sum subspace, one RHS per column.
-
-    Columns are independent: per-column step sizes mean batching changes a
-    column's iterates only through floating-point reduction order (a few
-    ulps), never through coupling. Stops a column once its 2-norm residual
-    falls below tol times the column's RHS norm, or once its p^T A p or
-    r^T z is not positive; raises SolverConvergenceError if any column
-    ends above target or at NaN. pre maps a residual block to a
-    preconditioned zero-mean block; the default is Jacobi. _verified_solve
-    passes a GroundedFactor's solve.
-    """
-    diag = np.asarray(lap.diagonal(), dtype=np.float64)
-    if np.any(diag <= 0.0):
-        raise ValueError("Laplacian has a zero-degree node; graph is disconnected")
-    if pre is None:
-        inv_diag = (1.0 / diag)[:, None]
-        pre = lambda r: _project_out_mean(inv_diag * r)
-
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    b_norm = np.linalg.norm(rhs, axis=0)
-    thresholds = tol * np.where(b_norm > 0.0, b_norm, 1.0)
-    done = b_norm == 0.0
-
-    def finish(iterations: int) -> np.ndarray:
-        res = np.linalg.norm(r, axis=0)
-        rel = res / np.where(b_norm > 0.0, b_norm, 1.0)
-        worst = int(np.argmax(rel))  # a NaN's index, if there is one
-        if not rel[worst] <= tol:
-            raise SolverConvergenceError(tol, float(rel[worst]), iterations)
-        return x
-
-    if done.all():
-        return finish(0)
-
-    z = pre(r)
-    p = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
-
-    for step in range(1, max_iterations + 1):
-        active = np.flatnonzero(~done)
-        p_act = p[:, active]
-        ap = lap @ p_act
-        pap = np.einsum("ij,ij->j", p_act, ap)
-        # pap <= 0 (or NaN) means the search direction vanished; that column
-        # is as converged as it will get. Freeze it; finish() verifies it.
-        moving = pap > 0.0
-        done[active[~moving]] = True
-        active, p_act, ap, pap = active[moving], p_act[:, moving], ap[:, moving], pap[moving]
-        alpha = rz[active] / pap
-        x[:, active] += alpha * p_act
-        r[:, active] -= alpha * ap
-        res = np.linalg.norm(r[:, active], axis=0)
-        done[active] = res <= thresholds[active]
-        still = np.flatnonzero(~done)
-        if still.size == 0:
-            return finish(step)
-        z_new = pre(r[:, still])
-        rz_new = np.einsum("ij,ij->j", r[:, still], z_new)
-        # so is one whose r^T z vanished or is NaN, before it divides a beta
-        live = rz_new > 0.0
-        done[still[~live]] = True
-        still, z_new, rz_new = still[live], z_new[:, live], rz_new[live]
-        p[:, still] = z_new + (rz_new / rz[still]) * p[:, still]
-        rz[still] = rz_new
-
-    return finish(max_iterations)
+# Steps of refinement on the factor for a column whose residual misses its
+# target in long double too.
+_REFINEMENT_STEPS = 2
 
 
 def _verified_solve(
     lap: sparse.csr_matrix,
     rhs: np.ndarray,
     tol: float,
-    max_iterations: int,
-    pre,
+    solve,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve L x = rhs for zero-sum columns to relative residual tol each.
 
-    pre is a direct solve (a GroundedFactor's), called as pre(rhs, out);
-    its answer stands for every column with ||rhs - L x|| <= tol ||rhs||,
-    and the other columns are re-solved by CG preconditioned with pre.
-    Without pre every column goes through Jacobi CG, and out is unused.
-    out, an array of rhs's shape, is where pre writes x. Raises
-    SolverConvergenceError as _cg_multi does.
+    solve is a direct solve (a GroundedFactor's), called as solve(rhs, out);
+    out, an array of rhs's shape or None, is where it writes x. Its answer
+    stands for every column with ||rhs - L x|| <= tol ||rhs|| in float64.
+    That residual carries an error of about eps ||L|| ||x|| of its own, so
+    a column that misses is checked again with its residual evaluated in
+    np.longdouble, and refined where it misses there too (_refine). Where
+    np.longdouble is float64 (MSVC, some ARM builds), the re-check is no
+    stronger than the first. A NaN column is never accepted.
     """
-    if pre is None:
-        return _cg_multi(lap, rhs, tol, max_iterations)
-    x = pre(rhs, out)
+    x = solve(rhs, out)
     res = lap @ x
     res -= rhs
+    failed = np.flatnonzero(~_within(res, rhs, tol))
+    if failed.size:
+        x[:, failed] = _refine(lap, rhs[:, failed], x[:, failed], tol, solve)
+    return x
+
+
+def _within(res: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each column of res is at most tol times its rhs column in
+    2-norm (tol alone for a zero rhs); NaN is not."""
     res_sq = np.einsum("ij,ij->j", res, res)
     b_sq = np.einsum("ij,ij->j", rhs, rhs)
-    failed = np.flatnonzero(~(res_sq <= tol**2 * np.where(b_sq > 0.0, b_sq, 1.0)))  # NaN fails
-    if failed.size:
-        x[:, failed] = _cg_multi(lap, rhs[:, failed], tol, max_iterations, pre=pre)
-    return x
+    return res_sq <= tol**2 * np.where(b_sq > 0.0, b_sq, 1.0)
+
+
+def _refine(lap: sparse.csr_matrix, rhs: np.ndarray, x: np.ndarray, tol: float, solve) -> np.ndarray:
+    """x, with each column whose residual r = rhs - L x, in long double,
+    misses tol refined by up to _REFINEMENT_STEPS steps x += solve(r)
+    (iterative refinement on the factor, Moler 1967). Raises
+    SolverConvergenceError for a column that still misses, or is NaN."""
+    wide = lap.astype(np.longdouble)
+    b = rhs.astype(np.longdouble)
+    step = 0
+    while True:
+        res = b - wide @ x.astype(np.longdouble)
+        missed = np.flatnonzero(~_within(res, b, tol))
+        if not missed.size:
+            return x
+        if step == _REFINEMENT_STEPS:
+            res_sq = np.einsum("ij,ij->j", res[:, missed], res[:, missed])
+            b_sq = np.einsum("ij,ij->j", b[:, missed], b[:, missed])
+            rel = np.sqrt(res_sq / np.where(b_sq > 0.0, b_sq, 1.0))
+            raise SolverConvergenceError(tol, float(rel[np.argmax(rel)]), step)  # a NaN, if any
+        x[:, missed] += solve(res[:, missed].astype(np.float64))
+        step += 1
 
 
 def _prefix(store: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -515,8 +469,7 @@ def _rademacher_block_solve(
     shape: tuple[int, int],
     to_rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
-    max_iterations: int,
-    pre,
+    solve,
     us: np.ndarray,
     vs: np.ndarray,
     *,
@@ -524,7 +477,7 @@ def _rademacher_block_solve(
 ) -> tuple[np.ndarray, float]:
     """Solve L y = to_rhs(z, out) for a Rademacher z of the given
     (rows, count) shape, drawn and solved _BLOCK columns at a time by
-    _verified_solve with pre. to_rhs must return zero-sum columns, and may
+    _verified_solve with solve. to_rhs must return zero-sum columns, and may
     build them in out, an n x width array. Returns
     sum_j (y[u, j] - y[v, j])^2 for each u, v in zip(us, vs) (a single v
     broadcasts) and, with trace set, the Hutchinson sum_j z_j^T y_j, after
@@ -557,7 +510,7 @@ def _rademacher_block_solve(
         rhs = to_rhs(z, _prefix(rhs_store, n, width))
         if not trace:
             del z  # unread from here on; the sketch's is its largest array
-        y = _verified_solve(lap, rhs, tol, max_iterations, pre, _prefix(y_store, n, width))
+        y = _verified_solve(lap, rhs, tol, solve, _prefix(y_store, n, width))
         if trace:
             y -= y.mean(axis=0, keepdims=True)
             trace_sum += float(np.einsum("ij,ij->", z, y))
@@ -589,7 +542,7 @@ def approx_eff_res(
     seed: int = 0,
     spec: SolverSpec | None = None,
     sketch_constant: float = 24.0,
-    pre=None,
+    solve=None,
     lap: sparse.csr_matrix | None = None,
 ) -> dict[tuple[int, int], float]:
     """Sketch-based effective-resistance estimates for the requested pairs.
@@ -599,7 +552,7 @@ def approx_eff_res(
     Laplacian solve, and reads R(u, v) off as the squared distance between
     sketch columns u and v. With the default constant each estimate is an
     epsilon-approximation of the true resistance with high probability.
-    g must be connected. pre is a direct solve for g's Laplacian to share
+    g must be connected. solve is a direct solve for g's Laplacian to share
     with other calls (default: a fresh factor); every solve is verified
     either way. lap is g's Laplacian when the caller already holds it, and
     has checked that g is connected; without it both happen here.
@@ -617,9 +570,8 @@ def approx_eff_res(
     if lap is None:
         lap = build_laplacian(g)
         _require_connected(lap, "effective-resistance sketch")
-    if pre is None:
-        factor = GroundedFactor.build(lap, 0)
-        pre = None if factor is None else factor.solve
+    if solve is None:
+        solve = GroundedFactor(lap, 0).solve
     tol = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
     q = math.ceil(sketch_constant * math.log(n) / epsilon**2)
     # the sketch is inc_t @ (block * (1 / sqrt(q))); with block's entries
@@ -639,7 +591,7 @@ def approx_eff_res(
         return out
 
     estimates, _ = _rademacher_block_solve(
-        lap, seeded_rng(seed, 4), (g.m, q), sketch, tol, spec.max_iterations, pre, us, vs,
+        lap, seeded_rng(seed, 4), (g.m, q), sketch, tol, solve, us, vs,
     )
     return {pair: float(est) for pair, est in zip(pairs, estimates)}
 

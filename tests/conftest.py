@@ -25,6 +25,40 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i, 1.0) for i in range(1, leaves + 1)])
 
 
+def lollipop_graph(clique: int, path: int) -> Graph:
+    """A clique on nodes 0..clique-1 and a path of `path` more nodes hanging
+    off node clique-1, numbered as networkx.lollipop_graph numbers them."""
+    edges = [(i, j, 1.0) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(i, i + 1, 1.0) for i in range(clique - 1, clique + path - 1)]
+    return Graph.from_edges(clique + path, edges)
+
+
+def add_to_factor(factor, u: int, w: float) -> float:
+    """factor.add(u, w, x) with x = M e_u from the factor's own solve of
+    e_u - e_v, grounded at v, as the approximate greedy's drop solve gives
+    it (less the residual check). Returns the R_v drop."""
+    rhs = np.zeros((factor.n, 1))
+    rhs[u], rhs[factor.v] = 1.0, -1.0
+    x = factor.solve(rhs)[:, 0]
+    x -= x[factor.v]
+    return factor.add(u, w, x)
+
+
+def counting_refine(monkeypatch) -> list[int]:
+    """Patch linalg._refine to record the width of each block that reaches
+    the long-double re-check; returns the list it appends to."""
+    import icmax.linalg as linalg_mod
+
+    refined, refine = [], linalg_mod._refine
+
+    def counting(lap, rhs, *args):
+        refined.append(rhs.shape[1])
+        return refine(lap, rhs, *args)
+
+    monkeypatch.setattr(linalg_mod, "_refine", counting)
+    return refined
+
+
 def random_connected_graph(seed: int, n: int | None = None, max_n: int = 40,
                            weighted: bool = False, extra: float = 1.0) -> Graph:
     """Random tree plus ~extra*n additional edges; connected by construction."""

@@ -11,7 +11,8 @@ the identity, and the exhaustive k-subset search, which factors every
 subset's grounded Laplacian from scratch instead of updating one factor.
 The last three are the block pipeline of the approximate greedy as first
 written, with fresh arrays at every step: the Rademacher draw, the
-grounded factor's solve by SuperLU's own, and the block solve.
+grounded factor's solve by a fresh SuperLU factor of the graph with its
+added edges, and the block solve.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.linalg import blas
 
 from icmax.centrality import _TIE_RTOL, NodeResistance, _check_node, _require_two_nodes
 from icmax.graphs import Graph, is_connected
@@ -31,9 +31,9 @@ from icmax.greedy import _BRUTE_FORCE_GUARD, CandidateEdge, _check_candidates
 from icmax.linalg import (
     _BLOCK,
     GroundedFactor,
-    _cg_multi,
     _cholesky_inverse,
     _grounded_dense,
+    _refine,
     _require_dense,
     build_laplacian,
 )
@@ -198,39 +198,20 @@ def rademacher_reference(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
-def grounded_factor_solve_reference(
-    factor: GroundedFactor, r: np.ndarray, lap: sparse.csr_matrix
-) -> np.ndarray:
-    """factor.solve(r) by np.delete of row v, a SuperLU solve of the C-order
-    result, np.insert of the zero row, the Woodbury correction by one BLAS
-    product, and .mean.
+def grounded_factor_solve_reference(lap: sparse.csr_matrix, v: int, r: np.ndarray) -> np.ndarray:
+    """A GroundedFactor's solve(r) by np.delete of row v, a SuperLU solve
+    of the C-order result, np.insert of the zero row, and .mean.
 
-    The LU of lap, the Laplacian the factor factored, is built here with
-    SuperLU's default pivot threshold, which swaps rows of some weighted
-    graphs' factors, and W and the capacitance afresh for the factor's
-    added edges.
+    lap is the Laplacian with every edge the factor added, factored here
+    afresh with SuperLU's default pivot threshold, which swaps rows of some
+    weighted graphs' factors.
     """
-    v, rows = factor.v, factor._rows
-    keep = np.arange(factor.n) != v
+    keep = np.arange(lap.shape[0]) != v
     lu = sparse.linalg.splu(
         lap[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
     )
-
-    def inverse(b):  # laid out as b is, as the means below are summed in its order
-        out = np.empty_like(b)
-        out[...] = np.insert(lu.solve(np.delete(b, v, axis=0)), v, 0.0, axis=0)
-        return out
-
-    out = inverse(r)
-    if rows.size:
-        units = np.zeros((factor.n, rows.size))
-        units[rows, np.arange(rows.size)] = 1.0
-        w = inverse(units)
-        cap = scipy.linalg.cho_factor(
-            w[rows, :] + np.diag(factor._inv_weights), lower=True, check_finite=False
-        )
-        coef = scipy.linalg.cho_solve(cap, out[rows], check_finite=False)
-        out[...] = blas.dgemm(-1.0, w, coef, 1.0, out)  # out - W coef
+    out = np.empty_like(r)  # laid out as r is, as the means below are summed in its order
+    out[...] = np.insert(lu.solve(np.delete(r, v, axis=0)), v, 0.0, axis=0)
     out -= out.mean(axis=0, keepdims=True)
     return out
 
@@ -241,18 +222,17 @@ def rademacher_block_solve_reference(
     shape: tuple[int, int],
     to_rhs,
     tol: float,
-    max_iterations: int,
     factor: GroundedFactor,
     us: np.ndarray,
     vs: np.ndarray,
     *,
     trace: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """linalg._rademacher_block_solve with pre = factor's solve, and fresh
-    arrays in every block: the reference draw, a new right-hand side
+    """linalg._rademacher_block_solve with solve = factor's solve, and
+    fresh arrays in every block: the reference draw, a new right-hand side
     to_rhs(z), the factor's solve into a fresh array, the residual check
-    with its CG re-solve, and y[us] - y[vs]."""
-    pre = factor.solve
+    with its refinement, and y[us] - y[vs]."""
+    solve = factor.solve
     rows, count = shape
     sq_dists = np.zeros(len(us), dtype=np.float64)
     trace_sum = 0.0
@@ -261,14 +241,14 @@ def rademacher_block_solve_reference(
         width = min(_BLOCK, count - produced)
         z = rademacher_reference(rng, (rows, width))
         rhs = to_rhs(z)
-        y = pre(rhs)
+        y = solve(rhs)
         res = lap @ y
         res -= rhs
         res_sq = np.einsum("ij,ij->j", res, res)
         b_sq = np.einsum("ij,ij->j", rhs, rhs)
         failed = np.flatnonzero(~(res_sq <= tol**2 * np.where(b_sq > 0.0, b_sq, 1.0)))
         if failed.size:
-            y[:, failed] = _cg_multi(lap, rhs[:, failed], tol, max_iterations, pre=pre)
+            y[:, failed] = _refine(lap, rhs[:, failed], y[:, failed], tol, solve)
         if trace:
             y -= y.mean(axis=0, keepdims=True)
             trace_sum += float(np.einsum("ij,ij->", z, y))

@@ -32,6 +32,7 @@ from icmax.linalg import (
 from icmax.rand import child_seed, seeded_rng
 
 from conftest import (
+    add_to_factor,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -217,11 +218,12 @@ def test_criterion_06_rank_one_update_fidelity():
         v = 0
         cands = default_candidates(g, v)[:10]
         augmented = g.with_edges([(c.other, v, c.weight) for c in cands])
-        # approx's sparse factor after 10 Woodbury updates, against the
-        # pseudoinverse of the augmented graph
+        # approx's sparse factor after 10 rank-1 corrections, each from the
+        # factor's own solve for M e_u, against the pseudoinverse of the
+        # augmented graph
         factor = GroundedFactor(build_laplacian(g), v)
         for c in cands:
-            factor.add(c.other, c.weight)
+            add_to_factor(factor, c.other, c.weight)
         fresh = pseudoinverse(build_laplacian(augmented))
         factor_drift = max(factor_drift, float(np.abs(factor.solve(np.eye(n) - 1.0 / n) - fresh).max()))
         # exact greedy's dense rank-1 updates: k = 10 over these 10 candidates
@@ -247,13 +249,12 @@ def test_criterion_07_randomized_estimators():
     truth = float(np.trace(pseudoinverse(lap)))
     m = hutchinson_sample_count(0.3, 0.1, g.n - 1)
     tol = solver_tolerance(SolverSpec(), 0.3, g.n, g.w_max)
-    pre = GroundedFactor.build(lap, 0).solve
+    solve = GroundedFactor(lap, 0).solve
     nowhere = np.zeros(0, dtype=np.int64)
 
     def trace_estimate(seed: int) -> float:
         _, total = _rademacher_block_solve(
-            lap, seeded_rng(seed), (g.n, m), _project_out_mean, tol,
-            SolverSpec().max_iterations, pre, nowhere, nowhere, trace=True,
+            lap, seeded_rng(seed), (g.n, m), _project_out_mean, tol, solve, nowhere, nowhere, trace=True,
         )
         return total / m
 

@@ -104,7 +104,6 @@ def _field_samples(tmp_path) -> dict[str, tuple[list[str], str]]:
         "weight": (["--weight", "2.5"], "2.5"),
         "seed": (["--seed", "5"], "5"),
         "solver_mode": (["--solver-mode", "paper-literal"], "paper-literal"),
-        "max_iterations": (["--max-iterations", "100"], "100"),
         "m_cap": (["--m-cap", "8"], "8"),
         "sketch_constant": (["--sketch-constant", "2.0"], "2.0"),
         "out": (["--out", out], out),
@@ -540,17 +539,31 @@ def test_exit_unreadable_graph(tmp_path, capsys):
 def test_exit_solver_failure(tmp_path, monkeypatch, capsys):
     from icmax.linalg import GroundedFactor
 
-    # force the Jacobi fallback, then starve CG of iterations
-    monkeypatch.setattr(GroundedFactor, "build", lambda lap, v: None)
+    # a factor whose solves answer zeros: no column passes its residual
+    # check, in float64 or in long double, and no refinement step moves it
+    monkeypatch.setattr(GroundedFactor, "solve", lambda self, r, out=None: np.zeros_like(r))
     graph = tmp_path / "p60.txt"
     graph.write_text("".join(f"{i} {i + 1}\n" for i in range(59)), encoding="utf-8")
     rc = main([
         "optimize", "--graph", str(graph), "--target", "0", "--k", "1",
-        "--algo", "approx", "--m-cap", "8", "--max-iterations", "1",
-        "--out", str(tmp_path / "r"),
+        "--algo", "approx", "--m-cap", "8", "--out", str(tmp_path / "r"),
     ])
     assert rc == 3
     assert "residual" in capsys.readouterr().err
+
+
+def test_removed_solver_option_is_refused(tmp_path, capsys):
+    # --max-iterations capped the conjugate-gradient re-solves, which are
+    # gone: the flag is an argparse error, the config key an unknown one
+    graph = write_path4(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(["optimize", "--graph", str(graph), "--target", "0", "--max-iterations", "100"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --max-iterations" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"graph = {graph}\ntargets = 0\nmax_iterations = 100\n", encoding="utf-8")
+    assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):

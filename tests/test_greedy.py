@@ -28,10 +28,18 @@ from icmax.greedy import (
     vreff_comp,
     _vreff_comp_full,
 )
-from icmax.linalg import SolverSpec, approx_eff_res, build_laplacian, grounded_inverse
+from icmax.linalg import GroundedFactor, SolverSpec, approx_eff_res, build_laplacian, grounded_inverse
 from icmax.rand import child_seed, seeded_rng
 
-from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import (
+    complete_graph,
+    counting_refine,
+    cycle_graph,
+    lollipop_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 from oracles import (
     brute_force_optimum_from_scratch,
     grounded_inverse_reference,
@@ -223,11 +231,27 @@ def test_exact_sm_tracked_gains_do_not_drift(seed, n):
 
 def test_exact_sm_late_rounds_break_ties_by_endpoint():
     # with most edges to v in place the remaining gains of a cycle crowd
-    # together; the tracked gains drift enough there to break a tie wrongly
-    g = cycle_graph(61)
-    for v in (0, 1):
+    # together; the tracked gains drift enough there to break a tie wrongly.
+    # At a star's leaf every round ties all the other leaves, rescored in
+    # blocks.
+    for g, v in ((cycle_graph(61), 0), (cycle_graph(61), 1), (star_graph(60), 1)):
         cands = default_candidates(g, v)
         _assert_replays_on_pseudoinverse(g, v, cands, exact_sm(g, v, cands, len(cands)))
+
+
+def test_tie_rescoring_reads_the_correction_columns_drops():
+    # the blocked rescoring against one _correction column per candidate,
+    # over more than one block and after some corrections
+    g = random_connected_graph(9, n=120, weighted=True)
+    v = 3
+    cands = [CandidateEdge(c.other, v, 0.5 + i % 3) for i, c in enumerate(default_candidates(g, v))]
+    m = grounded_inverse(build_laplacian(g), v)
+    done = np.empty((g.n - 1, 4), order="F")
+    for j in range(4):
+        done[:, j] = greedy._correction(m, done[:, :j], v, cands[j])
+    reference = [float(c @ c) for c in (greedy._correction(m, done, v, c) for c in cands[4:])]
+    assert len(reference) > greedy._RESCORE_BLOCK
+    np.testing.assert_allclose(greedy._drops(m, done, v, cands[4:]), reference, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +461,13 @@ def test_vreff_sample_budget_accounting():
     g = path_graph(3)
     spec = SolverSpec(seed=4)
     lap = build_laplacian(g)
-    full = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap)
+    factor = GroundedFactor(lap, 0)
+    full = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap, factor=factor)
     assert full.m_literal == math.ceil(432.0 * 0.5**-2 * math.log(6.0))
     assert full.m_used == full.m_literal
-    capped = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap, m_cap=64)
+    capped = _vreff_comp_full(
+        g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap, m_cap=64, factor=factor
+    )
     assert capped.m_used == 64
     assert capped.m_literal == full.m_literal
     # untruncated estimator also reports a usable R_v estimate
@@ -464,8 +491,9 @@ def test_estimators_reject_disconnected_graphs():
         lambda g: insertion_trace(g, 0, [], "fixed"),
         lambda g: baseline_select(g, 0, [], 0, "random"),
         lambda g: brute_force_optimum(g, 0, [], 0),
+        lambda g: vreff_comp(g, 0, [], 0.3),
     ],
-    ids=["exact_sm", "approxi_sm", "insertion_trace", "baseline_select", "brute_force_optimum"],
+    ids=["exact_sm", "approxi_sm", "insertion_trace", "baseline_select", "brute_force_optimum", "vreff_comp"],
 )
 def test_single_node_graph_is_undefined(run):
     with pytest.raises(ValueError, match="undefined for a single node"):
@@ -552,55 +580,58 @@ def test_approxi_sm_estimated_mode_k_zero(monkeypatch):
     )
 
 
-def test_approxi_sm_jacobi_fallback_picks_the_same_edges(monkeypatch):
-    import icmax.linalg as linalg_mod
-    from icmax.graphs import generate_ws
-
-    # both paths solve to 1e-12, far below the gaps between estimated gains
-    for module in (greedy, linalg_mod):
-        monkeypatch.setattr(module, "solver_tolerance", lambda *args, **kwargs: 1e-12)
-    cg_columns = []
-    cg = linalg_mod._cg_multi
-
-    def counting_cg(lap, rhs, *args, **kwargs):
-        cg_columns.append(rhs.shape[1])
-        return cg(lap, rhs, *args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
-    g = generate_ws(60, 4, 0.1, seed=3)
-    cands = default_candidates(g, 7)
-    direct = approxi_sm(g, 7, cands, 4, 0.3, SolverSpec(seed=2), m_cap=128)
-    assert cg_columns == []
-    monkeypatch.setattr(linalg_mod.GroundedFactor, "build", lambda lap, v: None)
-    fallback = approxi_sm(g, 7, cands, 4, 0.3, SolverSpec(seed=2), m_cap=128)
-    assert sum(cg_columns) > 0
-    assert fallback.edges == direct.edges
-    assert fallback.initial_resistance == direct.initial_resistance
-    for a, b in zip(fallback.steps, direct.steps):
-        assert a.gain == pytest.approx(b.gain, rel=1e-9)
-        assert a.resistance == pytest.approx(b.resistance, rel=1e-10)
-
-
 def test_approxi_sm_needs_no_cg_resolve(monkeypatch):
     # criterion 9's first target, with the estimator capped: every direct
-    # solve on the shared factor passes its residual check
-    import icmax.linalg as linalg_mod
+    # solve on the shared factor passes its float64 residual check, so no
+    # column is re-checked in long double or refined
     from icmax.graphs import generate_ws
 
-    resolved = []
-    cg = linalg_mod._cg_multi
-
-    def counting_cg(lap, rhs, *args, **kwargs):
-        resolved.append(rhs.shape[1])
-        return cg(lap, rhs, *args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod, "_cg_multi", counting_cg)
+    refined = counting_refine(monkeypatch)
     g = generate_ws(1000, 4, 0.1, seed=23)
     v = min(int(t) for t in seeded_rng(77, 41).choice(g.n, size=10, replace=False))
     spec = SolverSpec(seed=child_seed(77, 50, v))
     trace = approxi_sm(g, v, default_candidates(g, v), 20, 0.3, spec, m_cap=256)
     assert len(trace.edges) == 20
-    assert resolved == []
+    assert refined == []
+
+
+def test_approxi_sm_solves_twice_per_round_beside_its_blocks(monkeypatch):
+    # one round: the trace block (m_cap = 128 columns), one column against
+    # e_v, the sketch's q = ceil(24 ln 60 / 0.3^2) = 1,092 columns in blocks
+    # of 256, and one column for the accepted edge's drop, which is also
+    # its correction of the factor
+    import icmax.linalg as linalg_mod
+    from icmax.graphs import generate_ws
+
+    widths = []
+    solve = linalg_mod._LevelSchedule.solve
+
+    def counting(self, r, out):
+        widths.append(r.shape[1])
+        return solve(self, r, out)
+
+    monkeypatch.setattr(linalg_mod._LevelSchedule, "solve", counting)
+    g = generate_ws(60, 4, 0.1, seed=3)
+    k = 4
+    approxi_sm(g, 7, default_candidates(g, 7), k, 0.3, SolverSpec(seed=2), m_cap=128)
+    assert widths == [128, 1, 256, 256, 256, 256, 68, 1] * k
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="np.longdouble is float64 here, so the long-double re-check is no stronger",
+)
+def test_approxi_sm_finishes_where_the_float64_residual_misses():
+    # a clique with a 500-node path hanging off it: the float64 residuals
+    # of drop solves miss 1e-12 by their own roundoff, and the long-double
+    # re-check accepts them; the values are the exact ones for its edges
+    g = lollipop_graph(30, 500)
+    approx = approxi_sm(g, 0, default_candidates(g, 0), 5, 0.3, SolverSpec(), m_cap=256)
+    picked = [CandidateEdge(b, 0, 1.0) for _, b in approx.edges]
+    exact = insertion_trace(g, 0, picked, "fixed")
+    assert approx.initial_resistance == pytest.approx(exact.initial_resistance, rel=1e-10)
+    for a, b in zip(approx.steps, exact.steps):
+        assert a.resistance == pytest.approx(b.resistance, rel=1e-10)
 
 
 def test_approxi_sm_validation():
