@@ -7,10 +7,10 @@ found by exhaustive enumeration. Writes per-target and aggregate CSVs.
 
 The optimum is the library's brute_force_optimum, which scores every
 subset by the diagonal Woodbury identity, up to its guard of 1e6 subsets
-per (target, k). Each target's grounded inverse is computed once and read
-by the greedy and by the optimum at every k. A --k-max that would pass
-the guard for a sampled target is refused before any work, with the
-largest k that fits.
+per (target, k). One grounded inverse serves every target: computed at
+the first, regrounded in place at each later one, and read by the greedy
+and by the optimum at every k. A --k-max that would pass the guard for a
+sampled target is refused before any work, with the largest k that fits.
 
 Usage:
   python3 scripts/reproduce_quality.py [--graph data/karate.txt] [--k-max 6]
@@ -25,9 +25,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from icmax.cli import _GraphInverse
 from icmax.graphs import largest_connected_component, load_edge_list
 from icmax.greedy import _BRUTE_FORCE_GUARD, brute_force_optimum, default_candidates, exact_sm
-from icmax.linalg import build_laplacian, grounded_inverse
 from icmax.rand import seeded_rng
 
 
@@ -70,10 +70,11 @@ def main() -> int:
     ratios = {k: [] for k in range(1, args.k_max + 1)}
 
     started = time.perf_counter()
+    inverse = _GraphInverse(g)
     for v in targets:
         cands = default_candidates(g, v)
         k_top = min(args.k_max, len(cands))
-        m = grounded_inverse(build_laplacian(g), v)
+        m = inverse.at(v)
         trace = exact_sm(g, v, cands, k_top, m=m)
         for k in range(1, k_top + 1):
             i_greedy = trace.steps[k - 1].centrality

@@ -42,6 +42,7 @@ from .graphs import (
 from .centrality import CentralityScore, rank_all_by_centrality
 from .greedy import (
     BASELINE_STRATEGIES,
+    CandidateEdge,
     GreedyTrace,
     approxi_sm,
     baseline_select,
@@ -55,6 +56,7 @@ from .linalg import (
     SolverConvergenceError,
     build_laplacian,
     grounded_inverse,
+    reground,
     solver_deviation_notes,
 )
 from .rand import child_seed, seeded_rng
@@ -111,6 +113,9 @@ class RunConfig:
                 raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
         if self.targets and self.random_targets:
             raise ConfigError("give explicit targets or a random-target count, not both")
+        repeated = [t for i, t in enumerate(self.targets) if t in self.targets[:i]]
+        if repeated:
+            raise ConfigError(f"target {repeated[0]} is given more than once")
         if self.random_targets < 0:
             raise ConfigError("random_targets must be >= 0")
         if not 0.0 < self.epsilon <= 0.5:
@@ -287,29 +292,58 @@ def _resolve_targets(config: RunConfig, g: Graph, ids: np.ndarray) -> list[int]:
 # -- running algorithms ---------------------------------------------------
 
 
+class _GraphInverse:
+    """One dense grounded inverse for all of a graph's targets: computed by
+    grounded_inverse at the first target that reads it, and regrounded in
+    place at each later one, so a run holds one n x n array. It is
+    writeable only while it is regrounded."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.m: np.ndarray | None = None
+        self.v = -1  # the node m is grounded at
+
+    def at(self, v: int) -> np.ndarray:
+        if self.m is None:
+            self.m = grounded_inverse(build_laplacian(self.g), v)
+        elif v != self.v:
+            self.m.flags.writeable = True
+            reground(self.m, self.v, v)
+        self.m.flags.writeable = False  # one algorithm's write would corrupt the next
+        self.v = v
+        return self.m
+
+
 @dataclass
 class _Target:
-    """One target v of g, with the read-only inputs that exact, the
-    baselines and the oracle share: the run's centrality ranking, and m,
-    the grounded_inverse at v, computed at first use and freed with it."""
+    """One target v of g, with the read-only inputs that its algorithms
+    share: the candidate edges at v, built once; the run's centrality
+    ranking; and m, the inverse grounded at v, read from inverse at first
+    use (from a fresh one when none is given). inverse is regrounded at
+    the run's next target, so m is valid until that target reads it."""
 
     g: Graph
     v: int
+    weight: float
     ranking: list[CentralityScore] | None = None
-    m_seconds: float = 0.0  # spent computing m, once it is read
+    inverse: _GraphInverse | None = None
+    m_seconds: float = 0.0  # spent grounding m at v, once it is read
+
+    @cached_property
+    def candidates(self) -> list[CandidateEdge]:
+        return default_candidates(self.g, self.v, self.weight)
 
     @cached_property
     def m(self) -> np.ndarray:
         started = time.perf_counter()
-        m = grounded_inverse(build_laplacian(self.g), self.v)
-        m.flags.writeable = False  # one algorithm's write would corrupt the next
+        m = (self.inverse or _GraphInverse(self.g)).at(self.v)
         self.m_seconds = time.perf_counter() - started
         return m
 
 
-def _oracle_trace(target: _Target, candidates, k: int) -> GreedyTrace:
+def _oracle_trace(target: _Target, k: int) -> GreedyTrace:
     """Brute-force optimum, replayed as an insertion trace for uniform output."""
-    g, v = target.g, target.v
+    g, v, candidates = target.g, target.v, target.candidates
     edges, _ = brute_force_optimum(g, v, candidates, k, m=target.m)
     chosen_others = {u if w == v else w for u, w in edges}
     picked = sorted((c for c in candidates if c.other in chosen_others), key=lambda c: c.other)
@@ -317,8 +351,7 @@ def _oracle_trace(target: _Target, candidates, k: int) -> GreedyTrace:
 
 
 def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> GreedyTrace:
-    g, v = target.g, target.v
-    candidates = default_candidates(g, v, config.weight)
+    g, v, candidates = target.g, target.v, target.candidates
     if algo == "exact":
         return exact_sm(g, v, candidates, k, m=target.m)
     if algo == "approx":
@@ -334,7 +367,7 @@ def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> Gree
             sketch_constant=config.sketch_constant,
         )
     if algo == "oracle":
-        return _oracle_trace(target, candidates, k)
+        return _oracle_trace(target, k)
     if algo in BASELINE_STRATEGIES:
         return baseline_select(
             g, v, candidates, k, algo, seed=child_seed(config.seed, 51, v),
@@ -404,9 +437,10 @@ class RunReport:
         """Wall-clock seconds: per (target, algorithm), per algorithm, and
         per greedy step of every trace. Work that algorithms share is
         charged to none of them: seconds_total lists it under the name of
-        the function that does it (each target's grounded_inverse,
-        the run's rank_all_by_centrality), so that its values still sum to
-        all the optimizer work of the run."""
+        the function that does it, so that its values still sum to all the
+        optimizer work of the run. grounded_inverse covers the run's one
+        dense inverse and its regrounding at every later target that reads
+        it (see _GraphInverse); rank_all_by_centrality covers the ranking."""
         ids = self.id_map
         per_target = {
             str(int(ids[t])): {algo: secs for algo, secs in per_algo.items()}
@@ -467,10 +501,11 @@ def cmd_optimize(config: RunConfig) -> RunReport:
         started = time.perf_counter()
         ranking = rank_all_by_centrality(g)
         shared["rank_all_by_centrality"] = time.perf_counter() - started
+    inverse = _GraphInverse(g)
     traces: dict[int, dict[str, GreedyTrace]] = {}
     walls: dict[int, dict[str, float]] = {}
     for v in targets:
-        target = _Target(g, v, ranking)
+        target = _Target(g, v, config.weight, ranking, inverse)
         traces[v] = {}
         walls[v] = {}
         for algo in config.algorithms:
@@ -481,7 +516,6 @@ def cmd_optimize(config: RunConfig) -> RunReport:
             walls[v][algo] = time.perf_counter() - started - (target.m_seconds - m_seconds)
         if target.m_seconds:
             shared["grounded_inverse"] = shared.get("grounded_inverse", 0.0) + target.m_seconds
-        del target  # frees m before the next target's is computed
 
     report = RunReport(config, label, ids, traces, walls, shared)
     report.deviation_flags = _deviation_flags(
@@ -549,7 +583,7 @@ def cmd_compare_perf(config: RunConfig) -> dict:
     for v in targets:
         for algo in ("approx", "exact"):
             started = time.perf_counter()
-            traces[algo].append(run_algorithm(algo, _Target(g, v), config.k, config))
+            traces[algo].append(run_algorithm(algo, _Target(g, v, config.weight), config.k, config))
             times[algo].append(time.perf_counter() - started)
     finals = {algo: [trace.final_centrality for trace in ts] for algo, ts in traces.items()}
 

@@ -4,7 +4,8 @@ Every optimizer works on the Laplacian grounded at a target v (row and
 column v deleted), where an edge (u, v) only adds its weight at (u, u).
 Dense: grounded_cholesky_inverse gives T = C^-1 for its Cholesky factor C,
 enough for R_v = ||T||_F^2, and grounded_inverse forms the inverse
-M = T^T T in T's storage for the optimizers that read M. Sparse:
+M = T^T T in T's storage for the optimizers that read M; reground moves
+M to another ground node in place, at O(n^2) cost. Sparse:
 GroundedFactor solves level by level on a read-only schedule of the
 grounded factor, one CSR product per level of rows on the whole block of
 right-hand sides plus one dense triangle for the last separator, less the
@@ -41,7 +42,7 @@ PAPER_LITERAL = "paper-literal"
 _TOLERANCE_FLOOR = 1e-14
 
 _BLOCK = 256
-_PANEL = 64  # columns per step of grounded_inverse's mirror copy, whose temporary is _PANEL x n
+_PANEL = 64  # columns per step of grounded_inverse's mirror copy and of reground, whose temporaries are _PANEL x n
 
 
 class SolverConvergenceError(RuntimeError):
@@ -133,6 +134,48 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     for s in range(0, m.shape[0], _PANEL):
         m[: s + _PANEL, s : s + _PANEL] += np.tril(m[s : s + _PANEL, : s + _PANEL], s - 1).T
     return m
+
+
+def reground(m: np.ndarray, w: int, v: int) -> None:
+    """Turn m = grounded_inverse(lap, w) into grounded_inverse(lap, v) in
+    m's own storage, at O(n^2) cost and with no n x n temporary.
+
+    Padded with a zero row and column at its ground node, the inverse
+    grounded at v is G_v[a, b] = G_w[a, b] - c[a] - c[b] + gamma for the
+    column c = G_w e_v and gamma = c[v] (Klein and Randic, J. Math. Chem.
+    1993). So every entry takes that rank-2 term, one _PANEL of columns at
+    a time; node w's row and column, gamma - c, go into v's old slot; and
+    the slots from there to w's new one rotate by one, in columns and in
+    rows, so that node u again sits at u - (u > v). c[a] + c[b] is summed
+    before it is subtracted, so m stays exactly symmetric."""
+    if w == v:
+        raise ValueError(f"the inverse is already grounded at {v}")
+    old, new = v - (v > w), w - (w > v)  # v's slot in m, w's in the result
+    c = m[:, old].copy()
+    gamma = c[old]
+    for s in range(0, m.shape[0], _PANEL):
+        panel = m[:, s : s + _PANEL]
+        panel -= c[:, None] + c[s : s + _PANEL]
+        panel += gamma
+    m[old, :] = m[:, old] = gamma - c
+    m[old, old] = gamma
+    _rotate_columns(m, old, new)
+    _rotate_columns(m.T, old, new)
+
+
+def _rotate_columns(a: np.ndarray, old: int, new: int) -> None:
+    """Move a's column old to new, the columns between shifting by one
+    towards old, _PANEL columns at a time."""
+    moved = a[:, old].copy()
+    if old < new:
+        for s in range(old, new, _PANEL):
+            e = min(s + _PANEL, new)
+            a[:, s:e] = a[:, s + 1 : e + 1]
+    else:
+        for e in range(old, new, -_PANEL):
+            s = max(e - _PANEL, new)
+            a[:, s + 1 : e + 1] = a[:, s:e]
+    a[:, new] = moved
 
 
 def grounded_cholesky_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:

@@ -28,6 +28,9 @@ from icmax.cli import (
     trace_csv_lines,
 )
 from icmax.graphs import generate_ws, load_edge_list
+from icmax.linalg import build_laplacian
+
+from oracles import grounded_inverse_reference
 
 
 def write_path4(tmp_path, name="p4.txt", ids=(0, 1, 2, 3)):
@@ -423,10 +426,12 @@ def _count_calls(monkeypatch, name, *modules):
     return calls
 
 
-def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch):
-    # exact and three baselines per target share one grounded inverse, and
-    # every target shares one ranking
+def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
+    # exact and three baselines at every target share one grounded inverse,
+    # regrounded from one target to the next, and every target shares one
+    # ranking, which keeps its own factor
     factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
+    regrounds = _count_calls(monkeypatch, "reground", icmax.linalg, icmax.cli)
     rankings = _count_calls(
         monkeypatch, "rank_all_by_centrality", icmax.centrality, icmax.greedy, icmax.cli
     )
@@ -435,8 +440,8 @@ def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch)
         algorithms=("exact", "random", "top-degree", "top-cent"), out=str(tmp_path),
     )
     report = cmd_optimize(config)
-    assert (len(factors), len(rankings)) == (3 + 1, 1)
-    # the shared factors and ranking are charged to no algorithm, and the
+    assert (len(factors), len(regrounds), len(rankings)) == (1 + 1, 3 - 1, 1)
+    # the shared inverse and ranking are charged to no algorithm, and the
     # totals still sum every second of optimizer work
     timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
     totals = timings["seconds_total"]
@@ -450,10 +455,11 @@ def test_optimize_factors_each_target_once_and_ranks_once(tmp_path, monkeypatch)
     )
 
 
-def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatch):
-    # while exact_sm runs, the only factor alive is its own target's M: no
-    # earlier target's M, and not the ranking's T
+def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
+    # while exact_sm runs, the only factor alive is the run's one array,
+    # read-only and grounded at exact_sm's target: not the ranking's T
     made = []
+    seen = []
     original_inverse = icmax.linalg._cholesky_inverse
     original_exact = icmax.cli.exact_sm
 
@@ -462,10 +468,14 @@ def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatc
         made.append(weakref.ref(t))
         return t
 
-    def exact_checked(*args, m, **kwargs):
+    def exact_checked(g, v, *args, m, **kwargs):
         alive = [ref() for ref in made if ref() is not None]
         assert len(alive) == 1 and np.shares_memory(alive[0], m)
-        return original_exact(*args, m=m, **kwargs)
+        assert not m.flags.writeable
+        ref = grounded_inverse_reference(build_laplacian(g), v)
+        assert np.abs(m - ref).max() <= 1e-13 * np.abs(ref).max()
+        seen.append(m)
+        return original_exact(g, v, *args, m=m, **kwargs)
 
     monkeypatch.setattr(icmax.linalg, "_cholesky_inverse", remembered)
     monkeypatch.setattr(icmax.cli, "exact_sm", exact_checked)
@@ -474,18 +484,69 @@ def test_optimize_frees_each_targets_factor_before_the_next(tmp_path, monkeypatc
         algorithms=("exact", "top-cent", "random"), out=str(tmp_path),
     )
     cmd_optimize(config)
-    assert len(made) == 3 + 1  # one M per target, and the ranking's T
+    assert len(made) == 1 + 1  # the run's M, and the ranking's T
+    assert len(seen) == 3 and all(m is seen[0] for m in seen)
 
 
-def test_optimize_oracle_shares_the_targets_factor(tmp_path, monkeypatch):
+def test_optimize_oracle_shares_the_graphs_inverse(tmp_path, monkeypatch):
+    # configs/karate_oracle.cfg: 20 targets, exact and the oracle, one M
     factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
-    karate = Path(__file__).resolve().parents[1] / "data" / "karate.txt"
-    config = RunConfig(
-        graph_path=str(karate), random_targets=4, k=2,
-        algorithms=("exact", "oracle"), seed=1, out=str(tmp_path),
+    root = Path(__file__).resolve().parents[1]
+    config = _config_from_args(
+        build_parser().parse_args([
+            "optimize", "--config", str(root / "configs" / "karate_oracle.cfg"),
+            "--graph", str(root / "data" / "karate.txt"), "--out", str(tmp_path),
+        ]),
+        ("exact",),
     )
+    assert (config.random_targets, config.algorithms) == (20, ("exact", "oracle"))
     cmd_optimize(config)
-    assert len(factors) == 4  # one M per target, shared by exact and the oracle
+    assert len(factors) == 1
+
+
+def _selections_and_values(report: dict) -> tuple[dict, dict]:
+    """(edges per target and algorithm, the numbers of each trace)."""
+    edges, values = {}, {}
+    for target, per_algo in report["traces"].items():
+        for algo, trace in per_algo.items():
+            edges[target, algo] = [step["edge"] for step in trace["steps"]]
+            values[target, algo] = [trace["initial_resistance"]] + [
+                step[key] for step in trace["steps"] for key in ("gain", "resistance", "centrality")
+            ]
+    return edges, values
+
+
+def test_optimize_regrounded_targets_match_single_target_runs(tmp_path):
+    # all 34 karate targets through one regrounded inverse, in both orders,
+    # against 34 runs that each compute their target's inverse afresh
+    karate = Path(__file__).resolve().parents[1] / "data" / "karate.txt"
+    base = RunConfig(graph_path=str(karate), k=3, algorithms=("exact", "oracle"), formats=("json",))
+
+    def run(targets, name):
+        cmd_optimize(dataclasses.replace(base, targets=tuple(targets), out=str(tmp_path / name)))
+        return _selections_and_values(json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8")))
+
+    single_edges, single_values = {}, {}
+    for t in range(34):
+        edges, values = run([t], f"single{t}")
+        single_edges.update(edges)
+        single_values.update(values)
+    for order in (range(34), range(33, -1, -1)):
+        edges, values = run(order, f"chain{order[0]}")
+        assert edges == single_edges
+        for key, series in values.items():
+            assert series == pytest.approx(single_values[key], rel=1e-12), key
+
+
+def test_optimize_rejects_a_repeated_target(tmp_path, capsys):
+    graph = write_path4(tmp_path)
+    rc = main([
+        "optimize", "--graph", str(graph), "--target", "1", "--target", "2", "--target", "1",
+        "--out", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert "target 1 is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ their refinement, the Rademacher trace sum and the resistance sketch, plus the
 pseudoinverse oracle and its rank-1 edge update."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from icmax.linalg import (
     build_laplacian,
     grounded_cholesky_inverse,
     grounded_inverse,
+    reground,
     solver_deviation_notes,
     solver_tolerance,
 )
@@ -206,6 +208,68 @@ def test_grounded_cholesky_inverse_shares_the_dense_checks():
         grounded_cholesky_inverse(build_laplacian(g), 0)
     with pytest.raises(ValueError, match="solver"):
         grounded_cholesky_inverse(build_laplacian(path_graph(DENSE_NODE_LIMIT + 1)), 0)
+
+
+def _ws300(weighted: bool) -> Graph:
+    """A 300-node small world, with unit weights or weights log-uniform
+    over 1e-2..1e2."""
+    g = generate_ws(300, 4, 0.1, seed=5)
+    if not weighted:
+        return g
+    us, vs, _ = g.edge_arrays
+    spread = 10.0 ** seeded_rng(5, 2).uniform(-2.0, 2.0, size=len(us))
+    return Graph.from_edges(g.n, [(int(a), int(b), float(w)) for a, b, w in zip(us, vs, spread)])
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+@pytest.mark.parametrize(
+    "w, v", [(3, 200), (200, 3), (41, 42), (42, 41), (0, 299), (299, 0), (0, 1), (299, 298), (10, 139)]
+)
+def test_reground_matches_a_fresh_grounded_inverse(w, v, weighted):
+    # across panel boundaries, to adjacent nodes, and from or to the first
+    # and last node
+    lap = build_laplacian(_ws300(weighted))
+    m = grounded_inverse(lap, w)
+    reground(m, w, v)
+    ref = grounded_inverse_reference(lap, v)
+    assert m.flags.f_contiguous
+    assert np.array_equal(m, m.T)
+    assert np.abs(m - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.01, 100.0])
+def test_reground_path2(weight):
+    lap = build_laplacian(Graph.from_edges(2, [(0, 1, weight)]))
+    m = grounded_inverse(lap, 0)
+    reground(m, 0, 1)
+    assert m == pytest.approx(grounded_inverse_reference(lap, 1), rel=1e-15)
+    with pytest.raises(ValueError, match="already grounded at 1"):
+        reground(m, 1, 1)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_reground_chain_keeps_its_accuracy(weighted):
+    # 31 steps in one chain end within 1e-12 of a fresh inverse
+    lap = build_laplacian(_ws300(weighted))
+    chain = [int(u) for u in seeded_rng(6, 3).choice(300, size=32, replace=False)]
+    m = grounded_inverse(lap, chain[0])
+    for w, v in zip(chain, chain[1:]):
+        reground(m, w, v)
+    ref = grounded_inverse_reference(lap, chain[-1])
+    assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("w, v", [(0, 999), (999, 0), (400, 401)])
+def test_reground_makes_no_square_temporary(w, v):
+    m = grounded_inverse(build_laplacian(generate_ws(1000, 4, 0.1, seed=3)), w)
+    tracemalloc.start()
+    try:
+        reground(m, w, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 8
 
 
 def test_cholesky_inverse_raises_on_lapack_failure():
