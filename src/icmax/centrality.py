@@ -1,10 +1,10 @@
 """Resistance distance and information centrality.
 
 A node's resistance R_v = sum_u R_uv is the trace of the inverse Laplacian
-grounded at v, read from the triangular inverse T of its Cholesky factor
-as ||T||_F^2; one T grounded at node 0 ranks every node at once. All of
-it is exact dense linear algebra. Gains are framed as resistance
-reductions, with I_v = n/R_v derived for display.
+grounded at v, summed from the diagonal that its sparse factor gives
+(GroundedFactor.diagonal); one factor grounded at node 0 ranks every node
+at once. All of it is exact up to roundoff. Gains are framed as
+resistance reductions, with I_v = n/R_v derived for display.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .linalg import build_laplacian, grounded_cholesky_inverse
+from .linalg import GroundedFactor, _require_connected, build_laplacian
 
 _TIE_RTOL = 1e-12  # exact values this close, relatively, are ties
 
@@ -42,12 +42,19 @@ def _require_two_nodes(n: int) -> None:
         raise ValueError("information centrality is undefined for a single node")
 
 
+def _grounded_factor(g: Graph, v: int) -> GroundedFactor:
+    lap = build_laplacian(g)
+    _require_connected(lap, "resistance")
+    return GroundedFactor(lap, v)
+
+
 def node_resistance_grounded(g: Graph, v: int) -> NodeResistance:
     """R_v as the trace of the inverse grounded Laplacian (row/col v deleted),
-    ||T||_F^2 for its Cholesky inverse T."""
+    the sum of its sparse factor's diagonal; 0 on a single node."""
     v = _check_node(g.n, v)
-    flat = grounded_cholesky_inverse(build_laplacian(g), v).ravel(order="K")
-    return NodeResistance(v, float(flat @ flat))
+    if g.n == 1:
+        return NodeResistance(v, 0.0)
+    return NodeResistance(v, float(_grounded_factor(g, v).diagonal().sum()))
 
 
 def information_centrality(g: Graph, v: int) -> CentralityScore:
@@ -63,17 +70,20 @@ def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
     their run are ties: they rank by ascending id and share its value, so
     that roundoff does not order interchangeable nodes.
 
-    One Cholesky inverse T grounded at node 0 serves every node. With
-    M = T^T T padded by a zero row and column at node 0,
-    R_v = sum_u R_uv = n M_vv - 2 (M 1)_v + tr(M), where diag(M) holds the
-    squared column norms of T and M 1 = T^T (T 1).
+    One sparse factor grounded at node 0 serves every node. With its
+    inverse M padded by a zero row and column at node 0,
+    R_v = sum_u R_uv = n M_vv - 2 (M 1)_v + tr(M), for diag(M) from
+    GroundedFactor.diagonal and M 1 from one solve: the right-hand side
+    1 - n e_0 sums to zero, and its grounded part is 1, so the solve gives
+    M 1 less its mean, and M 1 is zero at node 0.
     """
     _require_two_nodes(g.n)
-    t = grounded_cholesky_inverse(build_laplacian(g), 0)
-    diag = np.zeros(g.n)
-    diag[1:] = np.einsum("ij,ij->j", t, t)
-    sums = np.zeros(g.n)
-    sums[1:] = t.T @ t.sum(axis=1)
+    factor = _grounded_factor(g, 0)
+    diag = factor.diagonal()
+    rhs = np.ones((g.n, 1))
+    rhs[0] = 1.0 - g.n
+    sums = factor.solve(rhs)[:, 0]
+    sums -= sums[0]
     scores = g.n / (g.n * diag - 2.0 * sums + diag.sum())
     order = np.argsort(-scores, kind="stable")
     ranked: list[CentralityScore] = []

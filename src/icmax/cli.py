@@ -49,7 +49,7 @@ from .greedy import (
     brute_force_optimum,
     default_candidates,
     exact_sm,
-    insertion_trace,
+    _rank1_trace,
 )
 from .linalg import (
     SolverSpec,
@@ -347,7 +347,7 @@ def _oracle_trace(target: _Target, k: int) -> GreedyTrace:
     edges, _ = brute_force_optimum(g, v, candidates, k, m=target.m)
     chosen_others = {u if w == v else w for u, w in edges}
     picked = sorted((c for c in candidates if c.other in chosen_others), key=lambda c: c.other)
-    return insertion_trace(g, v, picked, "oracle", seed=0, m=target.m)
+    return _rank1_trace(g, v, target.m, picked, len(picked), "oracle", 0, by_gain=False)
 
 
 def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> GreedyTrace:
@@ -457,7 +457,7 @@ class RunReport:
         return {"seconds_per_target": per_target, "seconds_total": totals, "step_seconds": per_step}
 
 
-def _deviation_flags(config: RunConfig, traces: typing.Iterable[GreedyTrace]) -> list[str]:
+def _deviation_flags(config: RunConfig) -> list[str]:
     flags = []
     if "approx" in config.algorithms:
         flags.extend(solver_deviation_notes(config.solver_spec()))
@@ -471,11 +471,6 @@ def _deviation_flags(config: RunConfig, traces: typing.Iterable[GreedyTrace]) ->
                 f"resistance sketch uses constant {config.sketch_constant} instead of 24; "
                 "the sketch accuracy guarantee is voided"
             )
-    if any(trace.value_mode != "exact" for trace in traces):
-        flags.append(
-            "in at least one approx trace the initial R_v is a Hutchinson "
-            "estimate; the per-step drops from it are exact"
-        )
     return flags
 
 
@@ -518,9 +513,7 @@ def cmd_optimize(config: RunConfig) -> RunReport:
             shared["grounded_inverse"] = shared.get("grounded_inverse", 0.0) + target.m_seconds
 
     report = RunReport(config, label, ids, traces, walls, shared)
-    report.deviation_flags = _deviation_flags(
-        config, (trace for per_algo in traces.values() for trace in per_algo.values())
-    )
+    report.deviation_flags = _deviation_flags(config)
     _write_optimize_outputs(report)
     return report
 
@@ -602,7 +595,7 @@ def cmd_compare_perf(config: RunConfig) -> dict:
         "mean_centrality_approx": mean(finals["approx"]),
         "mean_centrality_exact": mean(finals["exact"]),
         "centrality_ratio": mean(finals["approx"]) / mean(finals["exact"]),
-        "deviation_flags": _deviation_flags(config, traces["approx"]),
+        "deviation_flags": _deviation_flags(config),
     }
 
     out = Path(config.out)

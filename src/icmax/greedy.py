@@ -15,7 +15,8 @@ k-subset from the same M by the diagonal Woodbury identity. All of them
 accept a caller's M (keyword m), and top-cent its centrality ranking
 (keyword ranking): a run computes each once per target and once per
 graph. The approximate greedy solves with a sparse factor of the same
-matrix and takes each accepted edge's drop from one more solve on it.
+matrix, reads its initial R_v from the factor's diagonal, and takes each
+accepted edge's drop from one more solve on it.
 
 All optimizers consume an explicit candidate list and return a GreedyTrace
 holding the chosen edges and the per-step resistance/centrality trajectory.
@@ -49,14 +50,8 @@ from .linalg import (
     grounded_inverse,
     solver_tolerance,
 )
-from .centrality import (
-    CentralityScore, _TIE_RTOL, _require_two_nodes, node_resistance_grounded, rank_all_by_centrality,
-)
+from .centrality import CentralityScore, _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
 from .rand import child_seed, seeded_rng
-
-# Up to this size approxi_sm takes the initial R_v from one dense Cholesky
-# inverse; above it, from its round-0 Hutchinson estimate.
-EXACT_TRACE_LIMIT = 2000
 
 # Relative residual of approxi_sm's per-step drop solves.
 _DROP_TOLERANCE = 1e-12
@@ -83,9 +78,6 @@ _RESCORE_RTOL = 1e-9
 # each, took 0.16 s against 0.25 s with blocks of 256 (one BLAS thread).
 _RESCORE_BLOCK = 32
 
-VALUES_EXACT = "exact"
-VALUES_ESTIMATED = "estimated"
-
 
 class CandidateEdge(NamedTuple):
     other: int
@@ -111,9 +103,7 @@ class GreedyTrace:
     """Outcome of one optimizer run.
 
     steps[i].resistance is R_v after inserting the first i+1 edges;
-    initial_resistance is R_v of the untouched graph. value_mode records
-    whether those resistances are exact or an estimated initial R_v less
-    the exact drops.
+    initial_resistance is R_v of the untouched graph.
     """
 
     algorithm: str
@@ -123,11 +113,8 @@ class GreedyTrace:
     initial_centrality: float
     steps: tuple[TraceStep, ...]
     step_seconds: tuple[float, ...]
-    value_mode: str = VALUES_EXACT
 
     def __post_init__(self):
-        if self.value_mode not in (VALUES_EXACT, VALUES_ESTIMATED):
-            raise ValueError(f"unknown value_mode {self.value_mode!r}")
         if len(self.step_seconds) != len(self.steps):
             raise ValueError("one timing entry per step required")
         prev = self.initial_resistance
@@ -157,7 +144,6 @@ class GreedyTrace:
             "algorithm": self.algorithm,
             "target": self.target,
             "seed": self.seed,
-            "value_mode": self.value_mode,
             "initial_resistance": self.initial_resistance,
             "initial_centrality": self.initial_centrality,
             "steps": [
@@ -185,12 +171,22 @@ def default_candidates(g: Graph, v: int, weight: float = 1.0) -> list[CandidateE
 
 
 def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> list[CandidateEdge]:
-    if not 0 <= v < g.n:
-        raise ValueError(f"node id {v} out of range for n={g.n}")
+    """The candidates, checked by _checked, for choosing k of them, in
+    ascending other endpoint: taking the first of the tied best gains then
+    realizes the global lexicographic edge tie-break."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > len(candidates):
         raise ValueError(f"k={k} exceeds the {len(candidates)} available candidates")
+    return sorted(_checked(g, v, candidates), key=lambda c: c.other)
+
+
+def _checked(g: Graph, v: int, candidates: Sequence[CandidateEdge]) -> list[CandidateEdge]:
+    """The candidates in their order, as exact ints and floats, once each
+    is checked to be a new edge (other, v) of positive finite weight, with
+    no other endpoint twice."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"node id {v} out of range for n={g.n}")
     seen: set[int] = set()
     out = []
     for c in candidates:
@@ -209,9 +205,6 @@ def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: 
             raise ValueError("candidate weight must be positive and finite")
         seen.add(c.other)
         out.append(c)
-    # ascending other-endpoint: taking the first of the tied best gains then
-    # realizes the global lexicographic edge tie-break
-    out.sort(key=lambda c: c.other)
     return out
 
 
@@ -237,13 +230,12 @@ def exact_sm(
 
 
 class VReffResult(NamedTuple):
-    """Gain estimates, one per candidate in order, plus the intermediates one
-    round of the approximate greedy needs for bookkeeping."""
+    """Gain estimates, one per candidate in order, plus the literal and the
+    used trace sample counts M."""
 
     gains: np.ndarray
     m_literal: int
     m_used: int
-    resistance_estimate: float
 
 
 def _vreff_comp_full(
@@ -267,14 +259,15 @@ def _vreff_comp_full(
     m_literal = math.ceil(432.0 * epsilon**-2 * math.log(2.0 * n))
     m_used = m_literal if m_cap is None else min(m_literal, int(m_cap))
 
+    if not len(candidates):
+        return VReffResult(np.zeros(0), m_literal, m_used)
     others = np.array([c.other for c in candidates], dtype=np.int64)
     weights = np.array([c.weight for c in candidates], dtype=np.float64)
 
-    # (1/M) sum_i (b_e^T y_i)^2 accumulated blockwise; same stream also
-    # feeds the z_i^T y_i trace estimate behind the R_v estimate.
-    t_sums, trace_sum = _rademacher_block_solve(
+    # (1/M) sum_i (b_e^T y_i)^2 accumulated blockwise
+    t_sums, _ = _rademacher_block_solve(
         lap, seeded_rng(spec.seed, 10), (n, m_used), _project_out_mean,
-        tol1, factor.solve, others, np.array([v]), trace=True,
+        tol1, factor.solve, others, np.array([v]),
     )
 
     e_v = np.zeros(n, dtype=np.float64)
@@ -282,11 +275,6 @@ def _vreff_comp_full(
     rhs = (e_v - e_v.mean())[:, None]
     x = _verified_solve(lap, rhs, tol2, factor.solve)[:, 0]
     x -= x.mean()
-
-    resistance_estimate = float(n * x[v] + trace_sum / m_used)
-
-    if not len(candidates):
-        return VReffResult(np.zeros(0), m_literal, m_used, resistance_estimate)
 
     pairs = [(c.other, v) for c in candidates]
     r_hat = approx_eff_res(
@@ -303,7 +291,7 @@ def _vreff_comp_full(
 
     alpha = (x[others] - x[v]) ** 2
     gains = weights * (n * alpha + t_sums / m_used) / (1.0 + weights * r_vec)
-    return VReffResult(gains, m_literal, m_used, resistance_estimate)
+    return VReffResult(gains, m_literal, m_used)
 
 
 def vreff_comp(
@@ -363,12 +351,11 @@ def approxi_sm(
     keeps as a rank-1 correction. Every solve is verified against the
     working graph's Laplacian.
 
-    Trace values: each accepted (u, v, w) lowers R_v by exactly
-    w ||M e_u||^2 / (1 + w M_uu), from one more solve against e_u - e_v,
-    whose M e_u is also the factor's correction (GroundedFactor.add),
-    so one formula serves both. The initial R_v is exact up to
-    EXACT_TRACE_LIMIT nodes; beyond that it is round 0's Hutchinson
-    estimate, and the trace is marked "estimated".
+    Trace values: the initial R_v is the sum of the factor's diagonal
+    (GroundedFactor.diagonal), and each accepted (u, v, w) lowers it by
+    exactly w ||M e_u||^2 / (1 + w M_uu), from one more solve against
+    e_u - e_v, whose M e_u is also the factor's correction
+    (GroundedFactor.add), so one formula serves both.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must be in (0, 1/2]")
@@ -378,25 +365,7 @@ def approxi_sm(
     lap = build_laplacian(g)
     _require_connected(lap, "approximate greedy")
     factor = GroundedFactor(lap, v)
-
-    def estimate(
-        working: Graph, working_lap: sparse.csr_matrix, cands: list[CandidateEdge], round_idx: int
-    ) -> VReffResult:
-        round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
-        return _vreff_comp_full(
-            working, v, cands, 3.0 * epsilon, round_spec,
-            lap=working_lap, m_cap=m_cap, sketch_constant=sketch_constant, factor=factor,
-        )
-
-    value_mode = VALUES_EXACT if g.n <= EXACT_TRACE_LIMIT else VALUES_ESTIMATED
-    if value_mode == VALUES_EXACT:
-        r0 = node_resistance_grounded(g, v).value
-    else:
-        # R_0 is round 0's estimate; with no round to run it still comes from
-        # round 0's stream, and does not depend on the candidates, so none
-        # are scored
-        r0 = estimate(g, lap, [], 0).resistance_estimate if k == 0 else math.nan
-    r_prev = r0
+    r0 = r_prev = float(factor.diagonal().sum())
     working = g
     steps: list[TraceStep] = []
     times: list[float] = []
@@ -404,9 +373,11 @@ def approxi_sm(
         started = time.perf_counter()
         if round_idx:
             lap = build_laplacian(working)
-        result = estimate(working, lap, live, round_idx)
-        if round_idx == 0 and value_mode == VALUES_ESTIMATED:
-            r0 = r_prev = result.resistance_estimate
+        round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
+        result = _vreff_comp_full(
+            working, v, live, 3.0 * epsilon, round_spec,
+            lap=lap, m_cap=m_cap, sketch_constant=sketch_constant, factor=factor,
+        )
         best = int(np.argmax(result.gains))
         chosen = live.pop(best)
         u, w = chosen.other, chosen.weight
@@ -419,9 +390,7 @@ def approxi_sm(
         times.append(time.perf_counter() - started)
         steps.append(TraceStep((min(u, v), max(u, v)), w, float(result.gains[best]), r, g.n / r))
         r_prev = r
-    return GreedyTrace(
-        "approx", v, spec.seed, r0, g.n / r0, tuple(steps), tuple(times), value_mode=value_mode
-    )
+    return GreedyTrace("approx", v, spec.seed, r0, g.n / r0, tuple(steps), tuple(times))
 
 
 BASELINE_STRATEGIES = ("random", "top-degree", "top-cent")
@@ -462,7 +431,7 @@ def baseline_select(
         position = {score.node: rank for rank, score in enumerate(ranking)}
         picked = sorted(live, key=lambda c: (position[c.other], c.other))[:k]
 
-    return insertion_trace(g, v, picked, strategy, seed, m=m)
+    return _rank1_trace(g, v, m, picked, k, strategy, seed, by_gain=False)
 
 
 def _grounded_m(g: Graph, v: int, m: np.ndarray | None) -> np.ndarray:
@@ -485,7 +454,9 @@ def insertion_trace(
     m: np.ndarray | None = None,
 ) -> GreedyTrace:
     """Trace from inserting a fixed candidate sequence in the given order,
-    with exact per-step values from the grounded inverse m (_rank1_trace)."""
+    each checked as _check_candidates does, with exact per-step values from
+    the grounded inverse m (_rank1_trace)."""
+    picked = _checked(g, v, picked)
     return _rank1_trace(g, v, m, picked, len(picked), algorithm, seed, by_gain=False)
 
 

@@ -2,20 +2,20 @@
 
 Every optimizer works on the Laplacian grounded at a target v (row and
 column v deleted), where an edge (u, v) only adds its weight at (u, u).
-Dense: grounded_cholesky_inverse gives T = C^-1 for its Cholesky factor C,
-enough for R_v = ||T||_F^2, and grounded_inverse forms the inverse
-M = T^T T in T's storage for the optimizers that read M; reground moves
-M to another ground node in place, at O(n^2) cost. Sparse:
-GroundedFactor solves level by level on a read-only schedule of the
-grounded factor, one CSR product per level of rows on the whole block of
-right-hand sides plus one dense triangle for the last separator, less the
-rank-1 corrections of the edges inserted at v since it was built.
-Verified solves apply the factor and check each column's residual; a
-column that misses is checked again in long double and refined on the
-factor. The Rademacher block solve and the sketch effective-resistance
-estimator run on them. The dense routes are exact and O(n^3) and refuse
-graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the solver
-and estimators.
+Dense: grounded_inverse forms the inverse M = T^T T from the inverse T of
+the grounded matrix's Cholesky factor, for the optimizers that read M;
+reground moves M to another ground node in place, at O(n^2) cost.
+Sparse: GroundedFactor solves level by level on a read-only schedule of
+the grounded factor, one CSR product per level of rows on the whole block
+of right-hand sides plus one dense triangle for the last separator, less
+the rank-1 corrections of the edges inserted at v since it was built. The
+forward half of that schedule, run on unit columns, gives diag(M), and so
+R_v = tr(M), to every consumer that needs only those. Verified solves
+apply the factor and check each column's residual; a column that misses
+is checked again in long double and refined on the factor. The
+Rademacher block solve and the sketch effective-resistance estimator run
+on them. The dense route is exact and O(n^3) and refuses graphs beyond
+DENSE_NODE_LIMIT nodes; larger ones go through the solver and estimators.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def _grounded_dense(lap: sparse.csr_matrix, v: int) -> np.ndarray:
 
 def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     """Dense inverse M of _grounded_dense(lap, v), so R_v = tr(M): LAPACK
-    dlauum forms the lower triangle of T^T T in the storage of T =
-    grounded_cholesky_inverse(lap, v), and it is added into the zero upper
+    dlauum forms the lower triangle of T^T T in the storage of T = C^-1,
+    for the lower Cholesky factor C, and it is added into the zero upper
     one _PANEL columns at a time. M is exactly symmetric, in Fortran order."""
-    m, info = lapack.dlauum(grounded_cholesky_inverse(lap, v), lower=1, overwrite_c=1)
+    m, info = lapack.dlauum(_cholesky_inverse(_grounded_dense(lap, v)), lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular product failed (LAPACK dlauum info={info})")
     for s in range(0, m.shape[0], _PANEL):
@@ -176,13 +176,6 @@ def _rotate_columns(a: np.ndarray, old: int, new: int) -> None:
             s = max(e - _PANEL, new)
             a[:, s + 1 : e + 1] = a[:, s:e]
     a[:, new] = moved
-
-
-def grounded_cholesky_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
-    """T = C^-1 for the lower Cholesky factor C of _grounded_dense(lap, v):
-    grounded_inverse(lap, v) is M = T^T T, so R_v = ||T||_F^2 and
-    M_uu = ||T e_u||^2, at about 2/7 of the flops of forming M."""
-    return _cholesky_inverse(_grounded_dense(lap, v))
 
 
 def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
@@ -322,15 +315,9 @@ class _LevelSchedule:
         # mode "clip" lets take write into its out without a buffer; the
         # indices are in range by construction
         np.take(r, self._src, axis=0, out=y, mode="clip")
-        # each product reads y's rows of other levels and adds into its own
-        idx, val = self._below
-        for s, e, ptr in self._forward:
-            csr_matvecs(e - s, m, k, ptr, idx, val, y, y[s:e])
-        # dtrsm solves the tail's rows in place as the Fortran-order y^T
-        t0 = self._t0
-        if t0 < m:
-            blas.dtrsm(1.0, self._tail, y[t0:].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        self._forward_half(y)
         y /= self._d
+        t0 = self._t0
         if t0 < m:
             blas.dtrsm(1.0, self._tail, y[t0:].T, side=1, lower=1, trans_a=0, diag=1, overwrite_b=1)
         idx, val = self._above
@@ -338,6 +325,45 @@ class _LevelSchedule:
             csr_matvecs(e - s, m, k, ptr, idx, val, y, y[s:e])
         work[m] = 0.0
         return np.take(work, self._back, axis=0, out=out, mode="clip")
+
+    def _forward_half(self, y: np.ndarray, start: int = 0) -> None:
+        """y <- L^-1 y in y's storage, for an m x k block y in level order
+        whose rows before position start are zero. Those rows stay zero,
+        and so does every product that reads only them: the levels up to
+        start's, and the tail's rows before start."""
+        m, k = y.shape
+        # each product reads y's rows of other levels and adds into its own
+        idx, val = self._below
+        for s, e, ptr in self._forward:
+            if s > start:
+                csr_matvecs(e - s, m, k, ptr, idx, val, y, y[s:e])
+        # dtrsm solves the tail's rows in place as the Fortran-order y^T
+        first = max(start, self._t0)
+        if first < m:
+            tail = self._tail[first - self._t0 :, first - self._t0 :]
+            blas.dtrsm(1.0, tail, y[first:].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+
+    def diagonal(self) -> np.ndarray:
+        """diag(A^-1) in node order with zero at v. A^-1 is
+        P^T L^-T D^-1 L^-1 P, so its diagonal holds the squared column
+        norms of D^-1/2 L^-1: the forward half on the unit columns, _BLOCK
+        at a time, each block from the level of its first column (reading
+        part of a sparse inverse from its factor, Erisman and Tinney 1975)."""
+        m = len(self._src)
+        diag = np.zeros(m + 1)
+        inv_d = 1.0 / self._d[:, 0]
+        store = np.empty(m * min(m, _BLOCK))  # one array for every block
+        for start in range(0, m, _BLOCK):
+            width = min(_BLOCK, m - start)
+            y = store[: m * width].reshape(m, width)
+            y.fill(0.0)
+            y[np.arange(start, start + width), np.arange(width)] = 1.0
+            self._forward_half(y, start)
+            below = np.square(y[start:], out=y[start:])
+            # einsum, not a BLAS product: threaded BLAS on these narrow
+            # products ran 10 times slower than one thread on 2 vCPUs
+            diag[self._src[start : start + width]] = np.einsum("ij,i->j", below, inv_d[start:])
+        return diag
 
 
 def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) -> bool:
@@ -436,6 +462,14 @@ class GroundedFactor:
                 out[...] = fixed.T
         out -= np.add.reduce(out, axis=0) / n  # the bits of out.mean(axis=0)
         return out
+
+    def diagonal(self) -> np.ndarray:
+        """diag(M) of the current inverse M, in node order with zero at v:
+        the schedule's diagonal less c o c for each correction c. Its sum
+        is R_v = tr(M)."""
+        diag = self._levels.diagonal()
+        diag -= np.einsum("ij,ij->i", self._w, self._w)
+        return diag
 
 
 # Steps of refinement on the factor for a column whose residual misses its

@@ -351,8 +351,29 @@ def test_optimize_approx_flags_capped_estimator(tmp_path, capsys):
     assert "capped" in err and "voided" in err
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert any("capped" in f for f in report["deviation_flags"])
-    # small graph: approx still lands on the optimal edge with exact values
-    assert report["traces"]["0"]["approx"]["value_mode"] == "exact"
+    # approx reports exact values: R_0 = 1 + 2 + 3 on the path
+    assert report["traces"]["0"]["approx"]["initial_resistance"] == pytest.approx(6.0, rel=1e-14)
+
+
+def test_optimize_approx_reports_the_exact_initial_resistance(tmp_path, capsys):
+    # approx's initial R_v, from its sparse factor, is exact graph for graph
+    # with exact's, from the dense inverse, and no flag notes an estimate:
+    # the flags are the solver's mapping and the capped estimator
+    out = tmp_path / "results"
+    rc = main([
+        "optimize", "--generate", "ws 30 4 0.1", "--random-targets", "3", "--k", "1",
+        "--algo", "exact", "--algo", "approx", "--m-cap", "16", "--out", str(out),
+    ])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    for per_algo in report["traces"].values():
+        assert "value_mode" not in per_algo["approx"]
+        assert per_algo["approx"]["initial_resistance"] == pytest.approx(
+            per_algo["exact"]["initial_resistance"], rel=1e-12
+        )
+    assert len(report["deviation_flags"]) == 2
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 2 and "practical mapping" in notes[0] and "capped" in notes[1]
 
 
 def test_optimize_random_targets(tmp_path):
@@ -429,7 +450,7 @@ def _count_calls(monkeypatch, name, *modules):
 def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
     # exact and three baselines at every target share one grounded inverse,
     # regrounded from one target to the next, and every target shares one
-    # ranking, which keeps its own factor
+    # ranking, which reads a sparse factor
     factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
     regrounds = _count_calls(monkeypatch, "reground", icmax.linalg, icmax.cli)
     rankings = _count_calls(
@@ -440,7 +461,7 @@ def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
         algorithms=("exact", "random", "top-degree", "top-cent"), out=str(tmp_path),
     )
     report = cmd_optimize(config)
-    assert (len(factors), len(regrounds), len(rankings)) == (1 + 1, 3 - 1, 1)
+    assert (len(factors), len(regrounds), len(rankings)) == (1, 3 - 1, 1)
     # the shared inverse and ranking are charged to no algorithm, and the
     # totals still sum every second of optimizer work
     timings = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
@@ -455,9 +476,28 @@ def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # every algorithm; approx made cheap, which does not change what it factors
+        ["--k", "2", "--m-cap", "16", "--sketch-constant", "1"],
+        # the benchmark's second invocation: no approx
+        ["--algo", "exact", "--algo", "random", "--algo", "top-degree", "--algo", "top-cent"],
+    ],
+    ids=["ws_baselines", "ws_baselines-no-approx"],
+)
+def test_optimize_factors_ws_baselines_densely_once(tmp_path, monkeypatch, extra):
+    # approx's R_0 and the ranking read sparse factors: the run's one dense
+    # factorization is the exact greedy's and the baselines' grounded inverse
+    factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
+    config = Path(__file__).resolve().parents[1] / "configs" / "ws_baselines.cfg"
+    assert main(["optimize", "--config", str(config), *extra, "--out", str(tmp_path)]) == 0
+    assert len(factors) == 1
+
+
 def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
-    # while exact_sm runs, the only factor alive is the run's one array,
-    # read-only and grounded at exact_sm's target: not the ranking's T
+    # while exact_sm runs, the only dense factor alive is the run's one
+    # array, read-only and grounded at exact_sm's target
     made = []
     seen = []
     original_inverse = icmax.linalg._cholesky_inverse
@@ -484,7 +524,7 @@ def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
         algorithms=("exact", "top-cent", "random"), out=str(tmp_path),
     )
     cmd_optimize(config)
-    assert len(made) == 1 + 1  # the run's M, and the ranking's T
+    assert len(made) == 1  # the run's M; the ranking reads a sparse factor
     assert len(seen) == 3 and all(m is seen[0] for m in seen)
 
 
@@ -719,20 +759,6 @@ def test_compare_perf_samples_twenty_targets_by_default(tmp_path):
         assert rc == 0
         row = (out / "perf_results.csv").read_text(encoding="utf-8").splitlines()[1]
         assert row.split(",")[4] == expected
-
-
-def test_compare_perf_notes_an_estimated_initial_resistance(tmp_path, monkeypatch, capsys):
-    import icmax.greedy as greedy_mod
-
-    monkeypatch.setattr(greedy_mod, "EXACT_TRACE_LIMIT", 2)
-    rc = main([
-        "compare-perf", "--generate", "ws 30 4 0.1", "--random-targets", "1", "--k", "1",
-        "--m-cap", "16", "--out", str(tmp_path / "perf"),
-    ])
-    assert rc == 0
-    assert "note: in at least one approx trace the initial R_v is a Hutchinson estimate" in (
-        capsys.readouterr().err
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from icmax import greedy
 from icmax.centrality import node_resistance_grounded, rank_all_by_centrality
-from icmax.graphs import Graph, load_edge_list
+from icmax.graphs import Graph, generate_ws, load_edge_list
 from icmax.greedy import (
     BASELINE_STRATEGIES,
     CandidateEdge,
     GreedyTrace,
     TraceStep,
-    VALUES_ESTIMATED,
-    VALUES_EXACT,
     approxi_sm,
     baseline_select,
     brute_force_optimum,
@@ -85,7 +83,6 @@ def test_exact_sm_path4_single_step():
     g = path_graph(4)
     trace = exact_sm(g, 0, default_candidates(g, 0), 1)
     assert trace.algorithm == "exact"
-    assert trace.value_mode == VALUES_EXACT
     assert trace.edges == ((0, 3),)
     assert trace.initial_resistance == pytest.approx(6.0, abs=1e-12)
     assert trace.steps[0].gain == pytest.approx(3.5, abs=1e-12)
@@ -191,7 +188,6 @@ def test_dense_traces_match_pseudoinverse_every_step(seed, n):
     cands = [CandidateEdge(c.other, v, 0.5 + i % 4) for i, c in enumerate(default_candidates(g, v))]
     k = min(10, len(cands))
     approx = approxi_sm(g, v, cands, k, 0.3, SolverSpec(seed=seed), m_cap=32, sketch_constant=1.0)
-    assert approx.value_mode == VALUES_EXACT
     traces = (
         exact_sm(g, v, cands, k),
         insertion_trace(g, v, cands[:k], "fixed"),
@@ -470,8 +466,6 @@ def test_vreff_sample_budget_accounting():
     )
     assert capped.m_used == 64
     assert capped.m_literal == full.m_literal
-    # untruncated estimator also reports a usable R_v estimate
-    assert full.resistance_estimate == pytest.approx(3.0, rel=0.1)
 
 
 def test_estimators_reject_disconnected_graphs():
@@ -519,11 +513,12 @@ def test_approxi_sm_exact_trace_values_on_small_graphs():
     trace = approxi_sm(g, 0, default_candidates(g, 0), 2, 0.2, SolverSpec(seed=5))
     assert trace.algorithm == "approx"
     assert trace.seed == 5
-    assert trace.value_mode == VALUES_EXACT
     assert sorted(trace.edges) == [(0, 2), (0, 3)]
+    # against the dense route: approx's own values come from its sparse
+    # factor, as node_resistance_grounded's do
     final = g.with_edges([(0, 2, 1.0), (0, 3, 1.0)])
     assert trace.final_resistance == pytest.approx(
-        node_resistance_grounded(final, 0).value, abs=1e-10
+        np.trace(grounded_inverse(build_laplacian(final), 0)), abs=1e-10
     )
 
 
@@ -538,46 +533,48 @@ def test_approxi_sm_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_approxi_sm_estimated_mode(monkeypatch):
-    monkeypatch.setattr(greedy, "EXACT_TRACE_LIMIT", 2)
-    g = path_graph(6)
-    trace = approxi_sm(g, 0, default_candidates(g, 0), 2, 0.2, SolverSpec(seed=13))
-    assert trace.value_mode == VALUES_ESTIMATED
-    assert math.isfinite(trace.initial_resistance)
+@pytest.mark.parametrize(
+    "make, v, k",
+    [
+        (lambda: path_graph(6), 0, 2),
+        # above the 2,000 nodes up to which R_0 once came from a dense route
+        (lambda: generate_ws(2100, 4, 0.1, seed=5), 17, 1),
+    ],
+    ids=["path6", "ws2100"],
+)
+def test_approxi_sm_initial_resistance_is_exact(make, v, k):
+    g = make()
+    trace = approxi_sm(g, v, default_candidates(g, v), k, 0.2, SolverSpec(seed=13), m_cap=16)
+    assert trace.initial_resistance == pytest.approx(
+        np.trace(grounded_inverse(build_laplacian(g), v)), rel=1e-12
+    )
+    assert trace.initial_centrality == g.n / trace.initial_resistance
     resistances = [trace.initial_resistance] + [s.resistance for s in trace.steps]
     assert all(b < a for a, b in zip(resistances, resistances[1:]))
-    # only the initial value is estimated, and it lands near the exact one
-    assert trace.initial_resistance == pytest.approx(
-        node_resistance_grounded(g, 0).value, rel=0.15
-    )
 
 
 @pytest.mark.parametrize("seed, n", [(71, 100), (72, 300)])
-def test_approxi_sm_estimated_mode_drops_are_exact(monkeypatch, seed, n):
-    # above the limit only R_0 is estimated: every step's drop is the exact
-    # one that the dense evaluator gives for the same edges
-    monkeypatch.setattr(greedy, "EXACT_TRACE_LIMIT", 2)
+def test_approxi_sm_values_are_exact_at_every_step(seed, n):
+    # R_0 from the factor's diagonal and every step's drop from its solve
+    # are the values the dense evaluator gives for the same edges
     g = random_connected_graph(seed, n=n, weighted=True)
     v = 0
     cands = [CandidateEdge(c.other, v, 0.5 + i % 4) for i, c in enumerate(default_candidates(g, v))]
     approx = approxi_sm(g, v, cands, 6, 0.3, SolverSpec(seed=seed), m_cap=32, sketch_constant=1.0)
-    assert approx.value_mode == VALUES_ESTIMATED
     by_other = {c.other: c for c in cands}
     picked = [by_other[a if b == v else b] for a, b in approx.edges]
     exact = insertion_trace(g, v, picked, "fixed")
     approx_r = [approx.initial_resistance] + [s.resistance for s in approx.steps]
+    exact_r = [exact.initial_resistance] + [s.resistance for s in exact.steps]
+    np.testing.assert_allclose(approx_r, exact_r, rtol=1e-12)
     np.testing.assert_allclose(-np.diff(approx_r), [s.gain for s in exact.steps], rtol=1e-10)
 
 
-def test_approxi_sm_estimated_mode_k_zero(monkeypatch):
-    monkeypatch.setattr(greedy, "EXACT_TRACE_LIMIT", 2)
+def test_approxi_sm_k_zero_reports_the_exact_resistance():
     g = path_graph(6)
     trace = approxi_sm(g, 0, default_candidates(g, 0), 0, 0.2, SolverSpec(seed=13))
     assert trace.steps == ()
-    assert trace.value_mode == VALUES_ESTIMATED
-    assert trace.final_resistance == pytest.approx(
-        node_resistance_grounded(g, 0).value, rel=0.15
-    )
+    assert trace.final_resistance == pytest.approx(15.0, rel=1e-14)  # 1 + 2 + 3 + 4 + 5
 
 
 def test_approxi_sm_needs_no_cg_resolve(monkeypatch):
@@ -732,6 +729,22 @@ def test_insertion_trace_records_gains():
     )
 
 
+@pytest.mark.parametrize(
+    "picked, error",
+    [
+        ([CandidateEdge(1, 0, 1.0)], "already exists"),
+        ([CandidateEdge(2, 0, 1.0), CandidateEdge(2, 0, 1.0)], "duplicate"),
+        ([CandidateEdge(3, 1, 1.0)], "does not target"),
+        ([CandidateEdge(0, 0, 1.0)], "self-loop"),
+        ([CandidateEdge(2, 0, -0.5)], "weight"),
+    ],
+    ids=["existing-edge", "duplicate", "other-target", "self-loop", "negative-weight"],
+)
+def test_insertion_trace_checks_its_edges(picked, error):
+    with pytest.raises(ValueError, match=error):
+        insertion_trace(path_graph(4), 0, picked, "fixed")
+
+
 def test_fixed_order_algorithms_take_a_shared_factor_and_ranking():
     # a caller's m and ranking give the answers each function computes for
     # itself, exact_sm's included; m is read-only, so a write would raise
@@ -785,11 +798,6 @@ def test_trace_rejects_mismatched_timings():
     step = TraceStep((0, 1), 1.0, 1.0, 5.0, 0.8)
     with pytest.raises(ValueError, match="timing"):
         GreedyTrace("exact", 0, 0, 6.0, 4.0 / 6.0, (step,), ())
-
-
-def test_trace_rejects_unknown_value_mode():
-    with pytest.raises(ValueError, match="value_mode"):
-        GreedyTrace("exact", 0, 0, 6.0, 4.0 / 6.0, (), (), value_mode="guessed")
 
 
 def test_trace_serialization_omits_timing():

@@ -21,6 +21,7 @@ from icmax.linalg import (
     SolverSpec,
     _REFINEMENT_STEPS,
     _cholesky_inverse,
+    _grounded_dense,
     _LevelSchedule,
     _project_out_mean,
     _rademacher_block_solve,
@@ -28,7 +29,6 @@ from icmax.linalg import (
     _verified_solve,
     approx_eff_res,
     build_laplacian,
-    grounded_cholesky_inverse,
     grounded_inverse,
     reground,
     solver_deviation_notes,
@@ -143,17 +143,20 @@ def test_grounded_inverse_matches_dense_inverse(seed):
     assert np.allclose(inv, np.linalg.inv(grounded), rtol=1e-10, atol=1e-12)
 
 
+_DENSE_FAMILIES = {
+    "rand60w": lambda: random_connected_graph(2, n=60, weighted=True),
+    "rand300w": lambda: random_connected_graph(9, n=300, weighted=True),
+    "ba700": lambda: generate_ba(700, 2, seed=4),
+}
+
+
 @pytest.mark.parametrize(
     "name, v",
     [("rand60w", 0), ("rand60w", 31), ("rand300w", 7), ("rand300w", 299), ("ba700", 0), ("ba700", 350)],
 )
 def test_grounded_inverse_from_t_matches_the_cholesky_solve(name, v):
     # wider than one panel of the mirror copy at 300 and 700 nodes
-    g = {
-        "rand60w": lambda: random_connected_graph(2, n=60, weighted=True),
-        "rand300w": lambda: random_connected_graph(9, n=300, weighted=True),
-        "ba700": lambda: generate_ba(700, 2, seed=4),
-    }[name]()
+    g = _DENSE_FAMILIES[name]()
     lap = build_laplacian(g)
     inv = grounded_inverse(lap, v)
     ref = grounded_inverse_reference(lap, v)
@@ -182,11 +185,17 @@ def test_grounded_inverse_refuses_oversize():
         grounded_inverse(build_laplacian(g), 0)
 
 
+def _grounded_cholesky_inverse(lap, v: int) -> np.ndarray:
+    """T = C^-1 for the lower Cholesky factor C of the Laplacian grounded
+    at v: the array that grounded_inverse forms M = T^T T in."""
+    return _cholesky_inverse(_grounded_dense(lap, v))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_grounded_cholesky_inverse_factors_the_grounded_inverse(seed):
     g = random_connected_graph(seed, n=25, weighted=True)
     v = seed * 7 % g.n
-    t = grounded_cholesky_inverse(build_laplacian(g), v)
+    t = _grounded_cholesky_inverse(build_laplacian(g), v)
     inv = grounded_inverse_reference(build_laplacian(g), v)
     assert t.shape == (g.n - 1, g.n - 1)
     assert np.array_equal(t, np.tril(t))
@@ -197,7 +206,7 @@ def test_grounded_cholesky_inverse_factors_the_grounded_inverse(seed):
 def test_grounded_cholesky_inverse_path3():
     # grounded at node 0: L_{-0} = [[2, -1], [-1, 1]] = C C^T with
     # C = [[sqrt 2, 0], [-1/sqrt 2, 1/sqrt 2]]
-    t = grounded_cholesky_inverse(build_laplacian(path_graph(3)), 0)
+    t = _grounded_cholesky_inverse(build_laplacian(path_graph(3)), 0)
     root = math.sqrt(2.0)
     assert np.allclose(t, [[1.0 / root, 0.0], [1.0 / root, root]], atol=1e-14)
 
@@ -205,9 +214,9 @@ def test_grounded_cholesky_inverse_path3():
 def test_grounded_cholesky_inverse_shares_the_dense_checks():
     g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(ValueError, match="connected"):
-        grounded_cholesky_inverse(build_laplacian(g), 0)
+        _grounded_cholesky_inverse(build_laplacian(g), 0)
     with pytest.raises(ValueError, match="solver"):
-        grounded_cholesky_inverse(build_laplacian(path_graph(DENSE_NODE_LIMIT + 1)), 0)
+        _grounded_cholesky_inverse(build_laplacian(path_graph(DENSE_NODE_LIMIT + 1)), 0)
 
 
 def _ws300(weighted: bool) -> Graph:
@@ -563,6 +572,68 @@ def test_level_schedule_serves_every_factor_superlu_did_not_pivot():
     # entries than L: they stay sparse levels, and no dense tail is left
     levels = GroundedFactor(build_laplacian(_grid(10, 100)), 0)._levels
     assert levels._t0 == len(levels._src) and levels._tail.size == 0
+
+
+def _solved_diagonal(factor: GroundedFactor) -> np.ndarray:
+    """diag(A^-1) from the schedule's full solve of the unit columns, in
+    blocks, in node order with zero at v."""
+    n, v = factor.n, factor.v
+    diag = np.zeros(n)
+    for s in range(0, n, 256):
+        cols = np.arange(s, min(s + 256, n))
+        unit = np.zeros((n, len(cols)))
+        unit[cols, np.arange(len(cols))] = 1.0
+        diag[cols] = factor._levels.solve(unit, np.empty_like(unit))[cols, np.arange(len(cols))]
+    diag[v] = 0.0
+    return diag
+
+
+_DIAGONAL_CASES = [
+    (name, end)
+    for name in sorted(_DENSE_FAMILIES) + ["grid10x100", "complete300", "lollipop", "path2"]
+    for end in ("first", "last")
+]
+
+
+@pytest.mark.parametrize("name, end", _DIAGONAL_CASES)
+def test_grounded_factor_diagonal_matches_the_dense_inverse(name, end):
+    # grounded at its first node, the narrow grid keeps no dense tail; the
+    # complete graph's factor is all tail, so its second block of unit
+    # columns starts inside it; the lollipop's has one row per level
+    g = {
+        **_DENSE_FAMILIES,
+        "grid10x100": lambda: _grid(10, 100),
+        "complete300": lambda: complete_graph(300),
+        "lollipop": lambda: lollipop_graph(30, 500),
+        "path2": lambda: Graph.from_edges(2, [(0, 1, 0.3)]),
+    }[name]()
+    v = 0 if end == "first" else g.n - 1
+    lap = build_laplacian(g)
+    factor = GroundedFactor(lap, v)
+    diag = factor.diagonal()
+    ref = np.insert(np.diag(grounded_inverse_reference(lap, v)), v, 0.0)
+    assert diag.shape == (g.n,) and diag[v] == 0.0
+    # the forward half reads what the schedule's own full solve gives
+    assert np.abs(diag - _solved_diagonal(factor)).max() <= 1e-12 * ref.max()
+    # Against the dense inverse, both factors' roundoff shows. Grounded at
+    # the far end of the lollipop's path, the sparse factor's last pivot is
+    # 2e-3, and against a long-double-refined solve its diagonal is off by
+    # 3.7e-11 where the dense one is off by 1.8e-12 (a 10 x 500 grid: 4.9e-12
+    # and 3.2e-13); every other case here agrees to 3e-13.
+    rtol = 1e-10 if (name, end) == ("lollipop", "last") else 1e-12
+    keep = np.arange(g.n) != v
+    np.testing.assert_allclose(diag[keep], ref[keep], rtol=rtol, atol=0.0)
+    assert diag.sum() == pytest.approx(ref.sum(), rel=rtol)
+
+
+def test_grounded_factor_diagonal_follows_its_corrections():
+    g = _DENSE_FAMILIES["rand60w"]()
+    factor = GroundedFactor(build_laplacian(g), 0)
+    added = [(u, 0, 0.5 + u / 10) for u in range(1, g.n) if not g.has_edge(u, 0)][:3]
+    for u, _, w in added:
+        add_to_factor(factor, u, w)
+    ref = grounded_inverse_reference(build_laplacian(g.with_edges(added)), 0)
+    assert factor.diagonal() == pytest.approx(np.insert(np.diag(ref), 0, 0.0), rel=1e-12)
 
 
 def test_weighted_factors_keep_their_diagonal_pivots():
