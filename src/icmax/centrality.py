@@ -71,7 +71,7 @@ def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
     that roundoff does not order interchangeable nodes.
 
     One sparse factor grounded at node 0 serves every node. With its
-    inverse M padded by a zero row and column at node 0,
+    inverse M, zero in row and column 0 (GroundedFactor),
     R_v = sum_u R_uv = n M_vv - 2 (M 1)_v + tr(M), for diag(M) from
     GroundedFactor.diagonal and M 1 from one solve: the right-hand side
     1 - n e_0 sums to zero, and its grounded part is 1, so the solve gives

@@ -295,7 +295,8 @@ def _resolve_targets(config: RunConfig, g: Graph, ids: np.ndarray) -> list[int]:
 class _GraphInverse:
     """One dense grounded inverse for all of a graph's targets: computed by
     grounded_inverse at the first target that reads it, and regrounded in
-    place at each later one, so a run holds one n x n array. It is
+    place at each later one, so a run holds one n x n array, in node order
+    with a zero row and column at the node it is grounded at. It is
     writeable only while it is regrounded."""
 
     def __init__(self, g: Graph):
@@ -318,9 +319,10 @@ class _GraphInverse:
 class _Target:
     """One target v of g, with the read-only inputs that its algorithms
     share: the candidate edges at v, built once; the run's centrality
-    ranking; and m, the inverse grounded at v, read from inverse at first
-    use (from a fresh one when none is given). inverse is regrounded at
-    the run's next target, so m is valid until that target reads it."""
+    ranking; and m, the n x n inverse grounded at v, node u at row u and
+    zero at v, read from inverse at first use (from a fresh one when none
+    is given). inverse is regrounded at the run's next target, so m is
+    valid until that target reads it."""
 
     g: Graph
     v: int

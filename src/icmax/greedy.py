@@ -8,6 +8,7 @@ for small instances.
 Every candidate edge ends at the target v, so it only adds its weight to
 one diagonal entry of the Laplacian grounded at v, whose inverse M has
 trace R_v, and inserting (u, v, w) lowers R_v by w ||M e_u||^2 / (1 + w M_uu).
+M is n x n in node order, zero in row and column v, so node u is row u.
 The exact greedy and the fixed insertion orders (the baselines and the
 oracle's replay) run one loop on a read-only M, with each accepted edge's
 rank-1 correction kept as a column beside it; the oracle scores every
@@ -40,7 +41,6 @@ from .linalg import (
     GroundedFactor,
     SolverSpec,
     _cholesky_inverse,
-    _grounded_dense,
     _project_out_mean,
     _rademacher_block_solve,
     _require_connected,
@@ -48,6 +48,7 @@ from .linalg import (
     approx_eff_res,
     build_laplacian,
     grounded_inverse,
+    grounded_laplacian,
     solver_tolerance,
 )
 from .centrality import CentralityScore, _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
@@ -209,14 +210,12 @@ def _checked(g: Graph, v: int, candidates: Sequence[CandidateEdge]) -> list[Cand
 
 
 def _exact_gains(
-    sq_norms: np.ndarray, diag: np.ndarray, v: int, candidates: Sequence[CandidateEdge]
+    sq_norms: np.ndarray, diag: np.ndarray, candidates: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Marginal R_v drops w ||M e_u||^2 / (1 + w M_uu) for every candidate,
-    from the grounded inverse M's squared column norms and diagonal at the
-    candidates' rows u."""
-    weights = np.array([c.weight for c in candidates], dtype=np.float64)
-    rows = np.array([c.other - (c.other > v) for c in candidates], dtype=np.int64)
-    return weights * sq_norms[rows] / (1.0 + weights * diag[rows])
+    """Marginal R_v drops w ||M e_u||^2 / (1 + w M_uu) for the candidates,
+    an array of their other endpoints u, at their weights, from the
+    grounded inverse M's squared column norms and diagonal."""
+    return weights * sq_norms[candidates] / (1.0 + weights * diag[candidates])
 
 
 def exact_sm(
@@ -439,8 +438,8 @@ def _grounded_m(g: Graph, v: int, m: np.ndarray | None) -> np.ndarray:
     g's Laplacian at v when m is None."""
     if m is None:
         return grounded_inverse(build_laplacian(g), v)
-    if m.shape != (g.n - 1, g.n - 1):
-        raise ValueError(f"m has shape {m.shape}; the Laplacian grounded at {v} gives {(g.n - 1, g.n - 1)}")
+    if m.shape != (g.n, g.n):
+        raise ValueError(f"m has shape {m.shape}; the Laplacian grounded at {v} gives {(g.n, g.n)}")
     return m
 
 
@@ -483,21 +482,25 @@ def _rank1_trace(
     corrections = np.empty((m.shape[0], k), order="F")
     if by_gain:
         sq_norms, diag = np.einsum("ij,ij->j", m, m), m.diagonal().copy()
+        others = np.array([c.other for c in live], dtype=np.int64)
+        weights = np.array([c.weight for c in live])
     steps: list[TraceStep] = []
     times: list[float] = []
     for round_idx in range(k):
         started = time.perf_counter()
         done = corrections[:, :round_idx]
         if by_gain:
-            gains = _exact_gains(sq_norms, diag, v, live)
+            gains = _exact_gains(sq_norms, diag, others, weights)
             near = np.flatnonzero(gains >= gains.max() * (1.0 - _RESCORE_RTOL))
             if near.size > 1:
-                drops = _drops(m, done, v, [live[i] for i in near])
+                drops = _drops(m, done, others[near], weights[near])
                 near = near[drops >= drops.max() * (1.0 - _TIE_RTOL)]
-            chosen = live.pop(int(near[0]))
+            best = int(near[0])
+            chosen = live.pop(best)
+            others, weights = np.delete(others, best), np.delete(weights, best)
         else:
             chosen = live[round_idx]
-        c = corrections[:, round_idx] = _correction(m, done, v, chosen)
+        c = corrections[:, round_idx] = _correction(m, done, chosen)
         drop = float(c @ c)
         if by_gain:
             sq_norms -= c * (2.0 * (m @ c - done @ (done.T @ c)) - drop * c)
@@ -509,16 +512,14 @@ def _rank1_trace(
     return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
 
 
-def _drops(m: np.ndarray, done: np.ndarray, v: int, cands: Sequence[CandidateEdge]) -> np.ndarray:
-    """R_v drops w ||M e_u||^2 / (1 + w M_uu) of cands on the current
-    grounded inverse M = m - W W^T, W the earlier corrections done, from
-    M's columns _RESCORE_BLOCK at a time: M e_u is row u of m^T less
-    W[u] W^T."""
-    rows = np.array([c.other - (c.other > v) for c in cands], dtype=np.int64)
-    weights = np.array([c.weight for c in cands])
-    drops = np.empty(len(cands))
-    for s in range(0, len(cands), _RESCORE_BLOCK):
-        at, w = rows[s : s + _RESCORE_BLOCK], weights[s : s + _RESCORE_BLOCK]
+def _drops(m: np.ndarray, done: np.ndarray, others: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """R_v drops w ||M e_u||^2 / (1 + w M_uu) of the candidate edges to
+    others at weights on the current grounded inverse M = m - W W^T, W the
+    earlier corrections done, from M's columns _RESCORE_BLOCK at a time:
+    M e_u is row u of m^T less W[u] W^T."""
+    drops = np.empty(len(others))
+    for s in range(0, len(others), _RESCORE_BLOCK):
+        at, w = others[s : s + _RESCORE_BLOCK], weights[s : s + _RESCORE_BLOCK]
         cols = m.T[at]  # m's columns at, each row contiguous for a Fortran-order m
         cols -= done[at] @ done.T
         diag = cols[np.arange(len(at)), at]
@@ -526,13 +527,13 @@ def _drops(m: np.ndarray, done: np.ndarray, v: int, cands: Sequence[CandidateEdg
     return drops
 
 
-def _correction(m: np.ndarray, done: np.ndarray, v: int, chosen: CandidateEdge) -> np.ndarray:
+def _correction(m: np.ndarray, done: np.ndarray, chosen: CandidateEdge) -> np.ndarray:
     """c = sqrt(w / (1 + w M_uu)) M e_u for inserting (u, v, w) into the
     current grounded inverse M = m - W W^T, W the earlier corrections done:
     M - c c^T is the inverse after it, and ||c||^2 is its R_v drop."""
-    row = chosen.other - (chosen.other > v)
-    col = m[:, row] - done @ done[row]
-    return col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[row]))
+    u = chosen.other
+    col = m[:, u] - done @ done[u]
+    return col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[u]))
 
 
 def brute_force_optimum(
@@ -556,10 +557,10 @@ def brute_force_optimum(
     tr(M), not to R_v(S); the measured margin _BATCH_ROUNDOFF tr(M) stands
     for it. Where twice that could pass _TIE_RTOL of the least value, the
     subsets within _RESCORE_RTOL of the least are rescored from scratch,
-    as ||C_S^-1||_F^2 for the Cholesky factor C_S of the grounded
-    Laplacian plus w_S on its diagonal, and the tie rule and the returned
-    R_v use those values. Elsewhere, as at a leaf of a star where every
-    subset ties, the batched values stand. Guarded to
+    as ||C_S^-1||_F^2, its 1 at (v, v) zeroed, for the Cholesky factor
+    C_S of grounded_laplacian plus w_S on its diagonal, and the tie rule
+    and the returned R_v use those values. Elsewhere, as at a leaf of a
+    star where every subset ties, the batched values stand. Guarded to
     C(|candidates|, k) <= 1e6 subsets.
     """
     live = _check_candidates(g, v, candidates, k)
@@ -570,10 +571,10 @@ def brute_force_optimum(
 
     m = _grounded_m(g, v, m)
     r0 = float(np.trace(m))
-    rows = np.array([c.other - (c.other > v) for c in live], dtype=np.int64)
+    others = np.array([c.other for c in live], dtype=np.int64)
     inv_weights = np.array([1.0 / c.weight for c in live])
-    m_cols = m[:, rows]
-    m_block, m2_block = m_cols[rows], m_cols.T @ m_cols
+    m_cols = m[:, others]
+    m_block, m2_block = m_cols[others], m_cols.T @ m_cols
     diag = np.arange(k)
     resistances = np.empty(total)
     subsets = combinations(range(len(live)), k)
@@ -594,14 +595,15 @@ def brute_force_optimum(
     else:
         near = (resistances <= least * (1.0 + _RESCORE_RTOL)).tolist()
         near_subsets = list(compress(combinations(live, k), near))
-        base = _grounded_dense(build_laplacian(g), v)
+        base = grounded_laplacian(build_laplacian(g), v).toarray(order="F")
         rescored = np.empty(len(near_subsets))
         for i, near_subset in enumerate(near_subsets):
             grounded = base.copy(order="F")
             for c in near_subset:
-                row = c.other - (c.other > v)
-                grounded[row, row] += c.weight
-            flat = _cholesky_inverse(grounded).ravel(order="K")
+                grounded[c.other, c.other] += c.weight
+            t = _cholesky_inverse(grounded)
+            t[v, v] = 0.0
+            flat = t.ravel(order="K")
             rescored[i] = flat @ flat
         best = int(np.flatnonzero(rescored <= rescored.min() * (1.0 + _TIE_RTOL))[0])
         subset, value = near_subsets[best], rescored[best]

@@ -1,9 +1,12 @@
 """Laplacian linear algebra.
 
-Every optimizer works on the Laplacian grounded at a target v (row and
-column v deleted), where an edge (u, v) only adds its weight at (u, u).
-Dense: grounded_inverse forms the inverse M = T^T T from the inverse T of
-the grounded matrix's Cholesky factor, for the optimizers that read M;
+Every optimizer works on the Laplacian grounded at a target v, formed in
+one place: grounded_laplacian replaces v's row and column with e_v's, so
+an edge (u, v) only adds its weight at (u, u). Both routes invert that
+matrix and zero v's entry, so M, the grounded inverse, is n x n in node
+order with a zero row and column v, and node u is row u of every array.
+Dense: grounded_inverse forms M = T^T T from the inverse T of the
+grounded matrix's Cholesky factor, for the optimizers that read M;
 reground moves M to another ground node in place, at O(n^2) cost.
 Sparse: GroundedFactor solves level by level on a read-only schedule of
 the grounded factor, one CSR product per level of rows on the whole block
@@ -114,25 +117,33 @@ def _require_dense(lap: sparse.csr_matrix, what: str) -> None:
     _require_connected(lap, what)
 
 
-def _grounded_dense(lap: sparse.csr_matrix, v: int) -> np.ndarray:
-    """A connected graph's Laplacian with v's row and column deleted, dense
-    and in Fortran order for LAPACK to overwrite: node u sits at row
-    u - (u > v)."""
-    _require_dense(lap, "grounded inverse")
-    keep = np.arange(lap.shape[0]) != v
-    return lap[keep][:, keep].toarray(order="F")
+def grounded_laplacian(lap: sparse.csr_matrix, v: int) -> sparse.csr_matrix:
+    """lap with row and column v replaced by e_v, as CSR with sorted
+    indices and no stored zeros: a stored zero in v's row would change the
+    fill-reducing order that GroundedFactor's factorization picks. On a
+    connected graph's Laplacian it is positive definite, and its inverse
+    is the grounded inverse with a 1 at (v, v)."""
+    a = lap.tocoo()
+    off = (a.row != v) & (a.col != v)
+    rows, cols = np.append(a.row[off], v), np.append(a.col[off], v)
+    return sparse.csr_matrix((np.append(a.data[off], 1.0), (rows, cols)), shape=lap.shape)
 
 
 def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
-    """Dense inverse M of _grounded_dense(lap, v), so R_v = tr(M): LAPACK
-    dlauum forms the lower triangle of T^T T in the storage of T = C^-1,
-    for the lower Cholesky factor C, and it is added into the zero upper
-    one _PANEL columns at a time. M is exactly symmetric, in Fortran order."""
-    m, info = lapack.dlauum(_cholesky_inverse(_grounded_dense(lap, v)), lower=1, overwrite_c=1)
+    """The inverse M of the Laplacian grounded at v, n x n in node order
+    with an exactly zero row and column v, so R_v = tr(M): LAPACK dlauum
+    forms the lower triangle of T^T T in the storage of T = C^-1, for the
+    lower Cholesky factor C of grounded_laplacian(lap, v), it is added into
+    the zero upper one _PANEL columns at a time, and the 1 at (v, v) is
+    zeroed. M is exactly symmetric, in Fortran order."""
+    _require_dense(lap, "grounded inverse")
+    t = _cholesky_inverse(grounded_laplacian(lap, v).toarray(order="F"))
+    m, info = lapack.dlauum(t, lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular product failed (LAPACK dlauum info={info})")
     for s in range(0, m.shape[0], _PANEL):
         m[: s + _PANEL, s : s + _PANEL] += np.tril(m[s : s + _PANEL, : s + _PANEL], s - 1).T
+    m[v, v] = 0.0
     return m
 
 
@@ -140,42 +151,21 @@ def reground(m: np.ndarray, w: int, v: int) -> None:
     """Turn m = grounded_inverse(lap, w) into grounded_inverse(lap, v) in
     m's own storage, at O(n^2) cost and with no n x n temporary.
 
-    Padded with a zero row and column at its ground node, the inverse
-    grounded at v is G_v[a, b] = G_w[a, b] - c[a] - c[b] + gamma for the
-    column c = G_w e_v and gamma = c[v] (Klein and Randic, J. Math. Chem.
-    1993). So every entry takes that rank-2 term, one _PANEL of columns at
-    a time; node w's row and column, gamma - c, go into v's old slot; and
-    the slots from there to w's new one rotate by one, in columns and in
-    rows, so that node u again sits at u - (u > v). c[a] + c[b] is summed
-    before it is subtracted, so m stays exactly symmetric."""
+    With zero rows and columns at their ground nodes, the inverse grounded
+    at v is G_v[a, b] = G_w[a, b] - c[a] - c[b] + gamma for the column
+    c = G_w e_v and gamma = c[v] (Klein and Randic, J. Math. Chem. 1993).
+    So every entry takes that rank-2 term, one _PANEL of columns at a time,
+    and row and column v, zero but for roundoff, are zeroed. c[a] + c[b]
+    is summed before it is subtracted, so m stays exactly symmetric."""
     if w == v:
         raise ValueError(f"the inverse is already grounded at {v}")
-    old, new = v - (v > w), w - (w > v)  # v's slot in m, w's in the result
-    c = m[:, old].copy()
-    gamma = c[old]
+    c = m[:, v].copy()
+    gamma = c[v]
     for s in range(0, m.shape[0], _PANEL):
         panel = m[:, s : s + _PANEL]
         panel -= c[:, None] + c[s : s + _PANEL]
         panel += gamma
-    m[old, :] = m[:, old] = gamma - c
-    m[old, old] = gamma
-    _rotate_columns(m, old, new)
-    _rotate_columns(m.T, old, new)
-
-
-def _rotate_columns(a: np.ndarray, old: int, new: int) -> None:
-    """Move a's column old to new, the columns between shifting by one
-    towards old, _PANEL columns at a time."""
-    moved = a[:, old].copy()
-    if old < new:
-        for s in range(old, new, _PANEL):
-            e = min(s + _PANEL, new)
-            a[:, s:e] = a[:, s + 1 : e + 1]
-    else:
-        for e in range(old, new, -_PANEL):
-            s = max(e - _PANEL, new)
-            a[:, s + 1 : e + 1] = a[:, s:e]
-    a[:, new] = moved
+    m[v, :] = m[:, v] = 0.0
 
 
 def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
@@ -205,7 +195,7 @@ _SYMMETRY_RTOL = 1e-12
 
 class _LevelSchedule:
     """Forward and back substitution with the LU factors of a grounded
-    Laplacian, one level of rows at a time.
+    Laplacian (grounded_laplacian), one level of rows at a time.
 
     A SuperLU factorization under SymmetricMode that made no row
     interchanges (perm_r == perm_c) is P A P^T = L D L^T with U = D L^T.
@@ -234,31 +224,31 @@ class _LevelSchedule:
     """
 
     @classmethod
-    def of(cls, lu, v: int) -> "_LevelSchedule | None":
-        """The schedule for lu, a factorization of the Laplacian grounded
-        at v, or None when lu is not of the form above."""
+    def of(cls, lu) -> "_LevelSchedule | None":
+        """The schedule for lu, a factorization of a grounded Laplacian,
+        or None when lu is not of the form above."""
         if not np.array_equal(lu.perm_r, lu.perm_c):
             return None
         lower, upper = lu.L, lu.U  # CSC, kept by lu
         d = upper.diagonal()
         if not (np.all(d > 0.0) and _is_d_lt(lower, upper, d)):
             return None
-        m = lower.shape[0]
+        n = lower.shape[0]
         rows = lower.indices
-        cols = np.repeat(np.arange(m, dtype=rows.dtype), np.diff(lower.indptr))
+        cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(lower.indptr))
         strict = rows > cols
         rows, cols, vals = rows[strict], cols[strict], lower.data[strict]
         # heights in the elimination tree, whose parent of column j is its
         # least row below the diagonal; parents follow their children
-        starts = np.searchsorted(cols, np.arange(m))
+        starts = np.searchsorted(cols, np.arange(n))
         nonempty = starts < np.append(starts[1:], len(cols))
-        parent = np.full(m, m)
+        parent = np.full(n, n)
         parent[nonempty] = np.minimum.reduceat(rows, starts[nonempty])
-        height = [0] * (m + 1)
+        height = [0] * (n + 1)
         for j, p in enumerate(parent.tolist()):
             if height[p] <= height[j]:
                 height[p] = height[j] + 1
-        level = np.array(height[:m], dtype=rows.dtype)
+        level = np.array(height[:n], dtype=rows.dtype)
         if not np.all(level[rows] > level[cols]):
             return None  # L's pattern is not a filled graph's
         counts = np.bincount(level)
@@ -269,100 +259,97 @@ class _LevelSchedule:
             # a triangle with more entries than L is mostly zeros, a long
             # sparse chain (as in a narrow grid): its rows stay sparse
             first_tail = len(counts)
-        return cls(lu.perm_c, v, d, level, counts[:first_tail], rows, cols, vals)
+        return cls(lu.perm_c, d, level, counts[:first_tail], rows, cols, vals)
 
-    def __init__(self, perm, v, d, level, counts, rows, cols, vals):
-        m = len(level)
+    def __init__(self, perm, d, level, counts, rows, cols, vals):
+        n = len(level)
         order = np.argsort(level, kind="stable")  # factor row at each position
-        pos = np.empty(m, dtype=rows.dtype)
-        pos[order] = np.arange(m, dtype=rows.dtype)
+        pos = np.empty(n, dtype=rows.dtype)
+        pos[order] = np.arange(n, dtype=rows.dtype)
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         self._t0 = t0 = bounds[-1]
         rows, cols = pos[rows], pos[cols]
         in_tail = cols >= t0
-        self._tail = np.zeros((m - t0, m - t0), order="F")
+        self._tail = np.zeros((n - t0, n - t0), order="F")
         self._tail[rows[in_tail] - t0, cols[in_tail] - t0] = vals[in_tail]
         # the sparse part, negated, so that each product adds -L y to its
         # rows; a level's block is a slice of the rows' pointers
         keep = ~in_tail
-        below = sparse.csr_matrix((-vals[keep], (rows[keep], cols[keep])), shape=(m, m))
+        below = sparse.csr_matrix((-vals[keep], (rows[keep], cols[keep])), shape=(n, n))
         above = below.T.tocsr()
         self._below, self._above = (below.indices, below.data), (above.indices, above.data)
         levels = list(zip(bounds[:-1], bounds[1:]))
         self._forward = [
-            (s, e, ptr) for s, e in levels + [(t0, m)] if (ptr := below.indptr[s : e + 1])[-1] > ptr[0]
+            (s, e, ptr) for s, e in levels + [(t0, n)] if (ptr := below.indptr[s : e + 1])[-1] > ptr[0]
         ]
         self._backward = [
             (s, e, ptr) for s, e in reversed(levels) if (ptr := above.indptr[s : e + 1])[-1] > ptr[0]
         ]
         self._d = d[order][:, None]
-        grounded = np.empty(m, dtype=np.int64)
-        grounded[perm] = np.arange(m)  # grounded row of each factor row
-        src = grounded[order]
-        self._src = src + (src >= v)  # node of each position
-        self._back = np.empty(m + 1, dtype=np.int64)
-        self._back[self._src] = np.arange(m)
-        self._back[v] = m  # a zero row below the solution
+        node = np.empty(n, dtype=np.int64)
+        node[perm] = np.arange(n)  # node of each factor row
+        self._src = node[order]  # node of each position
+        self._back = np.empty(n, dtype=np.int64)
+        self._back[self._src] = np.arange(n)
 
     def solve(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """A^-1 applied to the rows of the n x k block r other than v, for
-        the grounded matrix A, written into out in node order with zero at
-        v."""
+        """A^-1 r for an n x k block r and the factored matrix A, written
+        into out in node order."""
         n, k = r.shape
-        m = n - 1
-        work = np.empty((n, k))
-        y = work[:m]
+        y = np.empty((n, k))
         # mode "clip" lets take write into its out without a buffer; the
         # indices are in range by construction
         np.take(r, self._src, axis=0, out=y, mode="clip")
         self._forward_half(y)
         y /= self._d
         t0 = self._t0
-        if t0 < m:
+        if t0 < n:
             blas.dtrsm(1.0, self._tail, y[t0:].T, side=1, lower=1, trans_a=0, diag=1, overwrite_b=1)
         idx, val = self._above
         for s, e, ptr in self._backward:
-            csr_matvecs(e - s, m, k, ptr, idx, val, y, y[s:e])
-        work[m] = 0.0
-        return np.take(work, self._back, axis=0, out=out, mode="clip")
+            csr_matvecs(e - s, n, k, ptr, idx, val, y, y[s:e])
+        return np.take(y, self._back, axis=0, out=out, mode="clip")
 
     def _forward_half(self, y: np.ndarray, start: int = 0) -> None:
-        """y <- L^-1 y in y's storage, for an m x k block y in level order
+        """y <- L^-1 y in y's storage, for an n x k block y in level order
         whose rows before position start are zero. Those rows stay zero,
         and so does every product that reads only them: the levels up to
         start's, and the tail's rows before start."""
-        m, k = y.shape
+        n, k = y.shape
         # each product reads y's rows of other levels and adds into its own
         idx, val = self._below
         for s, e, ptr in self._forward:
             if s > start:
-                csr_matvecs(e - s, m, k, ptr, idx, val, y, y[s:e])
+                csr_matvecs(e - s, n, k, ptr, idx, val, y, y[s:e])
         # dtrsm solves the tail's rows in place as the Fortran-order y^T
         first = max(start, self._t0)
-        if first < m:
+        if first < n:
             tail = self._tail[first - self._t0 :, first - self._t0 :]
             blas.dtrsm(1.0, tail, y[first:].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
 
-    def diagonal(self) -> np.ndarray:
-        """diag(A^-1) in node order with zero at v. A^-1 is
+    def diagonal(self, v: int) -> np.ndarray:
+        """diag(A^-1) in node order, but zero at node v, whose unit column
+        is not solved: the grounded inverse is zero there. A^-1 is
         P^T L^-T D^-1 L^-1 P, so its diagonal holds the squared column
         norms of D^-1/2 L^-1: the forward half on the unit columns, _BLOCK
         at a time, each block from the level of its first column (reading
         part of a sparse inverse from its factor, Erisman and Tinney 1975)."""
-        m = len(self._src)
-        diag = np.zeros(m + 1)
+        n = len(self._src)
+        diag = np.zeros(n)
         inv_d = 1.0 / self._d[:, 0]
-        store = np.empty(m * min(m, _BLOCK))  # one array for every block
-        for start in range(0, m, _BLOCK):
-            width = min(_BLOCK, m - start)
-            y = store[: m * width].reshape(m, width)
+        positions = np.delete(np.arange(n), self._back[v])
+        store = np.empty(n * min(n - 1, _BLOCK))  # one array for every block
+        for b in range(0, n - 1, _BLOCK):
+            at = positions[b : b + _BLOCK]
+            start, width = int(at[0]), len(at)
+            y = store[: n * width].reshape(n, width)
             y.fill(0.0)
-            y[np.arange(start, start + width), np.arange(width)] = 1.0
+            y[at, np.arange(width)] = 1.0
             self._forward_half(y, start)
             below = np.square(y[start:], out=y[start:])
             # einsum, not a BLAS product: threaded BLAS on these narrow
             # products ran 10 times slower than one thread on 2 vCPUs
-            diag[self._src[start : start + width]] = np.einsum("ij,i->j", below, inv_d[start:])
+            diag[self._src[at]] = np.einsum("ij,i->j", below, inv_d[start:])
         return diag
 
 
@@ -388,12 +375,14 @@ class GroundedFactor:
     """Inverse of a connected graph's Laplacian grounded at node v, kept
     across insertions of edges at v.
 
-    Factors A = L with v's row and column removed once, as a sparse LU with
-    a symmetric minimum-degree ordering (A is SPD). SuperLU keeps the
-    diagonal pivots (a threshold of 0; its default swaps rows of many
-    weighted graphs' factors), so the factor is P A P^T = L D L^T: its
-    solves run on a read-only _LevelSchedule, into node rows, zero at v,
-    and SuperLU's own factor is released.
+    Factors A = grounded_laplacian(lap, v) once, as a sparse LU with a
+    symmetric minimum-degree ordering (A is SPD, and v, alone in its row
+    and column, adds one entry to the factor). SuperLU keeps the diagonal
+    pivots (a threshold of 0; its default swaps rows of many weighted
+    graphs' factors), so the factor is P A P^T = L D L^T: its solves run
+    on a read-only _LevelSchedule, in node order, their row v zeroed, so
+    a solve against e_u - e_v gives M's column u less its mean; SuperLU's
+    own factor is released.
 
     Inserting an edge (u, v, w) only adds w to A's diagonal at u, so the
     current inverse M loses one rank-1 term, M - c c^T with c = s M e_u
@@ -408,14 +397,13 @@ class GroundedFactor:
         n = lap.shape[0]
         if not (0 <= v < n and n >= 2):
             raise ValueError(f"cannot ground node {v} of a {n}-node Laplacian")
-        keep = np.arange(n) != v
-        grounded = lap[keep, :][:, keep].tocsc()
         self.n = n
         self.v = v
         lu = sparse.linalg.splu(
-            grounded, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            grounded_laplacian(lap, v).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-        self._levels = _LevelSchedule.of(lu, v)
+        self._levels = _LevelSchedule.of(lu)
         if self._levels is None:
             raise RuntimeError("SuperLU's factor is not L D L^T; no level schedule")
         self._rows = np.zeros(0, dtype=np.int64)  # the node u_j of each correction
@@ -454,6 +442,7 @@ class GroundedFactor:
         if out is None:
             out = np.empty_like(r)
         self._levels.solve(r, out)
+        out[self.v] = 0.0
         if self._rows.size:
             coef = blas.dtrsm(1.0, self._tri, out[self._rows], lower=1)
             # out -= W coef, as out^T -= coef^T W^T in out's storage
@@ -467,7 +456,7 @@ class GroundedFactor:
         """diag(M) of the current inverse M, in node order with zero at v:
         the schedule's diagonal less c o c for each correction c. Its sum
         is R_v = tr(M)."""
-        diag = self._levels.diagonal()
+        diag = self._levels.diagonal(self.v)
         diag -= np.einsum("ij,ij->i", self._w, self._w)
         return diag
 

@@ -6,8 +6,10 @@ the independent routes to the same quantities: the dense pseudoinverse via
 resistances read off the pseudoinverse, the pairwise throughput through
 B = L + J, and the Hutchinson sample count. They share no arithmetic with
 the grounded route beyond building the Laplacian. Two exceptions work on
-the grounded Laplacian too: its dense inverse by a Cholesky solve against
-the identity, and the exhaustive k-subset search, which factors every
+the grounded Laplacian too, which they form by deleting v's row and column
+from the dense Laplacian, not through the package's grounded_laplacian:
+its dense inverse by a Cholesky solve against the identity, padded with
+zeros at v, and the exhaustive k-subset search, which factors every
 subset's grounded Laplacian from scratch instead of updating one factor.
 The last three are the block pipeline of the approximate greedy as first
 written, with fresh arrays at every step: the Rademacher draw, the
@@ -32,7 +34,6 @@ from icmax.linalg import (
     _BLOCK,
     GroundedFactor,
     _cholesky_inverse,
-    _grounded_dense,
     _refine,
     _require_dense,
     build_laplacian,
@@ -150,12 +151,23 @@ def information_centrality_via_B(g: Graph, u: int, v: int, b_inv: np.ndarray | N
     return 1.0 / denom
 
 
+def _without(a: np.ndarray, v: int) -> np.ndarray:
+    """The dense a with row and column v deleted, in Fortran order."""
+    keep = np.arange(a.shape[0]) != v
+    return np.asfortranarray(a[np.ix_(keep, keep)])
+
+
 def grounded_inverse_reference(lap: sparse.csr_matrix, v: int) -> np.ndarray:
-    """Dense inverse of _grounded_dense(lap, v) by cho_factor and cho_solve
-    against the identity, without the triangular inverse T."""
-    grounded = _grounded_dense(lap, v)
-    factor = scipy.linalg.cho_factor(grounded, lower=True, overwrite_a=True, check_finite=False)
-    return scipy.linalg.cho_solve(factor, np.eye(grounded.shape[0], order="F"), overwrite_b=True, check_finite=False)
+    """Inverse of the Laplacian with v's row and column deleted, by
+    cho_factor and cho_solve against the identity, without the triangular
+    inverse T, padded with a zero row and column at v."""
+    _require_dense(lap, "grounded inverse")
+    n = lap.shape[0]
+    factor = scipy.linalg.cho_factor(_without(lap.toarray(), v), lower=True, overwrite_a=True, check_finite=False)
+    keep = np.arange(n) != v
+    inv = np.zeros((n, n), order="F")
+    inv[np.ix_(keep, keep)] = scipy.linalg.cho_solve(factor, np.eye(n - 1), overwrite_b=True, check_finite=False)
+    return inv
 
 
 def brute_force_optimum_from_scratch(
@@ -178,14 +190,13 @@ def brute_force_optimum_from_scratch(
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
-    base = _grounded_dense(build_laplacian(g), v)
+    base = build_laplacian(g).toarray()
     resistances = np.empty(total)
     for i, subset in enumerate(combinations(live, k)):
-        lap = base.copy(order="F")
+        lap = base.copy()
         for c in subset:
-            gi = c.other - (c.other > v)
-            lap[gi, gi] += c.weight  # edge (other, v): only the diagonal survives grounding
-        flat = _cholesky_inverse(lap).ravel(order="K")
+            lap[c.other, c.other] += c.weight  # edge (other, v): only this entry survives grounding
+        flat = _cholesky_inverse(_without(lap, v)).ravel(order="K")
         resistances[i] = flat @ flat
     best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
     best_subset = next(islice(combinations(live, k), best, None))

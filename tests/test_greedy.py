@@ -218,8 +218,7 @@ def test_exact_sm_tracked_gains_do_not_drift(seed, n):
     for step in trace.steps:
         m = grounded_inverse_reference(build_laplacian(augmented), v)
         u = step.edge[0] if step.edge[1] == v else step.edge[1]
-        row = u - (u > v)
-        truth = step.weight * float(m[:, row] @ m[:, row]) / (1.0 + step.weight * m[row, row])
+        truth = step.weight * float(m[:, u] @ m[:, u]) / (1.0 + step.weight * m[u, u])
         assert step.gain == pytest.approx(truth, rel=1e-13)
         augmented = augmented.with_edges([(u, v, step.weight)])
     _assert_replays_on_pseudoinverse(g, v, cands, trace)
@@ -242,12 +241,14 @@ def test_tie_rescoring_reads_the_correction_columns_drops():
     v = 3
     cands = [CandidateEdge(c.other, v, 0.5 + i % 3) for i, c in enumerate(default_candidates(g, v))]
     m = grounded_inverse(build_laplacian(g), v)
-    done = np.empty((g.n - 1, 4), order="F")
+    done = np.empty((g.n, 4), order="F")
     for j in range(4):
-        done[:, j] = greedy._correction(m, done[:, :j], v, cands[j])
-    reference = [float(c @ c) for c in (greedy._correction(m, done, v, c) for c in cands[4:])]
+        done[:, j] = greedy._correction(m, done[:, :j], cands[j])
+    reference = [float(c @ c) for c in (greedy._correction(m, done, c) for c in cands[4:])]
     assert len(reference) > greedy._RESCORE_BLOCK
-    np.testing.assert_allclose(greedy._drops(m, done, v, cands[4:]), reference, rtol=1e-13)
+    others = np.array([c.other for c in cands[4:]])
+    weights = np.array([c.weight for c in cands[4:]])
+    np.testing.assert_allclose(greedy._drops(m, done, others, weights), reference, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

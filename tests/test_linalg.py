@@ -21,7 +21,6 @@ from icmax.linalg import (
     SolverSpec,
     _REFINEMENT_STEPS,
     _cholesky_inverse,
-    _grounded_dense,
     _LevelSchedule,
     _project_out_mean,
     _rademacher_block_solve,
@@ -30,6 +29,7 @@ from icmax.linalg import (
     approx_eff_res,
     build_laplacian,
     grounded_inverse,
+    grounded_laplacian,
     reground,
     solver_deviation_notes,
     solver_tolerance,
@@ -134,13 +134,18 @@ def test_pseudoinverse_refuses_oversize():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_grounded_inverse_matches_dense_inverse(seed):
+    # the inverse of L with v's row and column replaced by e_v, less its
+    # 1 at (v, v)
     g = random_connected_graph(seed, n=25, weighted=True)
     v = seed * 7 % g.n
-    keep = np.arange(g.n) != v
-    grounded = build_laplacian(g).toarray()[np.ix_(keep, keep)]
+    grounded = build_laplacian(g).toarray()
+    grounded[v, :] = grounded[:, v] = 0.0
+    grounded[v, v] = 1.0
+    ref = np.linalg.inv(grounded)
+    ref[v, v] = 0.0
     inv = grounded_inverse(build_laplacian(g), v)
-    assert inv.shape == (g.n - 1, g.n - 1)
-    assert np.allclose(inv, np.linalg.inv(grounded), rtol=1e-10, atol=1e-12)
+    assert inv.shape == (g.n, g.n)
+    assert np.allclose(inv, ref, rtol=1e-10, atol=1e-12)
 
 
 _DENSE_FAMILIES = {
@@ -167,10 +172,11 @@ def test_grounded_inverse_from_t_matches_the_cholesky_solve(name, v):
 
 def test_grounded_inverse_path3_row_layout():
     # P3 grounded at the middle node: both ends hang off it by unit edges
-    assert np.allclose(grounded_inverse(build_laplacian(path_graph(3)), 1), np.eye(2), atol=1e-14)
-    # grounded at node 0: node u sits at row u - 1
+    inv = grounded_inverse(build_laplacian(path_graph(3)), 1)
+    assert np.allclose(inv, np.diag([1.0, 0.0, 1.0]), atol=1e-14)
+    # grounded at node 0: node u sits at row u, and row 0 is zero
     inv = grounded_inverse(build_laplacian(path_graph(3)), 0)
-    assert np.allclose(inv, [[1.0, 1.0], [1.0, 2.0]], atol=1e-14)
+    assert np.allclose(inv, [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0]], atol=1e-14)
 
 
 def test_grounded_inverse_rejects_disconnected():
@@ -186,9 +192,9 @@ def test_grounded_inverse_refuses_oversize():
 
 
 def _grounded_cholesky_inverse(lap, v: int) -> np.ndarray:
-    """T = C^-1 for the lower Cholesky factor C of the Laplacian grounded
-    at v: the array that grounded_inverse forms M = T^T T in."""
-    return _cholesky_inverse(_grounded_dense(lap, v))
+    """T = C^-1 for the lower Cholesky factor C of grounded_laplacian(lap,
+    v): the array that grounded_inverse forms M = T^T T in."""
+    return _cholesky_inverse(grounded_laplacian(lap, v).toarray(order="F"))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -197,26 +203,21 @@ def test_grounded_cholesky_inverse_factors_the_grounded_inverse(seed):
     v = seed * 7 % g.n
     t = _grounded_cholesky_inverse(build_laplacian(g), v)
     inv = grounded_inverse_reference(build_laplacian(g), v)
-    assert t.shape == (g.n - 1, g.n - 1)
+    assert t.shape == (g.n, g.n)
     assert np.array_equal(t, np.tril(t))
+    # v's row and column of the grounded matrix are e_v's, and so are T's
+    assert t[v, v] == 1.0 and np.count_nonzero(t[v]) == np.count_nonzero(t[:, v]) == 1
+    t[v, v] = 0.0
     assert np.allclose(t.T @ t, inv, rtol=1e-10, atol=1e-12)
     assert np.sum(t * t) == pytest.approx(np.trace(inv), rel=1e-12)
 
 
 def test_grounded_cholesky_inverse_path3():
     # grounded at node 0: L_{-0} = [[2, -1], [-1, 1]] = C C^T with
-    # C = [[sqrt 2, 0], [-1/sqrt 2, 1/sqrt 2]]
+    # C = [[sqrt 2, 0], [-1/sqrt 2, 1/sqrt 2]], and node 0 keeps a 1
     t = _grounded_cholesky_inverse(build_laplacian(path_graph(3)), 0)
     root = math.sqrt(2.0)
-    assert np.allclose(t, [[1.0 / root, 0.0], [1.0 / root, root]], atol=1e-14)
-
-
-def test_grounded_cholesky_inverse_shares_the_dense_checks():
-    g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    with pytest.raises(ValueError, match="connected"):
-        _grounded_cholesky_inverse(build_laplacian(g), 0)
-    with pytest.raises(ValueError, match="solver"):
-        _grounded_cholesky_inverse(build_laplacian(path_graph(DENSE_NODE_LIMIT + 1)), 0)
+    assert np.allclose(t, [[1.0, 0.0, 0.0], [0.0, 1.0 / root, 0.0], [0.0, 1.0 / root, root]], atol=1e-14)
 
 
 def _ws300(weighted: bool) -> Graph:
@@ -609,9 +610,13 @@ def test_grounded_factor_diagonal_matches_the_dense_inverse(name, end):
     }[name]()
     v = 0 if end == "first" else g.n - 1
     lap = build_laplacian(g)
+    # the one grounded matrix both routes invert: v's row is e_v's, and
+    # no zero is stored in it
+    grounded = grounded_laplacian(lap, v)
+    assert grounded.data.all() and grounded[v].indices.tolist() == [v]
     factor = GroundedFactor(lap, v)
     diag = factor.diagonal()
-    ref = np.insert(np.diag(grounded_inverse_reference(lap, v)), v, 0.0)
+    ref = np.diag(grounded_inverse_reference(lap, v))
     assert diag.shape == (g.n,) and diag[v] == 0.0
     # the forward half reads what the schedule's own full solve gives
     assert np.abs(diag - _solved_diagonal(factor)).max() <= 1e-12 * ref.max()
@@ -621,9 +626,19 @@ def test_grounded_factor_diagonal_matches_the_dense_inverse(name, end):
     # 3.7e-11 where the dense one is off by 1.8e-12 (a 10 x 500 grid: 4.9e-12
     # and 3.2e-13); every other case here agrees to 3e-13.
     rtol = 1e-10 if (name, end) == ("lollipop", "last") else 1e-12
-    keep = np.arange(g.n) != v
-    np.testing.assert_allclose(diag[keep], ref[keep], rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(diag, ref, rtol=rtol, atol=0.0)
     assert diag.sum() == pytest.approx(ref.sum(), rel=rtol)
+    # the dense inverse in the same layout: zero row and column v, the
+    # factor's solve against e_u - e_v, less its value at v, as column u
+    # (off by 3.5e-11 of the largest entry on the lollipop's far end)
+    m = grounded_inverse(lap, v)
+    assert not m[v].any() and not m[:, v].any()
+    unit = np.eye(g.n)
+    unit[v] -= 1.0
+    cols = factor.solve(unit)
+    cols -= cols[v]
+    assert np.abs(cols - m).max() <= rtol * np.abs(m).max()
+    np.testing.assert_allclose(np.diag(m), diag, rtol=rtol, atol=0.0)
 
 
 def test_grounded_factor_diagonal_follows_its_corrections():
@@ -633,7 +648,7 @@ def test_grounded_factor_diagonal_follows_its_corrections():
     for u, _, w in added:
         add_to_factor(factor, u, w)
     ref = grounded_inverse_reference(build_laplacian(g.with_edges(added)), 0)
-    assert factor.diagonal() == pytest.approx(np.insert(np.diag(ref), 0, 0.0), rel=1e-12)
+    assert factor.diagonal() == pytest.approx(np.diag(ref), rel=1e-12)
 
 
 def test_weighted_factors_keep_their_diagonal_pivots():
@@ -654,27 +669,26 @@ def test_level_schedule_refuses_factors_that_are_not_symmetric():
     from types import SimpleNamespace
 
     g = generate_ws(1000, 4, 0.1, seed=23)
-    keep = np.arange(g.n) != 4
     lu = scipy.sparse.linalg.splu(
-        build_laplacian(g)[keep][:, keep].tocsc(),
+        grounded_laplacian(build_laplacian(g), 4).tocsc(),
         permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
     )
-    assert _LevelSchedule.of(lu, 4) is not None
+    assert _LevelSchedule.of(lu) is not None
     # a row interchange
     swapped = lu.perm_r.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
     pivoted = SimpleNamespace(perm_r=swapped, perm_c=lu.perm_c, L=lu.L, U=lu.U)
-    assert _LevelSchedule.of(pivoted, 4) is None
+    assert _LevelSchedule.of(pivoted) is None
     # one entry of U off D L^T by 1 %
     upper = lu.U.copy()
-    cols = np.repeat(np.arange(g.n - 1), np.diff(upper.indptr))
+    cols = np.repeat(np.arange(g.n), np.diff(upper.indptr))
     upper.data[np.flatnonzero(upper.indices != cols)[0]] *= 1.01
     skewed = SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, L=lu.L, U=upper)
-    assert _LevelSchedule.of(skewed, 4) is None
+    assert _LevelSchedule.of(skewed) is None
 
 
 def test_factor_without_a_schedule_is_refused(monkeypatch):
-    monkeypatch.setattr(_LevelSchedule, "of", classmethod(lambda cls, lu, v: None))
+    monkeypatch.setattr(_LevelSchedule, "of", classmethod(lambda cls, lu: None))
     with pytest.raises(RuntimeError, match="schedule"):
         GroundedFactor(build_laplacian(generate_ws(200, 4, 0.1, seed=2)), 5)
 
