@@ -75,7 +75,7 @@ def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
     R_v = sum_u R_uv = n M_vv - 2 (M 1)_v + tr(M), for diag(M) from
     GroundedFactor.diagonal and M 1 from one solve: the right-hand side
     1 - n e_0 sums to zero, and its grounded part is 1, so the solve gives
-    M 1 less its mean, and M 1 is zero at node 0.
+    M 1, zero at node 0.
     """
     _require_two_nodes(g.n)
     factor = _grounded_factor(g, 0)
@@ -83,7 +83,6 @@ def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
     rhs = np.ones((g.n, 1))
     rhs[0] = 1.0 - g.n
     sums = factor.solve(rhs)[:, 0]
-    sums -= sums[0]
     scores = g.n / (g.n * diag - 2.0 * sums + diag.sum())
     order = np.argsort(-scores, kind="stable")
     ranked: list[CentralityScore] = []

@@ -345,11 +345,11 @@ class _Target:
 
 def _oracle_trace(target: _Target, k: int) -> GreedyTrace:
     """Brute-force optimum, replayed as an insertion trace for uniform output."""
-    g, v, candidates = target.g, target.v, target.candidates
-    edges, _ = brute_force_optimum(g, v, candidates, k, m=target.m)
-    chosen_others = {u if w == v else w for u, w in edges}
-    picked = sorted((c for c in candidates if c.other in chosen_others), key=lambda c: c.other)
-    return _rank1_trace(g, v, target.m, picked, len(picked), "oracle", 0, by_gain=False)
+    g, v = target.g, target.v
+    edges, _ = brute_force_optimum(g, v, target.candidates, k, m=target.m)
+    others = np.array(sorted(u if w == v else w for u, w in edges), dtype=np.int64)
+    weights = np.full(len(others), float(target.weight))
+    return _rank1_trace(g, v, target.m, others, weights, len(others), "oracle", 0, by_gain=False)
 
 
 def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> GreedyTrace:

@@ -19,8 +19,10 @@ graph. The approximate greedy solves with a sparse factor of the same
 matrix, reads its initial R_v from the factor's diagonal, and takes each
 accepted edge's drop from one more solve on it.
 
-All optimizers consume an explicit candidate list and return a GreedyTrace
-holding the chosen edges and the per-step resistance/centrality trajectory.
+All optimizers take an explicit list of CandidateEdge, checked once into
+two arrays that every loop reads, the other endpoints and the weights
+(_checked), and return a GreedyTrace holding the chosen edges and the
+per-step resistance/centrality trajectory.
 Randomized components draw every bit of randomness from the seed they are
 handed, so repeated runs are bit-identical.
 """
@@ -78,6 +80,10 @@ _RESCORE_RTOL = 1e-9
 # stays in cache: ten rounds at a leaf of a 2,000-leaf star, 1,998 ties
 # each, took 0.16 s against 0.25 s with blocks of 256 (one BLAS thread).
 _RESCORE_BLOCK = 32
+
+
+# A checked candidate set: its other endpoints (int64) and weights (float64).
+Checked = tuple[np.ndarray, np.ndarray]
 
 
 class CandidateEdge(NamedTuple):
@@ -171,42 +177,47 @@ def default_candidates(g: Graph, v: int, weight: float = 1.0) -> list[CandidateE
     return [CandidateEdge(u, v, weight) for u in range(g.n) if u not in taken]
 
 
-def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> list[CandidateEdge]:
-    """The candidates, checked by _checked, for choosing k of them, in
-    ascending other endpoint: taking the first of the tied best gains then
+def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> Checked:
+    """The candidates, checked by _checked, for choosing k of them, sorted
+    by other endpoint: taking the first of the tied best gains then
     realizes the global lexicographic edge tie-break."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > len(candidates):
         raise ValueError(f"k={k} exceeds the {len(candidates)} available candidates")
-    return sorted(_checked(g, v, candidates), key=lambda c: c.other)
+    others, weights = _checked(g, v, candidates)
+    order = np.argsort(others)
+    return others[order], weights[order]
 
 
-def _checked(g: Graph, v: int, candidates: Sequence[CandidateEdge]) -> list[CandidateEdge]:
-    """The candidates in their order, as exact ints and floats, once each
-    is checked to be a new edge (other, v) of positive finite weight, with
-    no other endpoint twice."""
+def _checked(g: Graph, v: int, candidates: Sequence[CandidateEdge]) -> Checked:
+    """The candidates' other endpoints (int64) and weights (float64), in
+    their order, once each is checked to be a new edge (other, v) of
+    positive finite weight, with no other endpoint twice. Every check runs
+    on the whole arrays; the first faulty candidate raises the message of
+    the first check it fails, in the order below."""
     if not 0 <= v < g.n:
         raise ValueError(f"node id {v} out of range for n={g.n}")
-    seen: set[int] = set()
-    out = []
-    for c in candidates:
-        c = CandidateEdge(int(c.other), int(c.target), float(c.weight))
-        if c.target != v:
-            raise ValueError(f"candidate {c} does not target node {v}")
-        if c.other == v:
-            raise ValueError("candidate would form a self-loop")
-        if not 0 <= c.other < g.n:
-            raise ValueError(f"candidate endpoint {c.other} out of range")
-        if g.has_edge(c.other, v):
-            raise ValueError(f"candidate ({c.other}, {v}) already exists in the graph")
-        if c.other in seen:
-            raise ValueError(f"duplicate candidate endpoint {c.other}")
-        if c.weight <= 0.0 or not math.isfinite(c.weight):
-            raise ValueError("candidate weight must be positive and finite")
-        seen.add(c.other)
-        out.append(c)
-    return out
+    columns = tuple(zip(*candidates)) or ((), (), ())  # NumPy reads a flat tuple fast
+    others, targets = (np.array(column, dtype=np.int64) for column in columns[:2])
+    weights = np.array(columns[2], dtype=np.float64)
+    repeated = np.ones(len(others), dtype=bool)
+    repeated[np.unique(others, return_index=True)[1]] = False  # not an earlier candidate's other
+    checks = (
+        (targets != v, "candidate {c} does not target node {v}"),
+        (others == v, "candidate would form a self-loop"),
+        ((others < 0) | (others >= g.n), "candidate endpoint {u} out of range"),
+        (np.isin(others, g.neighbors(v)), "candidate ({u}, {v}) already exists in the graph"),
+        (repeated, "duplicate candidate endpoint {u}"),
+        (~(weights > 0.0) | ~np.isfinite(weights), "candidate weight must be positive and finite"),
+    )
+    failed = np.array([mask for mask, _ in checks])
+    faulty = np.flatnonzero(failed.any(axis=0))
+    if faulty.size:
+        i, u = faulty[0], int(others[faulty[0]])
+        c = CandidateEdge(u, int(targets[i]), float(weights[i]))
+        raise ValueError(checks[int(np.argmax(failed[:, i]))][1].format(c=c, u=u, v=v))
+    return others, weights
 
 
 def _exact_gains(
@@ -224,8 +235,8 @@ def exact_sm(
     """Exact greedy: k rounds of best-marginal-gain selection (_rank1_trace)
     on the grounded inverse m, O(n^3 + k n^2). The selection is within a
     (1 - 1/e) factor of the optimal reduction."""
-    live = _check_candidates(g, v, candidates, k)
-    return _rank1_trace(g, v, m, live, k, "exact", 0, by_gain=True)
+    others, weights = _check_candidates(g, v, candidates, k)
+    return _rank1_trace(g, v, m, others, weights, k, "exact", 0, by_gain=True)
 
 
 class VReffResult(NamedTuple):
@@ -240,7 +251,8 @@ class VReffResult(NamedTuple):
 def _vreff_comp_full(
     g: Graph,
     v: int,
-    candidates: Sequence[CandidateEdge],
+    others: np.ndarray,
+    weights: np.ndarray,
     epsilon: float,
     spec: SolverSpec,
     *,
@@ -249,8 +261,9 @@ def _vreff_comp_full(
     sketch_constant: float = 24.0,
     factor: GroundedFactor,
 ) -> VReffResult:
-    """One round of estimates on g, whose Laplacian is lap. factor, a
-    GroundedFactor of lap at v, serves every solve of the round."""
+    """Estimates for the edges (others[i], v) at weights[i] on g, whose
+    Laplacian is lap; factor, a GroundedFactor of lap at v, serves every
+    solve of the round."""
     n = g.n
     tol1 = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
     tol2 = solver_tolerance(spec, epsilon, n, g.w_max, power=9)
@@ -258,10 +271,8 @@ def _vreff_comp_full(
     m_literal = math.ceil(432.0 * epsilon**-2 * math.log(2.0 * n))
     m_used = m_literal if m_cap is None else min(m_literal, int(m_cap))
 
-    if not len(candidates):
+    if not len(others):
         return VReffResult(np.zeros(0), m_literal, m_used)
-    others = np.array([c.other for c in candidates], dtype=np.int64)
-    weights = np.array([c.weight for c in candidates], dtype=np.float64)
 
     # (1/M) sum_i (b_e^T y_i)^2 accumulated blockwise
     t_sums, _ = _rademacher_block_solve(
@@ -275,10 +286,9 @@ def _vreff_comp_full(
     x = _verified_solve(lap, rhs, tol2, factor.solve)[:, 0]
     x -= x.mean()
 
-    pairs = [(c.other, v) for c in candidates]
-    r_hat = approx_eff_res(
+    r_vec = approx_eff_res(
         g,
-        pairs,
+        np.column_stack((others, np.full_like(others, v))),
         epsilon / 3.0,
         seed=child_seed(spec.seed, 11),
         spec=spec,
@@ -286,7 +296,6 @@ def _vreff_comp_full(
         solve=factor.solve,
         lap=lap,
     )
-    r_vec = np.array([r_hat[pair] for pair in pairs], dtype=np.float64)
 
     alpha = (x[others] - x[v]) ** 2
     gains = weights * (n * alpha + t_sums / m_used) / (1.0 + weights * r_vec)
@@ -316,15 +325,16 @@ def vreff_comp(
     if not 0.0 < epsilon <= 1.5:
         raise ValueError("epsilon must be in (0, 3/2]")
     spec = spec or SolverSpec()
-    live = _check_candidates(g, v, candidates, 0)
+    others, weights = _check_candidates(g, v, candidates, 0)
     _require_two_nodes(g.n)
     lap = build_laplacian(g)
     _require_connected(lap, "gain estimation")
     gains = _vreff_comp_full(
-        g, v, live, epsilon, spec, lap=lap, m_cap=m_cap, sketch_constant=sketch_constant,
+        g, v, others, weights, epsilon, spec, lap=lap, m_cap=m_cap, sketch_constant=sketch_constant,
         factor=GroundedFactor(lap, v),
     ).gains
-    return [GainEstimate(c, float(gain)) for c, gain in zip(live, gains)]
+    items = zip(others.tolist(), weights.tolist(), gains.tolist())
+    return [GainEstimate(CandidateEdge(u, int(v), w), gain) for u, w, gain in items]
 
 
 def approxi_sm(
@@ -359,7 +369,7 @@ def approxi_sm(
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must be in (0, 1/2]")
     spec = spec or SolverSpec()
-    live = _check_candidates(g, v, candidates, k)
+    others, weights = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
     lap = build_laplacian(g)
     _require_connected(lap, "approximate greedy")
@@ -374,16 +384,16 @@ def approxi_sm(
             lap = build_laplacian(working)
         round_spec = replace(spec, seed=child_seed(spec.seed, 20, round_idx))
         result = _vreff_comp_full(
-            working, v, live, 3.0 * epsilon, round_spec,
+            working, v, others, weights, 3.0 * epsilon, round_spec,
             lap=lap, m_cap=m_cap, sketch_constant=sketch_constant, factor=factor,
         )
         best = int(np.argmax(result.gains))
-        chosen = live.pop(best)
-        u, w = chosen.other, chosen.weight
+        u, w = int(others[best]), float(weights[best])
+        others, weights = np.delete(others, best), np.delete(weights, best)
         rhs = np.zeros((g.n, 1))
         rhs[u], rhs[v] = 1.0, -1.0
+        # the grounded solution, zero at v, is M e_u, so x[u] = M_uu
         x = _verified_solve(lap, rhs, _DROP_TOLERANCE, factor.solve)[:, 0]
-        x -= x[v]  # the grounded solution: M e_u off row v, so x[u] = M_uu
         r = r_prev - factor.add(u, w, x)
         working = working.with_edges([(u, v, w)])
         times.append(time.perf_counter() - started)
@@ -415,22 +425,21 @@ def baseline_select(
     Ties fall back to ascending node id. The trace still records exact R_v
     per step, from m as insertion_trace takes it.
     """
-    live = _check_candidates(g, v, candidates, k)
+    others, weights = _check_candidates(g, v, candidates, k)
     if strategy not in BASELINE_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {BASELINE_STRATEGIES}")
     if strategy == "random":
-        rng = seeded_rng(seed, 30)
-        order = rng.permutation(len(live))
-        picked = [live[int(j)] for j in order[:k]]
-    elif strategy == "top-degree":
-        picked = sorted(live, key=lambda c: (-g.degree(c.other), c.other))[:k]
-    else:
-        if ranking is None:
-            ranking = rank_all_by_centrality(g)
-        position = {score.node: rank for rank, score in enumerate(ranking)}
-        picked = sorted(live, key=lambda c: (position[c.other], c.other))[:k]
-
-    return _rank1_trace(g, v, m, picked, k, strategy, seed, by_gain=False)
+        order = seeded_rng(seed, 30).permutation(len(others))
+    else:  # by a key over the nodes, ties to the ascending id
+        if strategy == "top-degree":
+            key = -np.bincount(np.concatenate(g.edge_arrays[:2]), minlength=g.n)
+        else:
+            ranking = rank_all_by_centrality(g) if ranking is None else ranking
+            key = np.full(g.n, g.n)
+            key[[score.node for score in ranking]] = np.arange(len(ranking))
+        order = np.lexsort((others, key[others]))
+    picked = order[:k]
+    return _rank1_trace(g, v, m, others[picked], weights[picked], k, strategy, seed, by_gain=False)
 
 
 def _grounded_m(g: Graph, v: int, m: np.ndarray | None) -> np.ndarray:
@@ -455,17 +464,17 @@ def insertion_trace(
     """Trace from inserting a fixed candidate sequence in the given order,
     each checked as _check_candidates does, with exact per-step values from
     the grounded inverse m (_rank1_trace)."""
-    picked = _checked(g, v, picked)
-    return _rank1_trace(g, v, m, picked, len(picked), algorithm, seed, by_gain=False)
+    others, weights = _checked(g, v, picked)
+    return _rank1_trace(g, v, m, others, weights, len(others), algorithm, seed, by_gain=False)
 
 
 def _rank1_trace(
-    g: Graph, v: int, m: np.ndarray | None, candidates: Sequence[CandidateEdge], k: int,
+    g: Graph, v: int, m: np.ndarray | None, others: np.ndarray, weights: np.ndarray, k: int,
     algorithm: str, seed: int, *, by_gain: bool,
 ) -> GreedyTrace:
-    """k insertions from candidates: by_gain, each round takes the first
-    remaining candidate within _TIE_RTOL of the best gain; otherwise,
-    candidates in order. Each step's gain is its realized drop.
+    """k insertions of the edges (others[i], v) at weights[i]: each round
+    takes the first remaining one, by_gain the first within _TIE_RTOL of the
+    best gain. Each step's gain is its realized drop.
 
     m, the grounded inverse M at v (computed here when None), is only
     read: the accepted edges' corrections c stay as the columns of W (see
@@ -477,18 +486,16 @@ def _rank1_trace(
     """
     _require_two_nodes(g.n)
     m = _grounded_m(g, v, m)
-    live = list(candidates)
     r0 = r = float(np.trace(m))
     corrections = np.empty((m.shape[0], k), order="F")
     if by_gain:
         sq_norms, diag = np.einsum("ij,ij->j", m, m), m.diagonal().copy()
-        others = np.array([c.other for c in live], dtype=np.int64)
-        weights = np.array([c.weight for c in live])
     steps: list[TraceStep] = []
     times: list[float] = []
     for round_idx in range(k):
         started = time.perf_counter()
         done = corrections[:, :round_idx]
+        best = 0
         if by_gain:
             gains = _exact_gains(sq_norms, diag, others, weights)
             near = np.flatnonzero(gains >= gains.max() * (1.0 - _RESCORE_RTOL))
@@ -496,19 +503,16 @@ def _rank1_trace(
                 drops = _drops(m, done, others[near], weights[near])
                 near = near[drops >= drops.max() * (1.0 - _TIE_RTOL)]
             best = int(near[0])
-            chosen = live.pop(best)
-            others, weights = np.delete(others, best), np.delete(weights, best)
-        else:
-            chosen = live[round_idx]
-        c = corrections[:, round_idx] = _correction(m, done, chosen)
+        u, w = int(others[best]), float(weights[best])
+        others, weights = np.delete(others, best), np.delete(weights, best)
+        c = corrections[:, round_idx] = _correction(m, done, u, w)
         drop = float(c @ c)
         if by_gain:
             sq_norms -= c * (2.0 * (m @ c - done @ (done.T @ c)) - drop * c)
             diag -= c * c
         r -= drop
         times.append(time.perf_counter() - started)
-        edge = (min(chosen.other, v), max(chosen.other, v))
-        steps.append(TraceStep(edge, chosen.weight, drop, r, g.n / r))
+        steps.append(TraceStep((min(u, v), max(u, v)), w, drop, r, g.n / r))
     return GreedyTrace(algorithm, v, seed, r0, g.n / r0, tuple(steps), tuple(times))
 
 
@@ -527,13 +531,12 @@ def _drops(m: np.ndarray, done: np.ndarray, others: np.ndarray, weights: np.ndar
     return drops
 
 
-def _correction(m: np.ndarray, done: np.ndarray, chosen: CandidateEdge) -> np.ndarray:
+def _correction(m: np.ndarray, done: np.ndarray, u: int, w: float) -> np.ndarray:
     """c = sqrt(w / (1 + w M_uu)) M e_u for inserting (u, v, w) into the
     current grounded inverse M = m - W W^T, W the earlier corrections done:
     M - c c^T is the inverse after it, and ||c||^2 is its R_v drop."""
-    u = chosen.other
     col = m[:, u] - done @ done[u]
-    return col * math.sqrt(chosen.weight / (1.0 + chosen.weight * col[u]))
+    return col * math.sqrt(w / (1.0 + w * col[u]))
 
 
 def brute_force_optimum(
@@ -563,21 +566,21 @@ def brute_force_optimum(
     star where every subset ties, the batched values stand. Guarded to
     C(|candidates|, k) <= 1e6 subsets.
     """
-    live = _check_candidates(g, v, candidates, k)
+    others, weights = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
-    total = math.comb(len(live), k)
+    p = len(others)
+    total = math.comb(p, k)
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
     m = _grounded_m(g, v, m)
     r0 = float(np.trace(m))
-    others = np.array([c.other for c in live], dtype=np.int64)
-    inv_weights = np.array([1.0 / c.weight for c in live])
+    inv_weights = 1.0 / weights
     m_cols = m[:, others]
     m_block, m2_block = m_cols[others], m_cols.T @ m_cols
     diag = np.arange(k)
     resistances = np.empty(total)
-    subsets = combinations(range(len(live)), k)
+    subsets = combinations(range(p), k)
     done = 0
     while chunk := list(islice(subsets, _BRUTE_FORCE_CHUNK)):
         idx = np.array(chunk, dtype=np.int64)
@@ -591,21 +594,21 @@ def brute_force_optimum(
     least = resistances.min()
     if 2.0 * _BATCH_ROUNDOFF * r0 <= _TIE_RTOL * least:
         best = int(np.flatnonzero(resistances <= least * (1.0 + _TIE_RTOL))[0])
-        subset, value = next(islice(combinations(live, k), best, None)), resistances[best]
+        subset, value = next(islice(combinations(range(p), k), best, None)), resistances[best]
     else:
         near = (resistances <= least * (1.0 + _RESCORE_RTOL)).tolist()
-        near_subsets = list(compress(combinations(live, k), near))
+        near_subsets = list(compress(combinations(range(p), k), near))
         base = grounded_laplacian(build_laplacian(g), v).toarray(order="F")
         rescored = np.empty(len(near_subsets))
         for i, near_subset in enumerate(near_subsets):
             grounded = base.copy(order="F")
-            for c in near_subset:
-                grounded[c.other, c.other] += c.weight
+            at = list(near_subset)
+            grounded[others[at], others[at]] += weights[at]
             t = _cholesky_inverse(grounded)
             t[v, v] = 0.0
             flat = t.ravel(order="K")
             rescored[i] = flat @ flat
         best = int(np.flatnonzero(rescored <= rescored.min() * (1.0 + _TIE_RTOL))[0])
         subset, value = near_subsets[best], rescored[best]
-    edges = tuple((min(c.other, v), max(c.other, v)) for c in subset)
+    edges = tuple((min(u, v), max(u, v)) for u in others[list(subset)].tolist())
     return edges, float(value)

@@ -173,8 +173,6 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     symmetric positive definite a, computed in a's storage when a is a
     Fortran-ordered float64 array. Raises LinAlgError when LAPACK reports
     a failure, which it does through its info code and not by raising."""
-    if a.shape[0] == 0:
-        return a
     c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK dpotrf info={info})")
@@ -381,7 +379,7 @@ class GroundedFactor:
     pivots (a threshold of 0; its default swaps rows of many weighted
     graphs' factors), so the factor is P A P^T = L D L^T: its solves run
     on a read-only _LevelSchedule, in node order, their row v zeroed, so
-    a solve against e_u - e_v gives M's column u less its mean; SuperLU's
+    a solve against e_u - e_v gives M's column u, row for row; SuperLU's
     own factor is released.
 
     Inserting an edge (u, v, w) only adds w to A's diagonal at u, so the
@@ -434,11 +432,10 @@ class GroundedFactor:
         return float(c @ c)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """pinv(L') r for an n x k block r of zero-sum columns, where L' is
-        the factored Laplacian plus every added edge: the grounded solution,
-        zero at v, with its column means removed. It is written into out
-        when given, an array of r's shape that does not overlap r."""
-        n = r.shape[0]
+        """M r for an n x k block r of zero-sum columns, M the grounded
+        inverse of the factored Laplacian L' plus every added edge: the
+        solution of L' x = r that is zero at v. It is written into out when
+        given, an array of r's shape that does not overlap r."""
         if out is None:
             out = np.empty_like(r)
         self._levels.solve(r, out)
@@ -449,7 +446,6 @@ class GroundedFactor:
             fixed = blas.dgemm(-1.0, coef, self._w, 1.0, out.T, trans_a=1, trans_b=1, overwrite_c=True)
             if not out.flags.c_contiguous:  # dgemm solved a copy
                 out[...] = fixed.T
-        out -= np.add.reduce(out, axis=0) / n  # the bits of out.mean(axis=0)
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -602,7 +598,7 @@ def _signed_incidence_transpose(g: Graph) -> sparse.csr_matrix:
 
 def approx_eff_res(
     g: Graph,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray | Sequence[tuple[int, int]],
     epsilon: float,
     *,
     seed: int = 0,
@@ -610,8 +606,9 @@ def approx_eff_res(
     sketch_constant: float = 24.0,
     solve=None,
     lap: sparse.csr_matrix | None = None,
-) -> dict[tuple[int, int], float]:
-    """Sketch-based effective-resistance estimates for the requested pairs.
+) -> np.ndarray:
+    """Sketch-based effective-resistance estimates, in pair order, for the
+    pairs, a (p, 2) array of node ids (a list of (u, v) tuples converts).
 
     Builds q = ceil(sketch_constant * ln(n) / epsilon^2) random +-1 signed
     aggregations of the weighted incidence structure, resolves each with one
@@ -627,11 +624,12 @@ def approx_eff_res(
         raise ValueError("epsilon must be in (0, 1/2]")
     spec = spec or SolverSpec()
     n = g.n
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"pair ({u}, {v}) out of range")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if outside.size:
+        raise ValueError("pair ({}, {}) out of range".format(*pairs[outside[0]].tolist()))
     if n == 1:
-        return {(u, v): 0.0 for u, v in pairs}
+        return np.zeros(len(pairs))
 
     if lap is None:
         lap = build_laplacian(g)
@@ -644,8 +642,7 @@ def approx_eff_res(
     # +-1, scaling inc_t once instead gives every product, hence every sum,
     # the same bits
     inc_t = _signed_incidence_transpose(g) * (1.0 / math.sqrt(q))
-    us = np.array([u for u, _ in pairs], dtype=np.int64)
-    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    us, vs = pairs[:, 0], pairs[:, 1]
     if vs.size and np.all(vs == vs[0]):
         vs = vs[:1]  # one shared endpoint, as the greedy's pairs have, broadcasts
 
@@ -659,7 +656,7 @@ def approx_eff_res(
     estimates, _ = _rademacher_block_solve(
         lap, seeded_rng(seed, 4), (g.m, q), sketch, tol, solve, us, vs,
     )
-    return {pair: float(est) for pair, est in zip(pairs, estimates)}
+    return estimates
 
 
 def solver_deviation_notes(spec: SolverSpec) -> list[str]:

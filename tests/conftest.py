@@ -35,13 +35,11 @@ def lollipop_graph(clique: int, path: int) -> Graph:
 
 def add_to_factor(factor, u: int, w: float) -> float:
     """factor.add(u, w, x) with x = M e_u from the factor's own solve of
-    e_u - e_v, grounded at v, as the approximate greedy's drop solve gives
-    it (less the residual check). Returns the R_v drop."""
+    e_u - e_v, zero at v, as the approximate greedy's drop solve gives it
+    (less the residual check). Returns the R_v drop."""
     rhs = np.zeros((factor.n, 1))
     rhs[u], rhs[factor.v] = 1.0, -1.0
-    x = factor.solve(rhs)[:, 0]
-    x -= x[factor.v]
-    return factor.add(u, w, x)
+    return factor.add(u, w, factor.solve(rhs)[:, 0])
 
 
 def counting_refine(monkeypatch) -> list[int]:

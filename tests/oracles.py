@@ -182,25 +182,25 @@ def brute_force_optimum_from_scratch(
     independent of the update-based optimizers. Guarded to
     C(|candidates|, k) <= 1e6 subsets.
     """
-    live = _check_candidates(g, v, candidates, k)
+    others, weights = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
     if not is_connected(g):
         raise ValueError("brute force requires a connected graph")
-    total = math.comb(len(live), k)
+    total = math.comb(len(others), k)
     if total > _BRUTE_FORCE_GUARD:
         raise ValueError(f"{total} subsets exceed the {_BRUTE_FORCE_GUARD} enumeration guard")
 
     base = build_laplacian(g).toarray()
     resistances = np.empty(total)
-    for i, subset in enumerate(combinations(live, k)):
+    for i, subset in enumerate(combinations(range(len(others)), k)):
         lap = base.copy()
-        for c in subset:
-            lap[c.other, c.other] += c.weight  # edge (other, v): only this entry survives grounding
+        for j in subset:
+            lap[others[j], others[j]] += weights[j]  # edge (other, v): only this entry survives grounding
         flat = _cholesky_inverse(_without(lap, v)).ravel(order="K")
         resistances[i] = flat @ flat
     best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
-    best_subset = next(islice(combinations(live, k), best, None))
-    edges = tuple((min(c.other, v), max(c.other, v)) for c in best_subset)
+    best_subset = next(islice(combinations(range(len(others)), k), best, None))
+    edges = tuple((min(int(others[j]), v), max(int(others[j]), v)) for j in best_subset)
     return edges, float(resistances[best])
 
 
@@ -211,7 +211,7 @@ def rademacher_reference(rng: np.random.Generator, shape) -> np.ndarray:
 
 def grounded_factor_solve_reference(lap: sparse.csr_matrix, v: int, r: np.ndarray) -> np.ndarray:
     """A GroundedFactor's solve(r) by np.delete of row v, a SuperLU solve
-    of the C-order result, np.insert of the zero row, and .mean.
+    of the C-order result, and np.insert of the zero row.
 
     lap is the Laplacian with every edge the factor added, factored here
     afresh with SuperLU's default pivot threshold, which swaps rows of some
@@ -221,9 +221,8 @@ def grounded_factor_solve_reference(lap: sparse.csr_matrix, v: int, r: np.ndarra
     lu = sparse.linalg.splu(
         lap[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
     )
-    out = np.empty_like(r)  # laid out as r is, as the means below are summed in its order
+    out = np.empty_like(r)  # laid out as r is
     out[...] = np.insert(lu.solve(np.delete(r, v, axis=0)), v, 0.0, axis=0)
-    out -= out.mean(axis=0, keepdims=True)
     return out
 
 

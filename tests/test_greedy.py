@@ -134,6 +134,25 @@ def test_exact_sm_validation():
         exact_sm(g, 0, [CandidateEdge(3, 1, 1.0)], 1)
     with pytest.raises(ValueError, match="duplicate"):
         exact_sm(g, 0, [CandidateEdge(2, 0, 1.0), CandidateEdge(2, 0, 2.0)], 1)
+    for other in (4, -1):
+        with pytest.raises(ValueError, match=f"^candidate endpoint {other} out of range$"):
+            exact_sm(g, 0, [CandidateEdge(other, 0, 1.0)], 1)
+    for weight in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^candidate weight must be positive and finite$"):
+            exact_sm(g, 0, [CandidateEdge(2, 0, weight)], 1)
+    # the first faulty candidate in the caller's order decides, not the
+    # order of the checks: the second's weight fails before the third's target
+    with pytest.raises(ValueError, match="^candidate weight must be positive and finite$"):
+        exact_sm(g, 0, [CandidateEdge(2, 0, 1.0), CandidateEdge(3, 0, -1.0), CandidateEdge(3, 1, 1.0)], 1)
+    # within one candidate the target check comes before the self-loop check
+    message = r"^candidate CandidateEdge\(other=0, target=1, weight=1\.0\) does not target node 0$"
+    with pytest.raises(ValueError, match=message):
+        exact_sm(g, 0, [CandidateEdge(0, 1, 1.0)], 1)
+    # a NumPy integer endpoint is checked, and reported, as an int
+    with pytest.raises(ValueError, match=r"^candidate \(1, 0\) already exists in the graph$"):
+        exact_sm(g, 0, [CandidateEdge(np.int64(1), 0, 1.0)], 1)
+    edges = exact_sm(g, 0, [CandidateEdge(np.int64(3), 0, 1.0)], 1).edges
+    assert edges == ((0, 3),) and type(edges[0][1]) is int
     disconnected = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(ValueError, match="connected"):
         exact_sm(disconnected, 0, [CandidateEdge(2, 0, 1.0)], 1)
@@ -243,8 +262,8 @@ def test_tie_rescoring_reads_the_correction_columns_drops():
     m = grounded_inverse(build_laplacian(g), v)
     done = np.empty((g.n, 4), order="F")
     for j in range(4):
-        done[:, j] = greedy._correction(m, done[:, :j], cands[j])
-    reference = [float(c @ c) for c in (greedy._correction(m, done, c) for c in cands[4:])]
+        done[:, j] = greedy._correction(m, done[:, :j], cands[j].other, cands[j].weight)
+    reference = [float(c @ c) for c in (greedy._correction(m, done, c.other, c.weight) for c in cands[4:])]
     assert len(reference) > greedy._RESCORE_BLOCK
     others = np.array([c.other for c in cands[4:]])
     weights = np.array([c.weight for c in cands[4:]])
@@ -459,12 +478,11 @@ def test_vreff_sample_budget_accounting():
     spec = SolverSpec(seed=4)
     lap = build_laplacian(g)
     factor = GroundedFactor(lap, 0)
-    full = _vreff_comp_full(g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap, factor=factor)
+    others, weights = np.array([2]), np.array([1.0])
+    full = _vreff_comp_full(g, 0, others, weights, 0.5, spec, lap=lap, factor=factor)
     assert full.m_literal == math.ceil(432.0 * 0.5**-2 * math.log(6.0))
     assert full.m_used == full.m_literal
-    capped = _vreff_comp_full(
-        g, 0, [CandidateEdge(2, 0, 1.0)], 0.5, spec, lap=lap, m_cap=64, factor=factor
-    )
+    capped = _vreff_comp_full(g, 0, others, weights, 0.5, spec, lap=lap, m_cap=64, factor=factor)
     assert capped.m_used == 64
     assert capped.m_literal == full.m_literal
 

@@ -286,7 +286,6 @@ def test_cholesky_inverse_raises_on_lapack_failure():
     # LAPACK reports a non-positive pivot through info; it must not pass
     with pytest.raises(np.linalg.LinAlgError, match="dpotrf info=2"):
         _cholesky_inverse(np.asfortranarray([[1.0, 2.0], [2.0, 1.0]]))
-    assert _cholesky_inverse(np.zeros((0, 0), order="F")).shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +385,8 @@ def test_verified_solve_matches_pseudoinverse_column():
     z = np.zeros((g.n, 1))
     z[4], z[11] = 1.0, -1.0
     y = _verified_solve(lap, z, 1e-12, _direct_solve(lap))
-    assert np.allclose(y, pinv @ z, atol=1e-9)
-    assert abs(y.mean()) < 1e-12
+    assert not y[0].any()  # the grounded solution, zero at the factor's node 0
+    assert np.allclose(_project_out_mean(y), pinv @ z, atol=1e-9)
 
 
 def test_verified_solve_zero_rhs():
@@ -426,7 +425,7 @@ def test_preconditioner_inverts_on_zero_sum_subspace():
     r = seeded_rng(2).normal(size=(g.n, 3))
     r -= r.mean(axis=0, keepdims=True)
     out = pre(r)
-    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    assert not out[0].any()  # the grounded solution, zero at the factor's node 0
     assert np.allclose(lap @ out, r, atol=1e-8)
 
 
@@ -452,7 +451,9 @@ def test_grounded_factor_tracks_pseudoinverse_across_additions(seed):
     added = []
     for j in range(len(picks) + 1):
         pinv = pseudoinverse(build_laplacian(g.with_edges(added)))
-        assert np.abs(factor.solve(centring) - pinv).max() <= 1e-10, f"after {j} additions"
+        # the solve is zero at v; centred, it is the pseudoinverse's column
+        solved = _project_out_mean(factor.solve(centring))
+        assert np.abs(solved - pinv).max() <= 1e-10, f"after {j} additions"
         if j < len(picks):
             u, w = int(picks[j]), float(rng.uniform(0.1, 5.0))
             drop = add_to_factor(factor, u, w)
@@ -629,14 +630,14 @@ def test_grounded_factor_diagonal_matches_the_dense_inverse(name, end):
     np.testing.assert_allclose(diag, ref, rtol=rtol, atol=0.0)
     assert diag.sum() == pytest.approx(ref.sum(), rel=rtol)
     # the dense inverse in the same layout: zero row and column v, the
-    # factor's solve against e_u - e_v, less its value at v, as column u
-    # (off by 3.5e-11 of the largest entry on the lollipop's far end)
+    # factor's solve against e_u - e_v, zero at v, as column u (off by
+    # 3.5e-11 of the largest entry on the lollipop's far end)
     m = grounded_inverse(lap, v)
     assert not m[v].any() and not m[:, v].any()
     unit = np.eye(g.n)
     unit[v] -= 1.0
     cols = factor.solve(unit)
-    cols -= cols[v]
+    assert not cols[v].any()
     assert np.abs(cols - m).max() <= rtol * np.abs(m).max()
     np.testing.assert_allclose(np.diag(m), diag, rtol=rtol, atol=0.0)
 
@@ -814,9 +815,11 @@ def test_verified_solve_keeps_direct_answers_that_pass(monkeypatch):
     reason="np.longdouble is float64 here, so the re-check is no stronger than the float64 check",
 )
 def test_long_double_recheck_accepts_what_the_float64_residual_misses(monkeypatch):
-    # on a clique with a 500-node path hanging off it, the float64 residual
-    # of many of the factor's unit solves misses 1e-12 by its own roundoff;
-    # in long double every one of them passes, with no refinement step
+    # on a clique with a 500-node path hanging off it, the factor's unit
+    # solves less their column means (still solutions, as L 1 = 0) have a
+    # float64 residual that, for many of them, misses 1e-12 by its own
+    # roundoff; in long double every one of them passes, with no refinement
+    # step
     refined = counting_refine(monkeypatch)
     g = lollipop_graph(30, 500)
     lap = build_laplacian(g)
@@ -824,14 +827,20 @@ def test_long_double_recheck_accepts_what_the_float64_residual_misses(monkeypatc
     rhs = np.zeros((g.n, g.n - 1))
     rhs[np.arange(1, g.n), np.arange(g.n - 1)] = 1.0
     rhs[0] = -1.0
-    direct = factor.solve(rhs)
+
+    def centred(r, out=None):
+        x = factor.solve(r, out)
+        x -= np.add.reduce(x, axis=0) / g.n
+        return x
+
+    direct = centred(rhs)
     res = np.linalg.norm(lap @ direct - rhs, axis=0)
     assert np.sum(res > 1e-12 * np.linalg.norm(rhs, axis=0)) > 100
     solves = []
 
     def solve(r, out=None):
         solves.append(r.shape[1])
-        return factor.solve(r, out)
+        return centred(r, out)
 
     x = _verified_solve(lap, rhs, 1e-12, solve)
     assert refined and solves == [g.n - 1]
@@ -913,14 +922,14 @@ def _in_eps_relation(est: float, truth: float, eps: float) -> bool:
 def test_sketch_single_edge():
     g = path_graph(2)
     est = approx_eff_res(g, [(0, 1)], 0.1, seed=0)
-    assert _in_eps_relation(est[(0, 1)], 1.0, 0.1)
+    assert _in_eps_relation(est[0], 1.0, 0.1)
 
 
 def test_sketch_path_endpoints():
     g = path_graph(3)
     est = approx_eff_res(g, [(0, 2), (0, 1)], 0.2, seed=0)
-    assert _in_eps_relation(est[(0, 2)], 2.0, 0.2)
-    assert _in_eps_relation(est[(0, 1)], 1.0, 0.2)
+    assert _in_eps_relation(est[0], 2.0, 0.2)
+    assert _in_eps_relation(est[1], 1.0, 0.2)
 
 
 def test_sketch_deterministic():
@@ -928,14 +937,14 @@ def test_sketch_deterministic():
     pairs = [(0, 5), (3, 9), (1, 1)]
     a = approx_eff_res(g, pairs, 0.25, seed=7)
     b = approx_eff_res(g, pairs, 0.25, seed=7)
-    assert a == b
+    assert np.array_equal(a, b)
     c = approx_eff_res(g, pairs, 0.25, seed=8)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_sketch_same_node_pair_is_zero():
     est = approx_eff_res(path_graph(3), [(1, 1)], 0.3, seed=0)
-    assert est[(1, 1)] == pytest.approx(0.0, abs=1e-18)
+    assert est[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_sketch_validation():
@@ -950,14 +959,14 @@ def test_sketch_validation():
 
 def test_sketch_trivial_graph():
     g = Graph.from_edges(1, [])
-    assert approx_eff_res(g, [(0, 0)], 0.3) == {(0, 0): 0.0}
+    assert approx_eff_res(g, [(0, 0)], 0.3).tolist() == [0.0]
 
 
 def test_sketch_accepts_the_callers_laplacian():
     g = random_connected_graph(45, n=18, weighted=True)
     pairs = [(0, 4), (2, 7), (9, 3)]
-    assert approx_eff_res(g, pairs, 0.3, seed=2, lap=build_laplacian(g)) == approx_eff_res(
-        g, pairs, 0.3, seed=2
+    assert np.array_equal(
+        approx_eff_res(g, pairs, 0.3, seed=2, lap=build_laplacian(g)), approx_eff_res(g, pairs, 0.3, seed=2)
     )
 
 
@@ -965,6 +974,6 @@ def test_sketch_accepts_shared_preconditioner():
     g = random_connected_graph(44, n=18, weighted=True)
     solve = _direct_solve(build_laplacian(g))
     pairs = [(0, 4), (2, 7)]
-    assert approx_eff_res(g, pairs, 0.3, seed=1, solve=solve) == approx_eff_res(
-        g, pairs, 0.3, seed=1
+    assert np.array_equal(
+        approx_eff_res(g, pairs, 0.3, seed=1, solve=solve), approx_eff_res(g, pairs, 0.3, seed=1)
     )
