@@ -2,17 +2,15 @@
 
 Everything downstream assumes the invariants enforced here: contiguous node
 ids 0..n-1, no self-loops, no duplicate edges, strictly positive weights.
+A graph holds its edges once, as three read-only arrays in canonical order.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -29,110 +27,115 @@ class ParseError(ValueError):
     """Unreadable or malformed edge-list input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with strictly positive edge weights.
 
-    Nodes are 0..n-1. Edges are stored canonically: u < v, lexicographically
-    sorted, no duplicates. Instances are immutable and safe to share;
-    augmentation goes through :meth:`with_edges`.
+    Nodes are 0..n-1. The edges are edge_arrays = (us, vs, ws): int64,
+    int64 and float64 arrays with us < vs, sorted by (u, v), no pair twice.
+    The arrays are made read-only, so instances are immutable and safe to
+    share; augmentation goes through :meth:`with_edges`.
     """
 
     n: int
-    edges: tuple[Edge, ...]
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        for a in self.edge_arrays:
+            a.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence]) -> "Graph":
         """Build a validated graph, canonicalizing edge orientation and order."""
         if n < 1:
             raise ValueError("graph needs at least one node")
-        canonical: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for item in edges:
-            edge = _canonical_edge(n, item)
-            key = edge[:2]
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canonical.append(edge)
-        canonical.sort()
-        return cls(n=n, edges=tuple(canonical))
+        return cls(n, _checked_edges(n, edges, np.zeros(0, dtype=np.int64))[1:])
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (u, v, w) tuples of int, int and float, in array order."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.edge_arrays[2].size
 
-    @cached_property
-    def adjacency(self) -> tuple[dict[int, float], ...]:
-        """Per-node mapping neighbor -> weight."""
-        adj: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        for u, v, w in self.edges:
-            adj[u][v] = w
-            adj[v][u] = w
-        return tuple(adj)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parallel (us, vs, ws) arrays over the canonical edge order."""
-        if not self.edges:
-            return (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.float64))
-        arr = np.asarray(self.edges, dtype=np.float64)
-        return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2].copy()
-
-    @cached_property
+    @property
     def w_max(self) -> float:
-        return max((w for _, _, w in self.edges), default=0.0)
+        return float(self.edge_arrays[2].max(initial=0.0))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[v]))
+        us, vs, _ = self.edge_arrays
+        # edges (u, v) hold v's smaller neighbors, edges (v, w) its larger ones
+        return tuple(us[vs == v].tolist() + vs[us == v].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return v in self.neighbors(u)
 
     def weight(self, u: int, v: int) -> float:
-        return self.adjacency[u][v]
+        us, vs, ws = self.edge_arrays
+        at = np.flatnonzero((us == min(u, v)) & (vs == max(u, v)))
+        if not at.size:
+            raise KeyError((u, v))
+        return float(ws[at[0]])
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edge_arrays)  # so copies and unpickled graphs are read-only too
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
 
     def with_edges(self, extra: Iterable[Sequence]) -> "Graph":
         """New graph with the extra (u, v, w) edges added; rejects duplicates.
 
         Equals Graph.from_edges(n, list(self.edges) + list(extra)), errors
-        included, but validates only the extra edges and merges them into
-        the sorted edge tuple by bisection.
+        included, but checks only the extra edges and inserts them into the
+        sorted arrays at their searchsorted positions.
         """
-        added: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for item in extra:
-            edge = _canonical_edge(self.n, item)
-            key = edge[:2]
-            at = bisect.bisect_left(self.edges, key)  # (u, v) sorts just before (u, v, w)
-            if key in seen or (at < len(self.edges) and self.edges[at][:2] == key):
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            added.append(edge)
-        added.sort()
-        pieces = []
-        start = 0
-        for edge in added:
-            at = bisect.bisect_left(self.edges, edge, start)
-            pieces += [self.edges[start:at], (edge,)]
-            start = at
-        pieces.append(self.edges[start:])
-        return Graph(n=self.n, edges=tuple(itertools.chain.from_iterable(pieces)))
+        us, vs, _ = self.edge_arrays
+        at, *added = _checked_edges(self.n, extra, us * self.n + vs)
+        return Graph(self.n, tuple(np.insert(a, at, b) for a, b in zip(self.edge_arrays, added)))
 
 
-def _canonical_edge(n: int, item: Sequence) -> Edge:
-    """One validated edge of an n-node graph as (u, v, w) with u < v."""
-    u, v, w = int(item[0]), int(item[1]), float(item[2])
-    if u == v:
-        raise ValueError(f"self-loop at node {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    if not np.isfinite(w) or w <= 0.0:
-        raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-    return (u, v, w) if u < v else (v, u, w)
+def _checked_edges(n: int, edges: Iterable[Sequence], existing: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (u, v, w) edges of an n-node graph, checked against each other and
+    against existing, the sorted keys u * n + v of the pairs already there:
+    their insertion points into existing, us < vs and ws, sorted by (u, v).
+    Every check runs on the whole arrays; the first faulty edge raises the
+    message of the first check it fails, in the order below."""
+    columns = tuple(zip(*edges)) or ((), (), ())  # NumPy reads a flat tuple fast
+    us, vs = (np.array(column, dtype=np.int64) for column in columns[:2])
+    ws = np.array(columns[2], dtype=np.float64)
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    in_range = (lo >= 0) & (hi < n)
+    keys = np.where(in_range, lo * n + hi, -1)  # one key per in-range pair
+    order = np.argsort(keys, kind="stable")  # a repeated pair's first entry sorts first
+    at = existing.searchsorted(keys)
+    repeated = np.append(existing, n * n)[at] == keys  # n * n is no pair's key
+    repeated[order[1:][np.diff(keys[order]) == 0]] = True
+    _raise_first_fault(
+        (
+            (us == vs, "self-loop at node {u}"),
+            (~in_range, "edge ({u}, {v}) out of range for n={n}"),
+            (~(ws > 0.0) | ~np.isfinite(ws), "edge ({u}, {v}) has non-positive weight {w}"),
+            (repeated, "duplicate edge {pair}"),
+        ),
+        lambda i: dict(u=int(us[i]), v=int(vs[i]), w=float(ws[i]), n=n, pair=(int(lo[i]), int(hi[i]))),
+    )
+    return at[order], lo[order], hi[order], ws[order]
+
+
+def _raise_first_fault(checks: Sequence[tuple[np.ndarray, str]], fields: Callable[[int], dict]) -> None:
+    """Raise ValueError for the first entry any check's mask flags, with the
+    message of the first check that flags it, formatted with fields(entry)."""
+    failed = np.array([mask for mask, _ in checks], dtype=bool)
+    faulty = np.flatnonzero(failed.any(axis=0))
+    if faulty.size:
+        i = int(faulty[0])
+        raise ValueError(checks[int(np.argmax(failed[:, i]))][1].format(**fields(i)))
 
 
 def component_labels(g: Graph) -> np.ndarray:
@@ -162,9 +165,10 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     sizes = np.bincount(labels)
     keep = int(np.argmax(sizes))  # first maximum: component with smallest ids
     orig_ids = np.flatnonzero(labels == keep).astype(np.int64)
-    new_id = {int(old): i for i, old in enumerate(orig_ids)}
-    edges = [(new_id[u], new_id[v], w) for u, v, w in g.edges if labels[u] == keep]
-    return Graph.from_edges(len(orig_ids), edges), orig_ids
+    new_id = np.cumsum(labels == keep) - 1  # increasing, so the edge order holds
+    us, vs, ws = g.edge_arrays
+    kept = labels[us] == keep
+    return Graph(len(orig_ids), (new_id[us[kept]], new_id[vs[kept]], ws[kept])), orig_ids
 
 
 def load_edge_list(path, weighted: bool = True) -> tuple[Graph, np.ndarray]:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .graphs import Graph
+from .graphs import Graph, _raise_first_fault
 from .linalg import (
     GroundedFactor,
     SolverSpec,
@@ -211,12 +211,8 @@ def _checked(g: Graph, v: int, candidates: Sequence[CandidateEdge]) -> Checked:
         (repeated, "duplicate candidate endpoint {u}"),
         (~(weights > 0.0) | ~np.isfinite(weights), "candidate weight must be positive and finite"),
     )
-    failed = np.array([mask for mask, _ in checks])
-    faulty = np.flatnonzero(failed.any(axis=0))
-    if faulty.size:
-        i, u = faulty[0], int(others[faulty[0]])
-        c = CandidateEdge(u, int(targets[i]), float(weights[i]))
-        raise ValueError(checks[int(np.argmax(failed[:, i]))][1].format(c=c, u=u, v=v))
+    _raise_first_fault(checks, lambda i: dict(
+        c=CandidateEdge(int(others[i]), int(targets[i]), float(weights[i])), u=int(others[i]), v=v))
     return others, weights
 
 
@@ -290,8 +286,7 @@ def _vreff_comp_full(
         g,
         np.column_stack((others, np.full_like(others, v))),
         epsilon / 3.0,
-        seed=child_seed(spec.seed, 11),
-        spec=spec,
+        spec=replace(spec, seed=child_seed(spec.seed, 11)),
         sketch_constant=sketch_constant,
         solve=factor.solve,
         lap=lap,

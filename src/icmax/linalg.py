@@ -601,7 +601,6 @@ def approx_eff_res(
     pairs: np.ndarray | Sequence[tuple[int, int]],
     epsilon: float,
     *,
-    seed: int = 0,
     spec: SolverSpec | None = None,
     sketch_constant: float = 24.0,
     solve=None,
@@ -611,10 +610,11 @@ def approx_eff_res(
     pairs, a (p, 2) array of node ids (a list of (u, v) tuples converts).
 
     Builds q = ceil(sketch_constant * ln(n) / epsilon^2) random +-1 signed
-    aggregations of the weighted incidence structure, resolves each with one
-    Laplacian solve, and reads R(u, v) off as the squared distance between
-    sketch columns u and v. With the default constant each estimate is an
-    epsilon-approximation of the true resistance with high probability.
+    aggregations of the weighted incidence structure, drawn from spec's
+    seed, resolves each with one Laplacian solve, and reads R(u, v) off as
+    the squared distance between sketch columns u and v. With the default
+    constant each estimate is an epsilon-approximation of the true
+    resistance with high probability.
     g must be connected. solve is a direct solve for g's Laplacian to share
     with other calls (default: a fresh factor); every solve is verified
     either way. lap is g's Laplacian when the caller already holds it, and
@@ -654,7 +654,7 @@ def approx_eff_res(
         return out
 
     estimates, _ = _rademacher_block_solve(
-        lap, seeded_rng(seed, 4), (g.m, q), sketch, tol, solve, us, vs,
+        lap, seeded_rng(spec.seed, 4), (g.m, q), sketch, tol, solve, us, vs,
     )
     return estimates
 

@@ -14,7 +14,8 @@ subset's grounded Laplacian from scratch instead of updating one factor.
 The last three are the block pipeline of the approximate greedy as first
 written, with fresh arrays at every step: the Rademacher draw, the
 grounded factor's solve by a fresh SuperLU factor of the graph with its
-added edges, and the block solve.
+added edges, and the block solve. Graph construction has its own
+reference: the per-edge check loop Graph.from_edges was first written as.
 """
 
 from __future__ import annotations
@@ -38,6 +39,36 @@ from icmax.linalg import (
     _require_dense,
     build_laplacian,
 )
+
+
+def graph_edges_reference(n: int, edges) -> tuple[tuple[int, int, float], ...]:
+    """The edges Graph.from_edges(n, edges) holds, checked one at a time:
+    (u, v, w) with u < v, sorted, or the ValueError of the first faulty
+    edge, at its first failed check."""
+    if n < 1:
+        raise ValueError("graph needs at least one node")
+    canonical = []
+    seen = set()
+    for item in edges:
+        edge = _canonical_edge(n, item)
+        key = edge[:2]
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        canonical.append(edge)
+    return tuple(sorted(canonical))
+
+
+def _canonical_edge(n: int, item: Sequence) -> tuple[int, int, float]:
+    """One checked edge of an n-node graph as (u, v, w) with u < v."""
+    u, v, w = int(item[0]), int(item[1]), float(item[2])
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    if not np.isfinite(w) or w <= 0.0:
+        raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+    return (u, v, w) if u < v else (v, u, w)
 
 
 def pseudoinverse(lap: sparse.csr_matrix) -> np.ndarray:

@@ -274,7 +274,7 @@ def test_criterion_07_randomized_estimators():
     true_r = {pair: resistance_pair(ph, *pair) for pair in pairs}
     sketch_hits = 0
     for run in range(100):
-        est = approx_eff_res(h, pairs, 0.2, seed=run)
+        est = approx_eff_res(h, pairs, 0.2, spec=SolverSpec(seed=run))
         sketch_hits += all(_in_eps(e, true_r[pair], 0.2) for e, pair in zip(est, pairs))
 
     record_acceptance(

@@ -1,5 +1,8 @@
 """Graph construction, parsing, components, and generators."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,10 @@ from icmax import (
     load_edge_list,
     write_edge_list,
 )
+from icmax.linalg import build_laplacian
 from icmax.rand import seeded_rng
 from conftest import path_graph, random_connected_graph
+from oracles import graph_edges_reference
 
 
 class TestGraphConstruction:
@@ -53,12 +58,23 @@ class TestGraphConstruction:
         assert p3.has_edge(0, 1) and p3.has_edge(1, 0)
         assert not p3.has_edge(0, 2)
         assert p3.weight(0, 1) == 1.0
+        with pytest.raises(KeyError):
+            p3.weight(0, 2)
         assert p3.w_max == 1.0
 
     def test_edge_arrays(self, p3):
         us, vs, ws = p3.edge_arrays
         assert us.tolist() == [0, 1] and vs.tolist() == [1, 2]
         assert ws.tolist() == [1.0, 1.0]
+
+    def test_edge_arrays_are_read_only(self, p3):
+        wider, _ = largest_connected_component(Graph.from_edges(5, [(0, 1, 1.0), (3, 4, 1.0), (2, 3, 1.0)]))
+        for g in (p3, p3.with_edges([(0, 2, 3.0)]), wider, copy.deepcopy(p3), pickle.loads(pickle.dumps(p3))):
+            for array in g.edge_arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 99
+        assert p3.edges == ((0, 1, 1.0), (1, 2, 1.0))
+        assert build_laplacian(p3).toarray()[0].tolist() == [1.0, -1.0, 0.0]
 
     def test_with_edges(self, p3):
         g2 = p3.with_edges([(0, 2, 3.0)])
@@ -93,16 +109,79 @@ def test_with_edges_equals_the_from_edges_rebuild():
         [(2, 1, 1.0)],
         [(0, 2, 1.0), (2, 0, 2.0)],
         [(0, 2, 1.0), (1, 1, 1.0)],
+        [(1, 0, 2.0), (0, 2, -1.0)],
+        [(2, 2, 0.0)],
+        [(0, 5, float("nan"))],
+        [(np.int64(2), np.int32(0), 1.0), (np.int64(1), np.uint8(2), 1.0)],
     ],
     ids=["self-loop", "out-of-range", "negative-id", "zero-weight", "nan-weight",
-         "existing-edge", "existing-last-edge", "repeated-extra", "second-extra-bad"],
+         "existing-edge", "existing-last-edge", "repeated-extra", "second-extra-bad",
+         "bad-weight-after-duplicate", "self-loop-bad-weight", "out-of-range-bad-weight",
+         "numpy-ids"],
 )
 def test_with_edges_errors_match_the_from_edges_rebuild(p3, extra):
-    with pytest.raises(ValueError) as rebuilt:
-        Graph.from_edges(p3.n, list(p3.edges) + extra)
-    with pytest.raises(ValueError) as merged:
-        p3.with_edges(extra)
-    assert str(merged.value) == str(rebuilt.value)
+    messages = []
+    for build in (
+        lambda: graph_edges_reference(p3.n, list(p3.edges) + extra),
+        lambda: Graph.from_edges(p3.n, list(p3.edges) + extra),
+        lambda: p3.with_edges(extra),
+        lambda: p3.with_edges(edge for edge in extra),  # a generator
+    ):
+        with pytest.raises(ValueError) as error:
+            build()
+        messages.append(str(error.value))
+    assert len(set(messages)) == 1, messages
+
+
+@st.composite
+def _edge_lists_with_faults(draw):
+    """(n, base, extra): distinct pairs in random orientation and order with
+    valid weights, split into base and extra, and up to three faulty edges
+    put into extra at random places."""
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    weight = st.floats(0.125, 8.0)
+    bad_weight = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    node = st.integers(0, n - 1)
+    edges = []
+    for u, v in pairs[: draw(st.integers(0, len(pairs)))]:
+        edges.append((v, u, draw(weight)) if draw(st.booleans()) else (u, v, draw(weight)))
+    split = draw(st.integers(0, len(edges)))
+    base, extra = edges[:split], edges[split:]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["self-loop", "out-of-range", "negative-id", "weight", "repeated"]))
+        u, w = draw(node), draw(weight | bad_weight)
+        if kind == "self-loop":
+            a, b = u, u
+        elif kind == "out-of-range":
+            a, b = u, n + draw(st.integers(0, 2))
+        elif kind == "negative-id":
+            a, b = u, -1 - draw(st.integers(0, 2))
+        elif kind == "weight":
+            a, b, w = u, draw(node), draw(bad_weight)
+        elif edges:  # a pair of base (already in the graph) or of extra
+            a, b, _ = draw(st.sampled_from(edges))
+        else:
+            continue
+        fault = (b, a, w) if draw(st.booleans()) else (a, b, w)
+        extra.insert(draw(st.integers(0, len(extra))), fault)
+    return n, base, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_lists_with_faults())
+def test_construction_matches_the_per_edge_reference(case):
+    n, base, extra = case
+
+    def outcome(build) -> str:
+        try:
+            return repr(build())  # repr tells int and float from NumPy scalars
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    expected = outcome(lambda: graph_edges_reference(n, base + extra))
+    assert outcome(lambda: Graph.from_edges(n, base + extra).edges) == expected
+    assert outcome(lambda: Graph.from_edges(n, base).with_edges(extra).edges) == expected
 
 
 class TestComponents:

@@ -921,13 +921,13 @@ def _in_eps_relation(est: float, truth: float, eps: float) -> bool:
 
 def test_sketch_single_edge():
     g = path_graph(2)
-    est = approx_eff_res(g, [(0, 1)], 0.1, seed=0)
+    est = approx_eff_res(g, [(0, 1)], 0.1, spec=SolverSpec(seed=0))
     assert _in_eps_relation(est[0], 1.0, 0.1)
 
 
 def test_sketch_path_endpoints():
     g = path_graph(3)
-    est = approx_eff_res(g, [(0, 2), (0, 1)], 0.2, seed=0)
+    est = approx_eff_res(g, [(0, 2), (0, 1)], 0.2, spec=SolverSpec(seed=0))
     assert _in_eps_relation(est[0], 2.0, 0.2)
     assert _in_eps_relation(est[1], 1.0, 0.2)
 
@@ -935,15 +935,15 @@ def test_sketch_path_endpoints():
 def test_sketch_deterministic():
     g = random_connected_graph(33, n=20, weighted=True)
     pairs = [(0, 5), (3, 9), (1, 1)]
-    a = approx_eff_res(g, pairs, 0.25, seed=7)
-    b = approx_eff_res(g, pairs, 0.25, seed=7)
+    a = approx_eff_res(g, pairs, 0.25, spec=SolverSpec(seed=7))
+    b = approx_eff_res(g, pairs, 0.25, spec=SolverSpec(seed=7))
     assert np.array_equal(a, b)
-    c = approx_eff_res(g, pairs, 0.25, seed=8)
+    c = approx_eff_res(g, pairs, 0.25, spec=SolverSpec(seed=8))
     assert not np.array_equal(a, c)
 
 
 def test_sketch_same_node_pair_is_zero():
-    est = approx_eff_res(path_graph(3), [(1, 1)], 0.3, seed=0)
+    est = approx_eff_res(path_graph(3), [(1, 1)], 0.3, spec=SolverSpec(seed=0))
     assert est[0] == pytest.approx(0.0, abs=1e-18)
 
 
@@ -965,8 +965,9 @@ def test_sketch_trivial_graph():
 def test_sketch_accepts_the_callers_laplacian():
     g = random_connected_graph(45, n=18, weighted=True)
     pairs = [(0, 4), (2, 7), (9, 3)]
+    spec = SolverSpec(seed=2)
     assert np.array_equal(
-        approx_eff_res(g, pairs, 0.3, seed=2, lap=build_laplacian(g)), approx_eff_res(g, pairs, 0.3, seed=2)
+        approx_eff_res(g, pairs, 0.3, spec=spec, lap=build_laplacian(g)), approx_eff_res(g, pairs, 0.3, spec=spec)
     )
 
 
@@ -974,6 +975,7 @@ def test_sketch_accepts_shared_preconditioner():
     g = random_connected_graph(44, n=18, weighted=True)
     solve = _direct_solve(build_laplacian(g))
     pairs = [(0, 4), (2, 7)]
+    spec = SolverSpec(seed=1)
     assert np.array_equal(
-        approx_eff_res(g, pairs, 0.3, seed=1, solve=solve), approx_eff_res(g, pairs, 0.3, seed=1)
+        approx_eff_res(g, pairs, 0.3, spec=spec, solve=solve), approx_eff_res(g, pairs, 0.3, spec=spec)
     )
