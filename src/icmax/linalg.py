@@ -5,26 +5,32 @@ one place: grounded_laplacian replaces v's row and column with e_v's, so
 an edge (u, v) only adds its weight at (u, u). Both routes invert that
 matrix and zero v's entry, so M, the grounded inverse, is n x n in node
 order with a zero row and column v, and node u is row u of every array.
-Dense: grounded_inverse forms M = T^T T from the inverse T of the
-grounded matrix's Cholesky factor, for the optimizers that read M;
-reground moves M to another ground node in place, at O(n^2) cost.
 Sparse: GroundedFactor solves level by level on a read-only schedule of
-the grounded factor, one CSR product per level of rows on the whole block
-of right-hand sides plus one dense triangle for the last separator, less
-the rank-1 corrections of the edges inserted at v since it was built. The
-forward half of that schedule, run on unit columns, gives diag(M), and so
-R_v = tr(M), to every consumer that needs only those. Verified solves
-apply the factor and check each column's residual; a column that misses
-is checked again in long double and refined on the factor. The
-Rademacher block solve and the sketch effective-resistance estimator run
-on them. The dense route is exact and O(n^3) and refuses graphs beyond
-DENSE_NODE_LIMIT nodes; larger ones go through the solver and estimators.
+the grounded matrix's sparse factor L D L^T, one CSR product per level
+of rows on the whole block of right-hand sides plus one dense triangle
+for the last separator, less the rank-1 corrections of the edges
+inserted at v since it was built. The forward half of that schedule, run
+on unit columns, gives T = D^-1/2 L^-1, the inverse triangle, whose
+squared column norms are diag(M), and so R_v = tr(M), for every consumer
+that needs only those. Each factor probes its own forward error once
+(GroundedFactor.forward_error); where the probe misses 1e-12, the values
+read from it are refined on it, with their residuals in long double.
+Dense: grounded_inverse forms M = T^T T from the same T by one LAPACK
+dlauum, with no dense factorization, for the optimizers that read M;
+reground moves M to another ground node in place, at O(n^2) cost.
+Verified solves apply the factor and check each column's residual; a
+column that misses is checked again in long double and refined on the
+factor. The Rademacher block solve and the sketch effective-resistance
+estimator run on them. The dense route is exact and O(n^3) and refuses
+graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the solver
+and estimators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,21 +51,37 @@ PAPER_LITERAL = "paper-literal"
 _TOLERANCE_FLOOR = 1e-14
 
 _BLOCK = 256
-_PANEL = 64  # columns per step of grounded_inverse's mirror copy and of reground, whose temporaries are _PANEL x n
+# Columns per step of _LevelSchedule.inverse's forward half, of the mirror
+# copy and the row permutation that follow it (_mirror_upper,
+# _to_node_order) and of reground, whose temporaries are _PANEL x n. At
+# n=5000 the forward half took 0.30 s on blocks of 64 columns with one
+# BLAS thread, against 0.44 s at 32 and 0.34 s at 256 (2.5 MB of block
+# against 10 MB).
+_PANEL = 64
+
+# Largest relative forward error that a factor's probe
+# (GroundedFactor.forward_error) may show before the values read from it
+# are refined on it (GroundedFactor.refine).
+_FORWARD_ERROR_TARGET = 1e-12
+# The probe's random columns, and the key of their stream (seeded_rng(0,
+# _PROBE_KEY)), which no other consumer draws.
+_PROBE_COLUMNS = 4
+_PROBE_KEY = 60
 
 
 class SolverConvergenceError(RuntimeError):
-    """A verified solve ended above its residual target: a column's
-    residual, evaluated in long double, still missed it, or was NaN,
-    after _REFINEMENT_STEPS steps of refinement on the factor (see
-    _verified_solve)."""
+    """A column still missed its target, or was NaN, after
+    _REFINEMENT_STEPS steps of refinement on the factor: a verified
+    solve's relative residual, evaluated in long double (see
+    _verified_solve), or a refined column's estimated forward error (see
+    GroundedFactor.refine)."""
 
-    def __init__(self, target: float, achieved: float, steps: int):
+    def __init__(self, target: float, achieved: float, steps: int, measure: str = "relative residual"):
         self.target = target
         self.achieved = achieved
         self.steps = steps
         super().__init__(
-            f"solver stopped after {steps} refinement steps at relative residual "
+            f"solver stopped after {steps} refinement steps at {measure} "
             f"{achieved:.3e} (target {target:.3e})"
         )
 
@@ -131,19 +153,31 @@ def grounded_laplacian(lap: sparse.csr_matrix, v: int) -> sparse.csr_matrix:
 
 def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     """The inverse M of the Laplacian grounded at v, n x n in node order
-    with an exactly zero row and column v, so R_v = tr(M): LAPACK dlauum
-    forms the lower triangle of T^T T in the storage of T = C^-1, for the
-    lower Cholesky factor C of grounded_laplacian(lap, v), it is added into
-    the zero upper one _PANEL columns at a time, and the 1 at (v, v) is
-    zeroed. M is exactly symmetric, in Fortran order."""
+    with an exactly zero row and column v, so R_v = tr(M), exactly
+    symmetric and in Fortran order.
+
+    It is read from the sparse factor of grounded_laplacian(lap, v): one
+    dense product of the factor's inverse triangle, with no dense
+    factorization (_LevelSchedule.inverse). Where the factor's probe
+    (GroundedFactor.forward_error) is above _FORWARD_ERROR_TARGET, every
+    column of M is refined on the factor (GroundedFactor.refine) and M is
+    made symmetric again from its upper triangle (_mirror_upper). The
+    factor is built, and probed, before the n x n array is allocated."""
     _require_dense(lap, "grounded inverse")
-    t = _cholesky_inverse(grounded_laplacian(lap, v).toarray(order="F"))
-    m, info = lapack.dlauum(t, lower=1, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular product failed (LAPACK dlauum info={info})")
-    for s in range(0, m.shape[0], _PANEL):
-        m[: s + _PANEL, s : s + _PANEL] += np.tril(m[s : s + _PANEL, : s + _PANEL], s - 1).T
-    m[v, v] = 0.0
+    if lap.shape[0] == 1:
+        return np.zeros((1, 1), order="F")  # v alone: its row and column are all of M
+    factor = GroundedFactor(lap, v)
+    refine = factor.forward_error > _FORWARD_ERROR_TARGET
+    m = factor._levels.inverse()
+    n = m.shape[0]
+    if refine:
+        for s in range(0, n, _BLOCK):
+            cols = m[:, s : s + _BLOCK]  # a view: refined in m's storage
+            unit = np.zeros(cols.shape)
+            unit[s + np.arange(unit.shape[1]), np.arange(unit.shape[1])] = 1.0
+            factor.refine(unit, cols)
+        _mirror_upper(m)
+    m[v, :] = m[:, v] = 0.0
     return m
 
 
@@ -350,6 +384,69 @@ class _LevelSchedule:
             diag[self._src[at]] = np.einsum("ij,i->j", below, inv_d[start:])
         return diag
 
+    def inverse(self) -> np.ndarray:
+        """A^-1, n x n in node order, exactly symmetric, in Fortran order.
+
+        In level order A^-1 is T^T T for T = D^-1/2 L^-1, lower triangular:
+        its columns are the forward half on the unit columns, _PANEL at a
+        time, each from its own position (as in diagonal), scaled by
+        D^-1/2 into a C-order array. That array's transpose is T^T, an
+        upper triangle in Fortran order, which LAPACK dlauum turns into the
+        upper triangle of T^T T in place; the upper triangle is copied into
+        the lower one (_mirror_upper), and the rows and columns are put in
+        node order (_to_node_order). One n x n array and an n x _PANEL
+        block are allocated, and the block is freed before the product."""
+        n = len(self._src)
+        t = np.empty((n, n))
+        inv_root = 1.0 / np.sqrt(self._d)
+        store = np.empty(n * min(n, _PANEL))
+        for s in range(0, n, _PANEL):
+            width = min(_PANEL, n - s)
+            y = store[: n * width].reshape(n, width)
+            y.fill(0.0)
+            y[s + np.arange(width), np.arange(width)] = 1.0
+            self._forward_half(y, s)
+            np.multiply(y[s:], inv_root[s:], out=t[s:, s : s + width])
+        del store, y
+        m, info = lapack.dlauum(t.T, lower=0, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular product failed (LAPACK dlauum info={info})")
+        _mirror_upper(m)
+        _to_node_order(m, self._back)
+        return m
+
+
+def _mirror_upper(m: np.ndarray) -> None:
+    """Copy the upper triangle of the square Fortran-order m into its
+    lower one, _PANEL columns at a time, so that m is exactly symmetric."""
+    for s in range(0, m.shape[0], _PANEL):
+        e = s + _PANEL
+        m[e:, s:e] = m[s:e, e:].T
+        m[s:e, s:e] = np.triu(m[s:e, s:e]) + np.triu(m[s:e, s:e], 1).T
+
+
+def _to_node_order(m: np.ndarray, back: np.ndarray) -> None:
+    """Replace the square Fortran-order m by m[back][:, back] in its own
+    storage: the rows of each _PANEL of columns through one n x _PANEL
+    temporary, then whole columns along the cycles of back, with only each
+    cycle's first column waiting in a spare array."""
+    for s in range(0, m.shape[0], _PANEL):
+        m[:, s : s + _PANEL] = m[back, s : s + _PANEL]
+    spare = np.empty(len(back))
+    placed = np.zeros(len(back), dtype=bool)
+    source = back.tolist()
+    for first in range(len(back)):
+        if placed[first]:
+            continue
+        spare[:] = m[:, first]
+        j = first
+        while (k := source[j]) != first:
+            m[:, j] = m[:, k]
+            placed[j] = True
+            j = k
+        m[:, j] = spare
+        placed[j] = True
+
 
 def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) -> bool:
     """Whether U = D L^T with D = diag(d), to _SYMMETRY_RTOL of U's largest
@@ -389,6 +486,17 @@ class GroundedFactor:
     y = A^-1 r less W coef, where coef_j = c_j^T r is
     s_j (y[u_j] - sum_{i<j} W[u_j, i] coef_i): one lower-triangular solve
     with tril(W[rows], -1) + diag(1/s), built up by add().
+
+    A factor measures its own accuracy once, on first use: the probe
+    (forward_error) estimates the relative forward error of the
+    schedule's solves from 4 random columns, at two more solves. Where it
+    is above _FORWARD_ERROR_TARGET (1e-12), as when the fill-reducing
+    order leaves a small last pivot, diagonal() and grounded_inverse refine
+    what they read from the factor (refine); elsewhere they read it as it
+    is. At n=5000 (ws5000, target 17) the probe reads 4.2e-14 and costs
+    4-7 ms; on a 500-node path hanging off a 30-node clique, grounded
+    at the path's far end, it reads 3.7e-11, where the forward half's
+    diagonal was off by 3.7e-11.
     """
 
     def __init__(self, lap: sparse.csr_matrix, v: int):
@@ -397,8 +505,9 @@ class GroundedFactor:
             raise ValueError(f"cannot ground node {v} of a {n}-node Laplacian")
         self.n = n
         self.v = v
+        self._grounded = grounded_laplacian(lap, v)  # A, for the residuals of refine
         lu = sparse.linalg.splu(
-            grounded_laplacian(lap, v).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            self._grounded.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
         self._levels = _LevelSchedule.of(lu)
@@ -451,10 +560,67 @@ class GroundedFactor:
     def diagonal(self) -> np.ndarray:
         """diag(M) of the current inverse M, in node order with zero at v:
         the schedule's diagonal less c o c for each correction c. Its sum
-        is R_v = tr(M)."""
-        diag = self._levels.diagonal(self.v)
+        is R_v = tr(M). Where the probe (forward_error) is above
+        _FORWARD_ERROR_TARGET, the schedule's diagonal is read from full
+        solves of the unit columns, _BLOCK at a time, each block refined
+        (refine), instead of from the forward half."""
+        n = self.n
+        if self.forward_error <= _FORWARD_ERROR_TARGET:
+            diag = self._levels.diagonal(self.v)
+        else:
+            diag = np.zeros(n)
+            others = np.delete(np.arange(n), self.v)
+            for s in range(0, n - 1, _BLOCK):
+                at = others[s : s + _BLOCK]
+                unit = np.zeros((n, len(at)))
+                unit[at, np.arange(len(at))] = 1.0
+                x = self._levels.solve(unit, np.empty_like(unit))
+                self.refine(unit, x)
+                diag[at] = x[at, np.arange(len(at))]
         diag -= np.einsum("ij,ij->i", self._w, self._w)
         return diag
+
+    @cached_property
+    def forward_error(self) -> float:
+        """The probe: an estimate of the schedule's relative forward error
+        in solving A x = b, measured once, on first use. _PROBE_COLUMNS
+        random columns b, from a stream that nothing else draws, are
+        solved, and the correction of one refinement step (refine's) stands
+        for each solution's error: the probe is the largest
+        ||correction|| / ||x|| over those columns."""
+        b = seeded_rng(0, _PROBE_KEY).standard_normal((self.n, _PROBE_COLUMNS))
+        x = self._levels.solve(b, np.empty_like(b))
+        return float(np.max(_norm_ratio(self._correction(b, x), x)))
+
+    def refine(self, b: np.ndarray, x: np.ndarray) -> None:
+        """Refine x, the schedule's solution of A x = b for an n x k block
+        b in node order, in x's storage: each step adds the correction
+        solve(b - A x), its residual evaluated in long double (iterative
+        refinement on the factor, Moler 1967). A step shrinks x's error by
+        about the probe's factor, so the error left after a correction d is
+        about forward_error ||d||; the steps end once that is within
+        _FORWARD_ERROR_TARGET of ||x|| in every column. Raises
+        SolverConvergenceError when _REFINEMENT_STEPS steps fall short, or
+        a column is NaN. Corrections added by add() are not applied: x is
+        the factored matrix's solution."""
+        for _ in range(_REFINEMENT_STEPS):
+            correction = self._correction(b, x)
+            x += correction
+            left = self.forward_error * float(np.max(_norm_ratio(correction, x)))
+            if left <= _FORWARD_ERROR_TARGET:
+                return
+        raise SolverConvergenceError(_FORWARD_ERROR_TARGET, left, _REFINEMENT_STEPS, "estimated forward error")
+
+    def _correction(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The schedule's solve of b - A x, that residual evaluated in long
+        double and rounded to float64."""
+        res = (b - self._grounded.astype(np.longdouble) @ x.astype(np.longdouble)).astype(np.float64)
+        return self._levels.solve(res, np.empty_like(res))
+
+
+def _norm_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_j|| / ||b_j|| for each column j (NaN where b_j is zero)."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a) / np.einsum("ij,ij->j", b, b))
 
 
 # Steps of refinement on the factor for a column whose residual misses its

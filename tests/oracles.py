@@ -188,16 +188,27 @@ def _without(a: np.ndarray, v: int) -> np.ndarray:
     return np.asfortranarray(a[np.ix_(keep, keep)])
 
 
-def grounded_inverse_reference(lap: sparse.csr_matrix, v: int) -> np.ndarray:
+def grounded_inverse_reference(lap: sparse.csr_matrix, v: int, *, refined: bool = False) -> np.ndarray:
     """Inverse of the Laplacian with v's row and column deleted, by
     cho_factor and cho_solve against the identity, without the triangular
-    inverse T, padded with a zero row and column at v."""
+    inverse T, padded with a zero row and column at v.
+
+    refined adds two steps of refinement on the same Cholesky factor, each
+    residual I - A X evaluated in long double, for the truth to about
+    float64's rounding: on lollipop(30, 500) at its path's end the Cholesky
+    solve alone is off by 1.8e-12 of the largest entry."""
     _require_dense(lap, "grounded inverse")
     n = lap.shape[0]
     factor = scipy.linalg.cho_factor(_without(lap.toarray(), v), lower=True, overwrite_a=True, check_finite=False)
     keep = np.arange(n) != v
+    x = scipy.linalg.cho_solve(factor, np.eye(n - 1), overwrite_b=True, check_finite=False)
+    if refined:
+        wide = lap[keep][:, keep].astype(np.longdouble)
+        for _ in range(2):
+            res = np.eye(n - 1, dtype=np.longdouble) - wide @ x.astype(np.longdouble)
+            x += scipy.linalg.cho_solve(factor, res.astype(np.float64), check_finite=False)
     inv = np.zeros((n, n), order="F")
-    inv[np.ix_(keep, keep)] = scipy.linalg.cho_solve(factor, np.eye(n - 1), overwrite_b=True, check_finite=False)
+    inv[np.ix_(keep, keep)] = x
     return inv
 
 

@@ -451,7 +451,7 @@ def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
     # exact and three baselines at every target share one grounded inverse,
     # regrounded from one target to the next, and every target shares one
     # ranking, which reads a sparse factor
-    factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
+    factors = _count_calls(monkeypatch, "grounded_inverse", icmax.linalg, icmax.greedy, icmax.cli)
     regrounds = _count_calls(monkeypatch, "reground", icmax.linalg, icmax.cli)
     rankings = _count_calls(
         monkeypatch, "rank_all_by_centrality", icmax.centrality, icmax.greedy, icmax.cli
@@ -488,25 +488,27 @@ def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
 )
 def test_optimize_factors_ws_baselines_densely_once(tmp_path, monkeypatch, extra):
     # approx's R_0 and the ranking read sparse factors: the run's one dense
-    # factorization is the exact greedy's and the baselines' grounded inverse
-    factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg)
+    # array is the exact greedy's and the baselines' grounded inverse, which
+    # is read from a sparse factor too, so no dense Cholesky runs
+    factors = _count_calls(monkeypatch, "grounded_inverse", icmax.linalg, icmax.greedy, icmax.cli)
+    dense = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg, icmax.greedy)
     config = Path(__file__).resolve().parents[1] / "configs" / "ws_baselines.cfg"
     assert main(["optimize", "--config", str(config), *extra, "--out", str(tmp_path)]) == 0
-    assert len(factors) == 1
+    assert (len(factors), len(dense)) == (1, 0)
 
 
 def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
-    # while exact_sm runs, the only dense factor alive is the run's one
+    # while exact_sm runs, the only dense inverse alive is the run's one
     # array, read-only and grounded at exact_sm's target
     made = []
     seen = []
-    original_inverse = icmax.linalg._cholesky_inverse
+    original_inverse = icmax.linalg.grounded_inverse
     original_exact = icmax.cli.exact_sm
 
-    def remembered(a):
-        t = original_inverse(a)
-        made.append(weakref.ref(t))
-        return t
+    def remembered(lap, v):
+        m = original_inverse(lap, v)
+        made.append(weakref.ref(m))
+        return m
 
     def exact_checked(g, v, *args, m, **kwargs):
         alive = [ref() for ref in made if ref() is not None]
@@ -517,7 +519,8 @@ def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
         seen.append(m)
         return original_exact(g, v, *args, m=m, **kwargs)
 
-    monkeypatch.setattr(icmax.linalg, "_cholesky_inverse", remembered)
+    for module in (icmax.linalg, icmax.greedy, icmax.cli):
+        monkeypatch.setattr(module, "grounded_inverse", remembered)
     monkeypatch.setattr(icmax.cli, "exact_sm", exact_checked)
     config = RunConfig(
         generate="ws 60 4 0.1", random_targets=3, k=2,
@@ -531,8 +534,10 @@ def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
 def test_optimize_oracle_shares_the_graphs_inverse(tmp_path, monkeypatch):
     # configs/karate_oracle.cfg: 20 targets, exact and the oracle, one M.
     # The oracle's near-tie rescoring calls _cholesky_inverse through
-    # greedy's own binding, once per near-tied subset it rescores
-    factors = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg, icmax.greedy)
+    # greedy's own binding, once per near-tied subset it rescores; M itself
+    # is read from a sparse factor, with no dense Cholesky
+    inverses = _count_calls(monkeypatch, "grounded_inverse", icmax.linalg, icmax.greedy, icmax.cli)
+    rescored = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg, icmax.greedy)
     root = Path(__file__).resolve().parents[1]
     config = _config_from_args(
         build_parser().parse_args([
@@ -543,7 +548,7 @@ def test_optimize_oracle_shares_the_graphs_inverse(tmp_path, monkeypatch):
     )
     assert (config.random_targets, config.algorithms) == (20, ("exact", "oracle"))
     cmd_optimize(config)
-    assert len(factors) == 1 + 3  # the shared M, then three rescored subsets
+    assert (len(inverses), len(rescored)) == (1, 3)  # the shared M; three rescored subsets
 
 
 def _selections_and_values(report: dict) -> tuple[dict, dict]:
@@ -671,13 +676,16 @@ def test_removed_solver_option_is_refused(tmp_path, capsys):
 
 def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
     # LAPACK reports failure through info, not by raising; the program must
-    # raise on it: in exact's dlauum and in the dpotrf every dense route runs
+    # raise on it: in the dlauum that every dense route runs (grounded_inverse
+    # reads M from a sparse factor, so none runs dpotrf; the oracle's
+    # rescoring checks dpotrf's info in _cholesky_inverse, which
+    # test_cholesky_inverse_raises_on_lapack_failure covers)
     import icmax.linalg as linalg_mod
 
     real = linalg_mod.lapack
     graph = write_path4(tmp_path)
     for algo, kernel, info in (
-        ("exact", "dlauum", 3), ("exact", "dpotrf", 2), ("top-degree", "dpotrf", 2), ("oracle", "dpotrf", 2),
+        ("exact", "dlauum", 3), ("top-degree", "dlauum", 3), ("oracle", "dlauum", 3),
     ):
         kernels = {name: getattr(real, name) for name in ("dpotrf", "dtrtri", "dlauum")}
         kernels[kernel] = lambda a, **kw: (a, info)

@@ -533,11 +533,11 @@ def test_approxi_sm_exact_trace_values_on_small_graphs():
     assert trace.algorithm == "approx"
     assert trace.seed == 5
     assert sorted(trace.edges) == [(0, 2), (0, 3)]
-    # against the dense route: approx's own values come from its sparse
-    # factor, as node_resistance_grounded's do
+    # against the dense Cholesky reference: approx's own values come from
+    # its sparse factor, as node_resistance_grounded's and grounded_inverse's do
     final = g.with_edges([(0, 2, 1.0), (0, 3, 1.0)])
     assert trace.final_resistance == pytest.approx(
-        np.trace(grounded_inverse(build_laplacian(final), 0)), abs=1e-10
+        np.trace(grounded_inverse_reference(build_laplacian(final), 0)), abs=1e-10
     )
 
 
@@ -565,7 +565,7 @@ def test_approxi_sm_initial_resistance_is_exact(make, v, k):
     g = make()
     trace = approxi_sm(g, v, default_candidates(g, v), k, 0.2, SolverSpec(seed=13), m_cap=16)
     assert trace.initial_resistance == pytest.approx(
-        np.trace(grounded_inverse(build_laplacian(g), v)), rel=1e-12
+        np.trace(grounded_inverse_reference(build_laplacian(g), v)), rel=1e-12
     )
     assert trace.initial_centrality == g.n / trace.initial_resistance
     resistances = [trace.initial_resistance] + [s.resistance for s in trace.steps]
@@ -612,7 +612,8 @@ def test_approxi_sm_needs_no_cg_resolve(monkeypatch):
 
 
 def test_approxi_sm_solves_twice_per_round_beside_its_blocks(monkeypatch):
-    # one round: the trace block (m_cap = 128 columns), one column against
+    # the factor's probe, once: 4 random columns, then their corrections.
+    # One round: the trace block (m_cap = 128 columns), one column against
     # e_v, the sketch's q = ceil(24 ln 60 / 0.3^2) = 1,092 columns in blocks
     # of 256, and one column for the accepted edge's drop, which is also
     # its correction of the factor
@@ -630,7 +631,7 @@ def test_approxi_sm_solves_twice_per_round_beside_its_blocks(monkeypatch):
     g = generate_ws(60, 4, 0.1, seed=3)
     k = 4
     approxi_sm(g, 7, default_candidates(g, 7), k, 0.3, SolverSpec(seed=2), m_cap=128)
-    assert widths == [128, 1, 256, 256, 256, 256, 68, 1] * k
+    assert widths == [4, 4] + [128, 1, 256, 256, 256, 256, 68, 1] * k
 
 
 @pytest.mark.skipif(
