@@ -7,12 +7,15 @@ matrix and zero v's entry, so M, the grounded inverse, is n x n in node
 order with a zero row and column v, and node u is row u of every array.
 Sparse: GroundedFactor solves level by level on a read-only schedule of
 the grounded matrix's sparse factor L D L^T, one CSR product per level
-of rows on the whole block of right-hand sides plus one dense triangle
-for the last separator, less the rank-1 corrections of the edges
-inserted at v since it was built. The forward half of that schedule, run
-on unit columns, gives T = D^-1/2 L^-1, the inverse triangle, whose
-squared column norms are diag(M), and so R_v = tr(M), for every consumer
-that needs only those. Each factor probes its own forward error once
+of rows on the whole block of right-hand sides plus one dense product
+with the inverse of the last separator's triangle, less the rank-1
+corrections of the edges inserted at v since it was built. The forward
+half of that schedule, run on unit columns, gives T = D^-1/2 L^-1, the
+inverse triangle, whose squared column norms are diag(M), and so
+R_v = tr(M); for every consumer that needs only those, diag(M) is read
+by parts, its sparse levels' rows from the forward half over those
+levels alone and the tail's rows from the backward half on the tail's
+unit columns. Each factor probes its own forward error once
 (GroundedFactor.forward_error); where the probe misses 1e-12, the values
 read from it are refined on it, with their residuals in long double.
 Dense: grounded_inverse forms M = T^T T from the same T by one LAPACK
@@ -54,9 +57,9 @@ _BLOCK = 256
 # Columns per step of _LevelSchedule.inverse's forward half, of the mirror
 # copy and the row permutation that follow it (_mirror_upper,
 # _to_node_order) and of reground, whose temporaries are _PANEL x n. At
-# n=5000 the forward half took 0.30 s on blocks of 64 columns with one
-# BLAS thread, against 0.44 s at 32 and 0.34 s at 256 (2.5 MB of block
-# against 10 MB).
+# n=5000 the forward half took 0.25 s on blocks of 64 columns with one
+# BLAS thread, against 0.30 s at 32 and 0.23 s at 128 and at 256 (2.5 MB
+# of block against 5 and 10 MB).
 _PANEL = 64
 
 # Largest relative forward error that a factor's probe
@@ -239,10 +242,14 @@ class _LevelSchedule:
     substitution with L^T is one per level in reverse, after scaling by
     D^-1 (Anderson and Saad 1989; Saltz 1990). The last levels that hold
     one row each, the ordering's final separator, form one dense unit
-    triangle solved by BLAS dtrsm, unless that triangle would hold more
-    entries than L: it is then mostly zeros, and its rows stay sparse
-    levels. Every product adds into the rows of the one array that holds
-    the solution in level order.
+    triangle, the tail, unless that triangle would hold more entries than
+    L: it is then mostly zeros, and its rows stay sparse levels. The tail
+    is inverted once, in its own storage (LAPACK dtrtri), and both halves
+    multiply by that inverse (BLAS dtrmm): at n=5000, on a 548-row tail
+    and 256 columns with one BLAS thread, 2.3-2.5 ms forward and 3.8-4.0
+    ms back, against 3.5-4.4 and 5.1-6.1 ms for triangular solves (dtrsm)
+    with the tail itself. Every product adds into the rows of the one
+    array that holds the solution in level order.
 
     The schedule pays a fixed cost per level, so against SuperLU's solve
     it loses on narrow blocks and wins on wide ones. With one BLAS thread,
@@ -304,6 +311,13 @@ class _LevelSchedule:
         in_tail = cols >= t0
         self._tail = np.zeros((n - t0, n - t0), order="F")
         self._tail[rows[in_tail] - t0, cols[in_tail] - t0] = vals[in_tail]
+        if t0 < n:
+            # the tail's inverse, in the tail's own storage; its stored
+            # diagonal stays zero, and every product with it (dtrmm, diag=1)
+            # takes the unit diagonal as given
+            _, info = lapack.dtrtri(self._tail, lower=1, unitdiag=1, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"triangular inverse failed (LAPACK dtrtri info={info})")
         # the sparse part, negated, so that each product adds -L y to its
         # rows; a level's block is a slice of the rows' pointers
         keep = ~in_tail
@@ -334,54 +348,73 @@ class _LevelSchedule:
         np.take(r, self._src, axis=0, out=y, mode="clip")
         self._forward_half(y)
         y /= self._d
-        t0 = self._t0
-        if t0 < n:
-            blas.dtrsm(1.0, self._tail, y[t0:].T, side=1, lower=1, trans_a=0, diag=1, overwrite_b=1)
-        idx, val = self._above
-        for s, e, ptr in self._backward:
-            csr_matvecs(e - s, n, k, ptr, idx, val, y, y[s:e])
+        self._backward_half(y)
         return np.take(y, self._back, axis=0, out=out, mode="clip")
 
     def _forward_half(self, y: np.ndarray, start: int = 0) -> None:
-        """y <- L^-1 y in y's storage, for an n x k block y in level order
-        whose rows before position start are zero. Those rows stay zero,
-        and so does every product that reads only them: the levels up to
-        start's, and the tail's rows before start."""
-        n, k = y.shape
+        """y <- L^-1 y in y's storage, for a block y in level order whose
+        rows before position start are zero. Those rows stay zero, and so
+        does every product that reads only them: the levels up to start's,
+        and the tail's rows before start (the trailing block of the tail's
+        inverse is the inverse of the tail's trailing block). y has n rows,
+        or only the t0 rows of the sparse levels: L^-1's leading t0 x t0
+        block is the inverse of L's, so the sparse levels alone give those
+        rows, and neither the tail's rows' product nor the tail runs."""
+        rows, k = y.shape
         # each product reads y's rows of other levels and adds into its own
         idx, val = self._below
         for s, e, ptr in self._forward:
-            if s > start:
-                csr_matvecs(e - s, n, k, ptr, idx, val, y, y[s:e])
-        # dtrsm solves the tail's rows in place as the Fortran-order y^T
+            if start < s < rows:
+                csr_matvecs(e - s, rows, k, ptr, idx, val, y, y[s:e])
+        # dtrmm multiplies the tail's rows in place as the Fortran-order y^T
         first = max(start, self._t0)
-        if first < n:
+        if first < rows:
             tail = self._tail[first - self._t0 :, first - self._t0 :]
-            blas.dtrsm(1.0, tail, y[first:].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+            blas.dtrmm(1.0, tail, y[first:].T, side=1, lower=1, trans_a=1, diag=1, overwrite_b=1)
+
+    def _backward_half(self, y: np.ndarray) -> None:
+        """y <- L^-T y in y's storage, for an n x k block y in level order:
+        the tail's rows by the transposed inverse triangle, then the sparse
+        levels in reverse, each product adding into its own rows."""
+        n, k = y.shape
+        t0 = self._t0
+        if t0 < n:
+            blas.dtrmm(1.0, self._tail, y[t0:].T, side=1, lower=1, trans_a=0, diag=1, overwrite_b=1)
+        idx, val = self._above
+        for s, e, ptr in self._backward:
+            csr_matvecs(e - s, n, k, ptr, idx, val, y, y[s:e])
 
     def diagonal(self, v: int) -> np.ndarray:
-        """diag(A^-1) in node order, but zero at node v, whose unit column
-        is not solved: the grounded inverse is zero there. A^-1 is
-        P^T L^-T D^-1 L^-1 P, so its diagonal holds the squared column
-        norms of D^-1/2 L^-1: the forward half on the unit columns, _BLOCK
-        at a time, each block from the level of its first column (reading
-        part of a sparse inverse from its factor, Erisman and Tinney 1975)."""
-        n = len(self._src)
-        diag = np.zeros(n)
+        """diag(A^-1) in node order, but zero at node v: the grounded
+        inverse is zero there. A^-1 is P^T L^-T D^-1 L^-1 P, so in level
+        order diag(A^-1)_p = sum_r (L^-1)_rp^2 / d_r, read from the factor
+        in two parts split at the tail (reading part of a sparse inverse
+        from its factor, Erisman and Tinney 1975):
+        - rows r in the sparse levels: the forward half over those levels
+          alone, on t0-row blocks of the sparse unit columns, _BLOCK at a
+          time, each block from the level of its first column; the tail's
+          unit columns have no such rows;
+        - rows r in the tail: row r of L^-1 is L^-T e_r, the backward half
+          on the tail's unit columns, _BLOCK at a time, whose squares,
+          weighted by 1/d_r, add into every p.
+        No block is larger than n x _BLOCK."""
+        n, t0 = len(self._src), self._t0
+        diag = np.zeros(n)  # in level order
         inv_d = 1.0 / self._d[:, 0]
-        positions = np.delete(np.arange(n), self._back[v])
-        store = np.empty(n * min(n - 1, _BLOCK))  # one array for every block
-        for b in range(0, n - 1, _BLOCK):
-            at = positions[b : b + _BLOCK]
-            start, width = int(at[0]), len(at)
-            y = store[: n * width].reshape(n, width)
-            y.fill(0.0)
-            y[at, np.arange(width)] = 1.0
-            self._forward_half(y, start)
-            below = np.square(y[start:], out=y[start:])
-            # einsum, not a BLAS product: threaded BLAS on these narrow
-            # products ran 10 times slower than one thread on 2 vCPUs
-            diag[self._src[at]] = np.einsum("ij,i->j", below, inv_d[start:])
+        store = np.empty(n * min(n, _BLOCK))  # one array for every block
+        # einsum, not a BLAS product: threaded BLAS on these narrow products
+        # ran 10 times slower than one thread on 2 vCPUs
+        for s in range(0, t0, _BLOCK):
+            y = _unit_block(store, t0, s, min(_BLOCK, t0 - s))
+            self._forward_half(y, s)
+            below = np.square(y[s:], out=y[s:])
+            diag[s : s + y.shape[1]] = np.einsum("ij,i->j", below, inv_d[s:t0])
+        for s in range(t0, n, _BLOCK):
+            y = _unit_block(store, n, s, min(_BLOCK, n - s))
+            self._backward_half(y)
+            diag += np.einsum("ij,j->i", np.square(y, out=y), inv_d[s : s + y.shape[1]])
+        diag = diag[self._back]
+        diag[v] = 0.0
         return diag
 
     def inverse(self) -> np.ndarray:
@@ -402,9 +435,7 @@ class _LevelSchedule:
         store = np.empty(n * min(n, _PANEL))
         for s in range(0, n, _PANEL):
             width = min(_PANEL, n - s)
-            y = store[: n * width].reshape(n, width)
-            y.fill(0.0)
-            y[s + np.arange(width), np.arange(width)] = 1.0
+            y = _unit_block(store, n, s, width)
             self._forward_half(y, s)
             np.multiply(y[s:], inv_root[s:], out=t[s:, s : s + width])
         del store, y
@@ -414,6 +445,15 @@ class _LevelSchedule:
         _mirror_upper(m)
         _to_node_order(m, self._back)
         return m
+
+
+def _unit_block(store: np.ndarray, rows: int, s: int, width: int) -> np.ndarray:
+    """The unit columns e_s to e_(s + width - 1), with rows entries each,
+    written into store's front as a C-order rows x width block."""
+    y = _prefix(store, rows, width)
+    y.fill(0.0)
+    y[s + np.arange(width), np.arange(width)] = 1.0
+    return y
 
 
 def _mirror_upper(m: np.ndarray) -> None:
@@ -495,8 +535,8 @@ class GroundedFactor:
     what they read from the factor (refine); elsewhere they read it as it
     is. At n=5000 (ws5000, target 17) the probe reads 4.2e-14 and costs
     4-7 ms; on a 500-node path hanging off a 30-node clique, grounded
-    at the path's far end, it reads 3.7e-11, where the forward half's
-    diagonal was off by 3.7e-11.
+    at the path's far end, it reads 3.7e-11, where the diagonal read by
+    parts, unrefined, was off by 3.7e-11.
     """
 
     def __init__(self, lap: sparse.csr_matrix, v: int):
@@ -563,7 +603,7 @@ class GroundedFactor:
         is R_v = tr(M). Where the probe (forward_error) is above
         _FORWARD_ERROR_TARGET, the schedule's diagonal is read from full
         solves of the unit columns, _BLOCK at a time, each block refined
-        (refine), instead of from the forward half."""
+        (refine), instead of by parts (_LevelSchedule.diagonal)."""
         n = self.n
         if self.forward_error <= _FORWARD_ERROR_TARGET:
             diag = self._levels.diagonal(self.v)

@@ -20,6 +20,7 @@ from icmax.linalg import (
     GroundedFactor,
     SolverConvergenceError,
     SolverSpec,
+    _BLOCK,
     _REFINEMENT_STEPS,
     _cholesky_inverse,
     _LevelSchedule,
@@ -608,11 +609,15 @@ def _solved_diagonal(factor: GroundedFactor) -> np.ndarray:
     return diag
 
 
+# factors with both sparse levels and a dense tail, which diagonal() reads
+# in two parts: every target of the weighted 60-node graph (5 to 9 tail
+# rows) and three of a 2,000-node small world (150 to 210)
+_SPLIT_FAMILIES = ("rand60w", "ws2000")
 _DIAGONAL_CASES = [
     (name, end)
     for name in sorted(_DENSE_FAMILIES) + ["grid10x100", "complete300", "lollipop", "path2"]
     for end in ("first", "last")
-]
+] + [("rand60w", v) for v in range(1, 59)] + [("ws2000", v) for v in (17, 1000, 1999)]
 
 
 @pytest.mark.parametrize("name, end", _DIAGONAL_CASES)
@@ -626,26 +631,31 @@ def test_grounded_factor_diagonal_matches_the_dense_inverse(name, end):
         "complete300": lambda: complete_graph(300),
         "lollipop": lambda: lollipop_graph(30, 500),
         "path2": lambda: Graph.from_edges(2, [(0, 1, 0.3)]),
+        "ws2000": lambda: generate_ws(2000, 4, 0.1, seed=11),
     }[name]()
-    v = 0 if end == "first" else g.n - 1
+    v = {"first": 0, "last": g.n - 1}.get(end, end)
     lap = build_laplacian(g)
     # the one grounded matrix both routes invert: v's row is e_v's, and
     # no zero is stored in it
     grounded = grounded_laplacian(lap, v)
     assert grounded.data.all() and grounded[v].indices.tolist() == [v]
     factor = GroundedFactor(lap, v)
+    if name in _SPLIT_FAMILIES:
+        assert 0 < factor._levels._t0 < g.n
     diag = factor.diagonal()
-    m = grounded_inverse_reference(lap, v, refined=True)
+    # at 2,000 nodes the long-double refinement takes 5 s, and the Cholesky
+    # solve alone is within 5.1e-15 of the refined truth there
+    m = grounded_inverse_reference(lap, v, refined=name != "ws2000")
     ref = np.diag(m)
     assert diag.shape == (g.n,) and diag[v] == 0.0
-    # the forward half reads what the schedule's own full solve gives
+    # the diagonal by parts reads what the schedule's own full solve gives
     assert np.abs(factor._levels.diagonal(v) - _solved_diagonal(factor)).max() <= 1e-12 * ref.max()
     # Against the refined dense inverse, both routes' roundoff shows.
     # Grounded at the far end of the lollipop's path, the sparse factor's
     # last pivot is 2e-3: its probe reads 3.7e-11, so its diagonal comes
-    # from refined full solves (the forward half is off by 3.7e-11 there,
+    # from refined full solves (read by parts it is off by 3.7e-11 there,
     # and the Cholesky solve by 1.8e-12); every other case's probe is
-    # below 1e-12, and its forward half agrees to 3e-13.
+    # below 1e-12, and its diagonal by parts agrees to 3e-13.
     assert (factor.forward_error > 1e-12) == ((name, end) == ("lollipop", "last"))
     np.testing.assert_allclose(diag, ref, rtol=1e-12, atol=0.0)
     assert diag.sum() == pytest.approx(ref.sum(), rel=1e-12)
@@ -659,6 +669,22 @@ def test_grounded_factor_diagonal_matches_the_dense_inverse(name, end):
     assert not cols[v].any()
     solve_rtol = 1e-10 if (name, end) == ("lollipop", "last") else 1e-12
     assert np.abs(cols - m).max() <= solve_rtol * np.abs(m).max()
+
+
+def test_grounded_factor_diagonal_makes_no_tail_wide_block():
+    # ws5000's factor at target 17 has a 548-row tail, over two blocks of
+    # unit columns: a t0 x tail block of the diagonal's sparse part, let
+    # alone an n x tail one of its tail part, would not fit under the bound
+    factor = GroundedFactor(build_laplacian(generate_ws(5000, 4, 0.1, seed=11)), 17)
+    t0 = factor._levels._t0
+    assert t0 * (factor.n - t0) > 1.5 * factor.n * _BLOCK
+    tracemalloc.start()
+    try:
+        factor.diagonal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * factor.n * _BLOCK * 8
 
 
 def test_grounded_factor_diagonal_follows_its_corrections():
@@ -675,7 +701,7 @@ def test_probe_is_below_target_on_the_acceptance_and_bench_instances():
     # criterion 8's graphs at target 17 (the ws5000 one is exact-ws5000's
     # and approx-ws5000's), criterion 9's ten targets (the first is
     # approx-ws1000-literal's) and the karate network at every node read
-    # their values from the forward half and the unrefined product, as
+    # their diagonal by parts and the unrefined product, as
     # before the probe; the largest probe here was 4.2e-14, at n=5000
     cases = [(generate_ws(n, 4, 0.1, seed=11), [17]) for n in (500, 2000, 5000)]
     g = generate_ws(1000, 4, 0.1, seed=23)
