@@ -3,8 +3,9 @@
 A node's resistance R_v = sum_u R_uv is the trace of the inverse Laplacian
 grounded at v, summed from the diagonal that its sparse factor gives
 (GroundedFactor.diagonal); one factor grounded at node 0 ranks every node
-at once. All of it is exact up to roundoff. Gains are framed as
-resistance reductions, with I_v = n/R_v derived for display.
+at once. Every value is read under the factor's probe rule, so all of it
+is exact up to roundoff. Gains are framed as resistance reductions, with
+I_v = n/R_v derived for display.
 """
 
 from __future__ import annotations
@@ -75,14 +76,15 @@ def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
     R_v = sum_u R_uv = n M_vv - 2 (M 1)_v + tr(M), for diag(M) from
     GroundedFactor.diagonal and M 1 from one solve: the right-hand side
     1 - n e_0 sums to zero, and its grounded part is 1, so the solve gives
-    M 1, zero at node 0.
+    M 1, zero at node 0, refined as the diagonal is where the probe misses
+    (GroundedFactor.factored_solve), so that a cycle's nodes still tie.
     """
     _require_two_nodes(g.n)
     factor = _grounded_factor(g, 0)
     diag = factor.diagonal()
     rhs = np.ones((g.n, 1))
     rhs[0] = 1.0 - g.n
-    sums = factor.solve(rhs)[:, 0]
+    sums = factor.factored_solve(rhs)[:, 0]
     scores = g.n / (g.n * diag - 2.0 * sums + diag.sum())
     order = np.argsort(-scores, kind="stable")
     ranked: list[CentralityScore] = []

@@ -42,7 +42,6 @@ from .graphs import Graph, _raise_first_fault
 from .linalg import (
     GroundedFactor,
     SolverSpec,
-    _cholesky_inverse,
     _project_out_mean,
     _rademacher_block_solve,
     _require_connected,
@@ -50,10 +49,11 @@ from .linalg import (
     approx_eff_res,
     build_laplacian,
     grounded_inverse,
-    grounded_laplacian,
     solver_tolerance,
 )
-from .centrality import CentralityScore, _TIE_RTOL, _require_two_nodes, rank_all_by_centrality
+from .centrality import (
+    CentralityScore, _TIE_RTOL, _require_two_nodes, node_resistance_grounded, rank_all_by_centrality,
+)
 from .rand import child_seed, seeded_rng
 
 # Relative residual of approxi_sm's per-step drop solves.
@@ -560,10 +560,11 @@ def brute_force_optimum(
     tr(M), not to R_v(S); the measured margin _BATCH_ROUNDOFF tr(M) stands
     for it. Where twice that could pass _TIE_RTOL of the least value, the
     subsets within _RESCORE_RTOL of the least are rescored from scratch,
-    as ||C_S^-1||_F^2, its 1 at (v, v) zeroed, for the Cholesky factor
-    C_S of grounded_laplacian plus w_S on its diagonal, and the tie rule
-    and the returned R_v use those values. Elsewhere, as at a leaf of a
-    star where every subset ties, the batched values stand. Guarded to
+    by the route every other R_v takes: node_resistance_grounded on g
+    with the subset's edges, the trace of a fresh sparse factor's
+    grounded inverse, read under its probe rule. The tie rule and the
+    returned R_v use those values. Elsewhere, as at a leaf of a star
+    where every subset ties, the batched values stand. Guarded to
     C(|candidates|, k) <= 1e6 subsets.
     """
     others, weights = _check_candidates(g, v, candidates, k)
@@ -598,16 +599,10 @@ def brute_force_optimum(
     else:
         near = (resistances <= least * (1.0 + _RESCORE_RTOL)).tolist()
         near_subsets = list(compress(combinations(range(p), k), near))
-        base = grounded_laplacian(build_laplacian(g), v).toarray(order="F")
         rescored = np.empty(len(near_subsets))
         for i, near_subset in enumerate(near_subsets):
-            grounded = base.copy(order="F")
-            at = list(near_subset)
-            grounded[others[at], others[at]] += weights[at]
-            t = _cholesky_inverse(grounded)
-            t[v, v] = 0.0
-            flat = t.ravel(order="K")
-            rescored[i] = flat @ flat
+            added = [(int(others[j]), v, float(weights[j])) for j in near_subset]
+            rescored[i] = node_resistance_grounded(g.with_edges(added), v).value
         best = int(np.flatnonzero(rescored <= rescored.min() * (1.0 + _TIE_RTOL))[0])
         subset, value = near_subsets[best], rescored[best]
     edges = tuple((min(u, v), max(u, v)) for u in others[list(subset)].tolist())

@@ -16,17 +16,17 @@ R_v = tr(M); for every consumer that needs only those, diag(M) is read
 by parts, its sparse levels' rows from the forward half over those
 levels alone and the tail's rows from the backward half on the tail's
 unit columns. Each factor probes its own forward error once
-(GroundedFactor.forward_error); where the probe misses 1e-12, the values
-read from it are refined on it, with their residuals in long double.
-Dense: grounded_inverse forms M = T^T T from the same T by one LAPACK
-dlauum, with no dense factorization, for the optimizers that read M;
+(GroundedFactor.forward_error); where it misses 1e-12, every exact value
+read from it is refined on it (GroundedFactor.factored_solve). Dense:
+grounded_inverse forms M = T^T T from the same T by one LAPACK dlauum,
+for the optimizers that read M; no dense factorization runs here.
 reground moves M to another ground node in place, at O(n^2) cost.
 Verified solves apply the factor and check each column's residual; a
-column that misses is checked again in long double and refined on the
-factor. The Rademacher block solve and the sketch effective-resistance
-estimator run on them. The dense route is exact and O(n^3) and refuses
-graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the solver
-and estimators.
+column that misses is checked again in long double, refined on the
+factor, and passed at a backward error of a few units of roundoff. The
+Rademacher block solve and the sketch effective-resistance estimator run
+on them. The dense route is exact and O(n^3) and refuses graphs beyond
+DENSE_NODE_LIMIT nodes; larger ones go through the solver and estimators.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ _PANEL = 64
 
 # Largest relative forward error that a factor's probe
 # (GroundedFactor.forward_error) may show before the values read from it
-# are refined on it (GroundedFactor.refine).
+# are refined on it (GroundedFactor.factored_solve).
 _FORWARD_ERROR_TARGET = 1e-12
 # The probe's random columns, and the key of their stream (seeded_rng(0,
 # _PROBE_KEY)), which no other consumer draws.
@@ -77,7 +77,7 @@ class SolverConvergenceError(RuntimeError):
     _REFINEMENT_STEPS steps of refinement on the factor: a verified
     solve's relative residual, evaluated in long double (see
     _verified_solve), or a refined column's estimated forward error (see
-    GroundedFactor.refine)."""
+    GroundedFactor.factored_solve)."""
 
     def __init__(self, target: float, achieved: float, steps: int, measure: str = "relative residual"):
         self.target = target
@@ -160,25 +160,24 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     symmetric and in Fortran order.
 
     It is read from the sparse factor of grounded_laplacian(lap, v): one
-    dense product of the factor's inverse triangle, with no dense
-    factorization (_LevelSchedule.inverse). Where the factor's probe
-    (GroundedFactor.forward_error) is above _FORWARD_ERROR_TARGET, every
-    column of M is refined on the factor (GroundedFactor.refine) and M is
-    made symmetric again from its upper triangle (_mirror_upper). The
-    factor is built, and probed, before the n x n array is allocated."""
+    dense product of the factor's inverse triangle (_LevelSchedule.inverse).
+    Where the factor's probe is above _FORWARD_ERROR_TARGET, M's columns
+    are the factor's refined solves of the unit columns (factored_solve),
+    mirrored from its upper triangle (_mirror_upper). The factor is built,
+    and probed, before the n x n array is allocated."""
     _require_dense(lap, "grounded inverse")
     if lap.shape[0] == 1:
         return np.zeros((1, 1), order="F")  # v alone: its row and column are all of M
     factor = GroundedFactor(lap, v)
-    refine = factor.forward_error > _FORWARD_ERROR_TARGET
-    m = factor._levels.inverse()
-    n = m.shape[0]
-    if refine:
+    if factor.forward_error <= _FORWARD_ERROR_TARGET:
+        m = factor._levels.inverse()
+    else:
+        n = lap.shape[0]
+        m = np.empty((n, n), order="F")
+        store = np.empty(n * min(n, _BLOCK))
         for s in range(0, n, _BLOCK):
-            cols = m[:, s : s + _BLOCK]  # a view: refined in m's storage
-            unit = np.zeros(cols.shape)
-            unit[s + np.arange(unit.shape[1]), np.arange(unit.shape[1])] = 1.0
-            factor.refine(unit, cols)
+            width = min(_BLOCK, n - s)
+            factor.factored_solve(_unit_block(store, n, s, width), m[:, s : s + width])
         _mirror_upper(m)
     m[v, :] = m[:, v] = 0.0
     return m
@@ -203,20 +202,6 @@ def reground(m: np.ndarray, w: int, v: int) -> None:
         panel -= c[:, None] + c[s : s + _PANEL]
         panel += gamma
     m[v, :] = m[:, v] = 0.0
-
-
-def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
-    """C^-1, lower triangular, for the lower Cholesky factor C of the
-    symmetric positive definite a, computed in a's storage when a is a
-    Fortran-ordered float64 array. Raises LinAlgError when LAPACK reports
-    a failure, which it does through its info code and not by raising."""
-    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK dpotrf info={info})")
-    t, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular inverse failed (LAPACK dtrtri info={info})")
-    return t
 
 
 def _project_out_mean(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -531,12 +516,12 @@ class GroundedFactor:
     (forward_error) estimates the relative forward error of the
     schedule's solves from 4 random columns, at two more solves. Where it
     is above _FORWARD_ERROR_TARGET (1e-12), as when the fill-reducing
-    order leaves a small last pivot, diagonal() and grounded_inverse refine
-    what they read from the factor (refine); elsewhere they read it as it
-    is. At n=5000 (ws5000, target 17) the probe reads 4.2e-14 and costs
-    4-7 ms; on a 500-node path hanging off a 30-node clique, grounded
-    at the path's far end, it reads 3.7e-11, where the diagonal read by
-    parts, unrefined, was off by 3.7e-11.
+    order leaves a small last pivot, diagonal(), grounded_inverse and the
+    ranking's M 1 read refined solves (factored_solve); elsewhere they
+    read the factor as it is. At n=5000 (ws5000, target 17) the probe
+    reads 4.2e-14 and costs 4-7 ms; on a 500-node path hanging off a
+    30-node clique, grounded at the path's far end, it reads 3.7e-11,
+    where the diagonal read by parts, unrefined, was off by 3.7e-11.
     """
 
     def __init__(self, lap: sparse.csr_matrix, v: int):
@@ -545,7 +530,7 @@ class GroundedFactor:
             raise ValueError(f"cannot ground node {v} of a {n}-node Laplacian")
         self.n = n
         self.v = v
-        self._grounded = grounded_laplacian(lap, v)  # A, for the residuals of refine
+        self._grounded = grounded_laplacian(lap, v)  # A, for the residuals of refinement
         lu = sparse.linalg.splu(
             self._grounded.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -601,9 +586,9 @@ class GroundedFactor:
         """diag(M) of the current inverse M, in node order with zero at v:
         the schedule's diagonal less c o c for each correction c. Its sum
         is R_v = tr(M). Where the probe (forward_error) is above
-        _FORWARD_ERROR_TARGET, the schedule's diagonal is read from full
-        solves of the unit columns, _BLOCK at a time, each block refined
-        (refine), instead of by parts (_LevelSchedule.diagonal)."""
+        _FORWARD_ERROR_TARGET, the schedule's diagonal is read from refined
+        solves of the unit columns (factored_solve), _BLOCK at a time,
+        instead of by parts (_LevelSchedule.diagonal)."""
         n = self.n
         if self.forward_error <= _FORWARD_ERROR_TARGET:
             diag = self._levels.diagonal(self.v)
@@ -614,9 +599,7 @@ class GroundedFactor:
                 at = others[s : s + _BLOCK]
                 unit = np.zeros((n, len(at)))
                 unit[at, np.arange(len(at))] = 1.0
-                x = self._levels.solve(unit, np.empty_like(unit))
-                self.refine(unit, x)
-                diag[at] = x[at, np.arange(len(at))]
+                diag[at] = self.factored_solve(unit)[at, np.arange(len(at))]
         diag -= np.einsum("ij,ij->i", self._w, self._w)
         return diag
 
@@ -625,31 +608,36 @@ class GroundedFactor:
         """The probe: an estimate of the schedule's relative forward error
         in solving A x = b, measured once, on first use. _PROBE_COLUMNS
         random columns b, from a stream that nothing else draws, are
-        solved, and the correction of one refinement step (refine's) stands
-        for each solution's error: the probe is the largest
+        solved, and the correction of one refinement step (factored_solve's)
+        stands for each solution's error: the probe is the largest
         ||correction|| / ||x|| over those columns."""
         b = seeded_rng(0, _PROBE_KEY).standard_normal((self.n, _PROBE_COLUMNS))
         x = self._levels.solve(b, np.empty_like(b))
         return float(np.max(_norm_ratio(self._correction(b, x), x)))
 
-    def refine(self, b: np.ndarray, x: np.ndarray) -> None:
-        """Refine x, the schedule's solution of A x = b for an n x k block
-        b in node order, in x's storage: each step adds the correction
-        solve(b - A x), its residual evaluated in long double (iterative
-        refinement on the factor, Moler 1967). A step shrinks x's error by
-        about the probe's factor, so the error left after a correction d is
-        about forward_error ||d||; the steps end once that is within
-        _FORWARD_ERROR_TARGET of ||x|| in every column. Raises
-        SolverConvergenceError when _REFINEMENT_STEPS steps fall short, or
-        a column is NaN. Corrections added by add() are not applied: x is
-        the factored matrix's solution."""
-        for _ in range(_REFINEMENT_STEPS):
+    def factored_solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^-1 b for an n x k block b in node order and the factored
+        matrix A, without add()'s corrections, zero in row v, written into
+        out when given (an array of b's shape apart from b): the probe rule,
+        written once. Where the probe is above _FORWARD_ERROR_TARGET, each
+        step adds the correction, the schedule's solve of b - A x with that
+        residual in long double (iterative refinement on the factor, Moler
+        1967). A step shrinks x's error by about the probe's factor, so the
+        error left after a correction d is about forward_error ||d||; the
+        steps end once that is within the target of ||x|| in every column.
+        Raises SolverConvergenceError when _REFINEMENT_STEPS steps fall
+        short, or a column is NaN."""
+        x = self._levels.solve(b, np.empty_like(b) if out is None else out)
+        left, steps = self.forward_error, 0
+        while not left <= _FORWARD_ERROR_TARGET:  # NaN included
+            if steps == _REFINEMENT_STEPS:
+                raise SolverConvergenceError(_FORWARD_ERROR_TARGET, left, steps, "estimated forward error")
             correction = self._correction(b, x)
             x += correction
             left = self.forward_error * float(np.max(_norm_ratio(correction, x)))
-            if left <= _FORWARD_ERROR_TARGET:
-                return
-        raise SolverConvergenceError(_FORWARD_ERROR_TARGET, left, _REFINEMENT_STEPS, "estimated forward error")
+            steps += 1
+        x[self.v] = 0.0
+        return x
 
     def _correction(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The schedule's solve of b - A x, that residual evaluated in long
@@ -666,6 +654,12 @@ def _norm_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Steps of refinement on the factor for a column whose residual misses its
 # target in long double too.
 _REFINEMENT_STEPS = 2
+# A column that still misses its target after them passes at a normwise
+# backward error ||r|| / (||L|| ||x|| + ||b||) within 8 u (u = 2^-53): no
+# float64 x has a residual much below u ||L|| ||x|| (Rigal and Gaches 1967;
+# Higham 2002, section 7.1). Approx on cycle(5000) and paper-literal
+# approx at n=5000 end at 0.29 u and 0.18 u there.
+_BACKWARD_ERROR_BOUND = 8 * 2.0**-53
 
 
 def _verified_solve(
@@ -706,7 +700,8 @@ def _within(res: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
 def _refine(lap: sparse.csr_matrix, rhs: np.ndarray, x: np.ndarray, tol: float, solve) -> np.ndarray:
     """x, with each column whose residual r = rhs - L x, in long double,
     misses tol refined by up to _REFINEMENT_STEPS steps x += solve(r)
-    (iterative refinement on the factor, Moler 1967). Raises
+    (iterative refinement on the factor, Moler 1967), or passed by its
+    backward error (_BACKWARD_ERROR_BOUND, ||L||_inf = 2 max L_ii). Raises
     SolverConvergenceError for a column that still misses, or is NaN."""
     wide = lap.astype(np.longdouble)
     b = rhs.astype(np.longdouble)
@@ -717,9 +712,12 @@ def _refine(lap: sparse.csr_matrix, rhs: np.ndarray, x: np.ndarray, tol: float, 
         if not missed.size:
             return x
         if step == _REFINEMENT_STEPS:
-            res_sq = np.einsum("ij,ij->j", res[:, missed], res[:, missed])
-            b_sq = np.einsum("ij,ij->j", b[:, missed], b[:, missed])
-            rel = np.sqrt(res_sq / np.where(b_sq > 0.0, b_sq, 1.0))
+            res, b, wx = res[:, missed], b[:, missed], x[:, missed].astype(np.longdouble)
+            r, b_norm, x_norm = (np.sqrt(np.einsum("ij,ij->j", a, a)) for a in (res, b, wx))
+            refused = ~(r <= _BACKWARD_ERROR_BOUND * (2.0 * lap.diagonal().max() * x_norm + b_norm))
+            if not refused.any():
+                return x
+            rel = r[refused] / np.where(b_norm[refused] > 0.0, b_norm[refused], 1.0)
             raise SolverConvergenceError(tol, float(rel[np.argmax(rel)]), step)  # a NaN, if any
         x[:, missed] += solve(res[:, missed].astype(np.float64))
         step += 1

@@ -5,13 +5,15 @@ the independent routes to the same quantities: the dense pseudoinverse via
 (L + J/n) with its rank-1 edge update and closed-form marginal gain,
 resistances read off the pseudoinverse, the pairwise throughput through
 B = L + J, and the Hutchinson sample count. They share no arithmetic with
-the grounded route beyond building the Laplacian. Two exceptions work on
-the grounded Laplacian too, which they form by deleting v's row and column
-from the dense Laplacian, not through the package's grounded_laplacian:
+the grounded route beyond building the Laplacian. Three exceptions work
+on the grounded Laplacian too, which they form by deleting v's row and
+column from the Laplacian, not through the package's grounded_laplacian:
 its dense inverse by a Cholesky solve against the identity, padded with
-zeros at v, and the exhaustive k-subset search, which factors every
-subset's grounded Laplacian from scratch instead of updating one factor.
-The last three are the block pipeline of the approximate greedy as first
+zeros at v; its trace alone, ||C^-1||_F^2 for its dense Cholesky factor C
+(LAPACK dpotrf and dtrtri, _cholesky_inverse; the package runs no dense
+factorization); and the exhaustive k-subset search, which takes that trace
+for every subset from scratch instead of updating one factor. The last
+three functions are the block pipeline of the approximate greedy as first
 written, with fresh arrays at every step: the Rademacher draw, the
 grounded factor's solve by a fresh SuperLU factor of the graph with its
 added edges, and the block solve. Graph construction has its own
@@ -34,7 +36,6 @@ from icmax.greedy import _BRUTE_FORCE_GUARD, CandidateEdge, _check_candidates
 from icmax.linalg import (
     _BLOCK,
     GroundedFactor,
-    _cholesky_inverse,
     _refine,
     _require_dense,
     build_laplacian,
@@ -212,6 +213,38 @@ def grounded_inverse_reference(lap: sparse.csr_matrix, v: int, *, refined: bool 
     return inv
 
 
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """C^-1, lower triangular, for the lower Cholesky factor C of the
+    symmetric positive definite a, computed in a's storage when a is a
+    Fortran-ordered float64 array. Raises LinAlgError when LAPACK reports
+    a failure, which it does through its info code and not by raising."""
+    c, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK dpotrf info={info})")
+    t, info = scipy.linalg.lapack.dtrtri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular inverse failed (LAPACK dtrtri info={info})")
+    return t
+
+
+def _inverse_trace(a: np.ndarray) -> float:
+    """tr(a^-1) = ||C^-1||_F^2 for the Cholesky factor C of the symmetric
+    positive definite, Fortran-ordered a, in a's storage."""
+    flat = _cholesky_inverse(a).ravel(order="K")
+    return float(flat @ flat)
+
+
+def grounded_trace_reference(lap: sparse.csr_matrix, v: int) -> float:
+    """R_v, the trace of the inverse of the Laplacian with v's row and
+    column deleted, as ||C^-1||_F^2 for its dense Cholesky factor C. The
+    dense matrix is made straight from the sparse one, and factored and
+    inverted in its own storage: one n x n array, against three for
+    grounded_inverse_reference."""
+    _require_dense(lap, "grounded trace")
+    keep = np.arange(lap.shape[0]) != v
+    return _inverse_trace(lap[keep][:, keep].toarray(order="F"))
+
+
 def brute_force_optimum_from_scratch(
     g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int
 ) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -220,7 +253,8 @@ def brute_force_optimum_from_scratch(
     Returns the lexicographically first subset whose R_v is within
     _TIE_RTOL of the least, so that roundoff does not decide between tied
     subsets, and its resistance. Every subset is evaluated from scratch as
-    ||C^-1||_F^2 for the Cholesky factor C of its grounded Laplacian,
+    ||C^-1||_F^2 for the Cholesky factor C of its grounded Laplacian
+    (_inverse_trace),
     independent of the update-based optimizers. Guarded to
     C(|candidates|, k) <= 1e6 subsets.
     """
@@ -238,8 +272,7 @@ def brute_force_optimum_from_scratch(
         lap = base.copy()
         for j in subset:
             lap[others[j], others[j]] += weights[j]  # edge (other, v): only this entry survives grounding
-        flat = _cholesky_inverse(_without(lap, v)).ravel(order="K")
-        resistances[i] = flat @ flat
+        resistances[i] = _inverse_trace(_without(lap, v))
     best = int(np.flatnonzero(resistances <= resistances.min() * (1.0 + _TIE_RTOL))[0])
     best_subset = next(islice(combinations(range(len(others)), k), best, None))
     edges = tuple((min(int(others[j]), v), max(int(others[j]), v)) for j in best_subset)

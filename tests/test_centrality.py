@@ -18,10 +18,11 @@ from icmax.centrality import (
 )
 from icmax.graphs import Graph, load_edge_list
 from icmax.greedy import default_candidates, exact_sm
-from icmax.linalg import build_laplacian
+from icmax.linalg import GroundedFactor, build_laplacian
 
-from conftest import complete_graph, path_graph, random_connected_graph, star_graph
+from conftest import complete_graph, cycle_graph, lollipop_graph, path_graph, random_connected_graph, star_graph
 from oracles import (
+    grounded_inverse_reference,
     information_centrality_via_B,
     information_matrix_inverse,
     marginal_gain_exact,
@@ -261,6 +262,36 @@ def test_rank_all_karate_ties_go_to_the_smallest_id():
         if truth[a] == pytest.approx(truth[b], rel=1e-12):
             assert a < b, f"tied nodes {a} and {b} out of id order"
     assert ranked.index(15) + 3 == ranked.index(22)
+
+
+def test_rank_all_reads_m1_under_the_probe_rule():
+    # a 30-node clique with a 500-node path off it, numbered from the path's
+    # far end, so that the factor grounded at node 0 has a probe of 6.2e-11:
+    # its diagonal is refined, and so must its solve for M 1 be, or the
+    # scores are off by 1.4e-10
+    g = lollipop_graph(30, 500)
+    last = g.n - 1
+    g = Graph.from_edges(g.n, [(last - a, last - b, w) for a, b, w in g.edges])
+    lap = build_laplacian(g)
+    assert GroundedFactor(lap, 0).forward_error > 1e-12
+    m = grounded_inverse_reference(lap, 0, refined=True)
+    diag = np.diag(m)
+    truth = g.n / (g.n * diag - 2.0 * m.sum(axis=1) + diag.sum())
+    ranked = rank_all_by_centrality(g)
+    got = np.empty(g.n)
+    got[[s.node for s in ranked]] = [s.value for s in ranked]
+    np.testing.assert_allclose(got, truth, rtol=1e-12, atol=0.0)
+
+
+def test_rank_all_cycle_is_one_tie():
+    # every node of a cycle is interchangeable; at 5,000 nodes the factor
+    # grounded at node 0 has a probe of 4.7e-12, and with M 1 unrefined the
+    # ranking split into 8 groups and put node 1670 first
+    g = cycle_graph(5000)
+    ranked = rank_all_by_centrality(g)
+    assert [s.node for s in ranked] == list(range(g.n))
+    assert len({s.value for s in ranked}) == 1
+    assert ranked[0].value == pytest.approx(g.n / ((g.n**2 - 1) / 6.0), rel=1e-12)
 
 
 def test_rank_all_single_node():

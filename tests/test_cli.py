@@ -489,12 +489,13 @@ def test_optimize_factors_each_graph_once_and_ranks_once(tmp_path, monkeypatch):
 def test_optimize_factors_ws_baselines_densely_once(tmp_path, monkeypatch, extra):
     # approx's R_0 and the ranking read sparse factors: the run's one dense
     # array is the exact greedy's and the baselines' grounded inverse, which
-    # is read from a sparse factor too, so no dense Cholesky runs
+    # is read from a sparse factor too; with no oracle, no subset is
+    # rescored by a fresh factor (greedy's node_resistance_grounded)
     factors = _count_calls(monkeypatch, "grounded_inverse", icmax.linalg, icmax.greedy, icmax.cli)
-    dense = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg, icmax.greedy)
+    rescored = _count_calls(monkeypatch, "node_resistance_grounded", icmax.greedy)
     config = Path(__file__).resolve().parents[1] / "configs" / "ws_baselines.cfg"
     assert main(["optimize", "--config", str(config), *extra, "--out", str(tmp_path)]) == 0
-    assert (len(factors), len(dense)) == (1, 0)
+    assert (len(factors), len(rescored)) == (1, 0)
 
 
 def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
@@ -533,11 +534,11 @@ def test_optimize_keeps_one_inverse_alive_across_targets(tmp_path, monkeypatch):
 
 def test_optimize_oracle_shares_the_graphs_inverse(tmp_path, monkeypatch):
     # configs/karate_oracle.cfg: 20 targets, exact and the oracle, one M.
-    # The oracle's near-tie rescoring calls _cholesky_inverse through
-    # greedy's own binding, once per near-tied subset it rescores; M itself
-    # is read from a sparse factor, with no dense Cholesky
+    # The oracle's near-tie rescoring calls node_resistance_grounded through
+    # greedy's own binding, once per near-tied subset it rescores, each on
+    # a fresh sparse factor; M itself is read from a sparse factor too
     inverses = _count_calls(monkeypatch, "grounded_inverse", icmax.linalg, icmax.greedy, icmax.cli)
-    rescored = _count_calls(monkeypatch, "_cholesky_inverse", icmax.linalg, icmax.greedy)
+    rescored = _count_calls(monkeypatch, "node_resistance_grounded", icmax.greedy)
     root = Path(__file__).resolve().parents[1]
     config = _config_from_args(
         build_parser().parse_args([
@@ -677,9 +678,8 @@ def test_removed_solver_option_is_refused(tmp_path, capsys):
 def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
     # LAPACK reports failure through info, not by raising; the program must
     # raise on it: in the dlauum that every dense route runs (grounded_inverse
-    # reads M from a sparse factor, so none runs dpotrf; the oracle's
-    # rescoring checks dpotrf's info in _cholesky_inverse, which
-    # test_cholesky_inverse_raises_on_lapack_failure covers)
+    # reads M from a sparse factor, and the oracle rescores on fresh sparse
+    # factors, so the package runs no dpotrf)
     import icmax.linalg as linalg_mod
 
     real = linalg_mod.lapack
@@ -687,7 +687,7 @@ def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
     for algo, kernel, info in (
         ("exact", "dlauum", 3), ("top-degree", "dlauum", 3), ("oracle", "dlauum", 3),
     ):
-        kernels = {name: getattr(real, name) for name in ("dpotrf", "dtrtri", "dlauum")}
+        kernels = {name: getattr(real, name) for name in ("dtrtri", "dlauum")}
         kernels[kernel] = lambda a, **kw: (a, info)
         monkeypatch.setattr(linalg_mod, "lapack", types.SimpleNamespace(**kernels))
         rc = main([

@@ -26,7 +26,14 @@ from icmax.greedy import (
     vreff_comp,
     _vreff_comp_full,
 )
-from icmax.linalg import GroundedFactor, SolverSpec, approx_eff_res, build_laplacian, grounded_inverse
+from icmax.linalg import (
+    PAPER_LITERAL,
+    GroundedFactor,
+    SolverSpec,
+    approx_eff_res,
+    build_laplacian,
+    grounded_inverse,
+)
 from icmax.rand import child_seed, seeded_rng
 
 from conftest import (
@@ -646,6 +653,30 @@ def test_approxi_sm_finishes_where_the_float64_residual_misses():
     approx = approxi_sm(g, 0, default_candidates(g, 0), 5, 0.3, SolverSpec(), m_cap=256)
     picked = [CandidateEdge(b, 0, 1.0) for _, b in approx.edges]
     exact = insertion_trace(g, 0, picked, "fixed")
+    assert approx.initial_resistance == pytest.approx(exact.initial_resistance, rel=1e-10)
+    for a, b in zip(approx.steps, exact.steps):
+        assert a.resistance == pytest.approx(b.resistance, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "make, v, k, spec",
+    [
+        (lambda: cycle_graph(5000), 0, 10, SolverSpec(seed=1)),
+        (lambda: generate_ws(5000, 4, 0.1, seed=11), 17, 3, SolverSpec(mode=PAPER_LITERAL)),
+    ],
+    ids=["cycle5000", "ws5000-paper-literal"],
+)
+def test_approxi_sm_finishes_where_float64_cannot_reach_the_target(make, v, k, spec):
+    # after both refinement steps a drop solve on the cycle still misses
+    # 1e-12, at 4.6e-12, and the paper-literal e_v solve at n=5000 its
+    # 1e-14 floor, at 1.03e-14: no float64 x does better. Their normwise
+    # backward errors are within 8 u, so both runs finish, with the exact
+    # values of their edges
+    g = make()
+    approx = approxi_sm(g, v, default_candidates(g, v), k, 0.3, spec, m_cap=256, sketch_constant=2.0)
+    picked = [CandidateEdge(a + b - v, v, 1.0) for a, b in approx.edges]
+    exact = insertion_trace(g, v, picked, "fixed")
+    assert len(approx.steps) == k
     assert approx.initial_resistance == pytest.approx(exact.initial_resistance, rel=1e-10)
     for a, b in zip(approx.steps, exact.steps):
         assert a.resistance == pytest.approx(b.resistance, rel=1e-10)

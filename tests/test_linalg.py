@@ -21,8 +21,8 @@ from icmax.linalg import (
     SolverConvergenceError,
     SolverSpec,
     _BLOCK,
+    _BACKWARD_ERROR_BOUND,
     _REFINEMENT_STEPS,
-    _cholesky_inverse,
     _LevelSchedule,
     _project_out_mean,
     _rademacher_block_solve,
@@ -48,6 +48,7 @@ from conftest import (
     random_connected_graph,
 )
 from oracles import (
+    _cholesky_inverse,
     grounded_factor_solve_reference,
     grounded_inverse_reference,
     hutchinson_sample_count,
@@ -166,10 +167,11 @@ _DENSE_FAMILIES = {
 )
 def test_grounded_inverse_from_t_matches_the_cholesky_solve(name, v):
     # wider than one panel of the mirror copy at 300 and 700 nodes. The
-    # lollipop's factor at its path's end has a probe of 3.7e-11, so M is
-    # refined there (unrefined it was off by 3.5e-11); at both of its ends
-    # M is held to a long-double-refined truth, since the Cholesky solve
-    # alone is off by 1.8e-12 and 1.3e-13 of the largest entry
+    # lollipop's factor at its path's end has a probe of 3.7e-11, so M's
+    # columns are refined solves there (T^T T unrefined was off by
+    # 3.5e-11); at both of its ends M is held to a long-double-refined
+    # truth, since the Cholesky solve alone is off by 1.8e-12 and 1.3e-13
+    # of the largest entry
     if name == "lollipop":
         lap = build_laplacian(lollipop_graph(30, 500))
         ref, rtol = grounded_inverse_reference(lap, v, refined=True), 1e-12
@@ -212,7 +214,7 @@ def test_grounded_inverse_refuses_oversize():
 
 def _grounded_cholesky_inverse(lap, v: int) -> np.ndarray:
     """T = C^-1 for the lower Cholesky factor C of grounded_laplacian(lap,
-    v), as the oracle's near-tie rescoring forms it for ||T||_F^2."""
+    v), as the dense oracles form it for ||T||_F^2."""
     return _cholesky_inverse(grounded_laplacian(lap, v).toarray(order="F"))
 
 
@@ -435,6 +437,29 @@ def test_convergence_error_reports_residual():
     assert err.target == 1e-12
     assert math.isfinite(err.achieved) and err.achieved > err.target
     assert "relative residual" in str(err)
+
+
+def test_refine_accepts_columns_at_float64s_backward_error():
+    # a residual target of 1e-20 is below what any float64 x attains, about
+    # u ||L|| ||x|| / ||b||: every column still misses it after the
+    # refinement steps, and passes at a normwise backward error within
+    # 8 u; a factor wrong by an edge of weight 0.5 still raises there
+    g = random_connected_graph(5, n=40, weighted=True)
+    lap = build_laplacian(g)
+    rhs = _project_out_mean(seeded_rng(3).normal(size=(g.n, 6)))
+    tol = 1e-20
+    x = _verified_solve(lap, rhs, tol, GroundedFactor(lap, 0).solve)
+    res = rhs - lap.astype(np.longdouble) @ x.astype(np.longdouble)
+    wx = x.astype(np.longdouble)
+
+    def norms(a):
+        return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+    assert np.all(norms(res) > tol * norms(rhs))
+    backward = norms(res) / (2.0 * lap.diagonal().max() * norms(wx) + norms(rhs))
+    assert np.all(backward <= _BACKWARD_ERROR_BOUND)
+    with pytest.raises(SolverConvergenceError, match="relative residual"):
+        _verified_solve(lap, rhs, tol, _wrong_factor(g, lap, 0.5).solve)
 
 
 def test_preconditioner_inverts_on_zero_sum_subspace():
@@ -723,9 +748,8 @@ def test_refine_refuses_a_factor_that_does_not_converge():
     factor._grounded = factor._grounded * 1.5
     assert factor.forward_error > 0.1
     b = np.eye(g.n)[:, 1:4]
-    x = factor._levels.solve(b, np.empty_like(b))
     with pytest.raises(SolverConvergenceError, match="estimated forward error"):
-        factor.refine(b, x)
+        factor.factored_solve(b)
     with pytest.raises(SolverConvergenceError, match="estimated forward error"):
         factor.diagonal()
 
