@@ -748,6 +748,12 @@ def _rademacher_block_solve(
     sum_j (y[u, j] - y[v, j])^2 for each u, v in zip(us, vs) (a single v
     broadcasts) and, with trace set, the Hutchinson sum_j z_j^T y_j, after
     projecting each y block onto the zero-sum subspace.
+
+    Where the single v's row of a block is exactly zero, as it is for a
+    solve grounded at v (both of approx's calls), the block adds its own
+    rows' sums of squares at us, with the same bits and without gathering
+    y[us] - y[v]; elsewhere (a trace-projected block, distinct v's) it
+    gathers the differences.
     """
     rows, count = shape
     n = lap.shape[0]
@@ -780,11 +786,17 @@ def _rademacher_block_solve(
         if trace:
             y -= y.mean(axis=0, keepdims=True)
             trace_sum += float(np.einsum("ij,ij->", z, y))
-        # mode "clip" lets take write into its out without a buffer; the
-        # indices were checked above
-        near = np.take(y, us, axis=0, out=_prefix(rhs_store, len(us), width), mode="clip")
-        near -= np.take(y, vs, axis=0, out=_prefix(far_store, len(vs), width), mode="clip")
-        sq_dists += np.einsum("ij,ij->i", near, near)
+        if len(vs) == 1 and not y[vs[0]].any():
+            # y[u] - 0.0 is y[u] up to the sign of a zero, which squaring
+            # drops, so the sums of y's own rows have the bits of the
+            # gathered differences' (a grounded solve is zero at v)
+            sq_dists += np.einsum("ij,ij->i", y, y)[us]
+        else:
+            # mode "clip" lets take write into its out without a buffer; the
+            # indices were checked above
+            near = np.take(y, us, axis=0, out=_prefix(rhs_store, len(us), width), mode="clip")
+            near -= np.take(y, vs, axis=0, out=_prefix(far_store, len(vs), width), mode="clip")
+            sq_dists += np.einsum("ij,ij->i", near, near)
         produced += width
     return sq_dists, trace_sum
 

@@ -868,6 +868,89 @@ def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, t
         assert got[1] == ref[1], seed
 
 
+def test_grounded_solves_are_plus_zero_at_v(monkeypatch):
+    # the block solve's in-place sums read y[u] for y[u] - y[v]: a grounded
+    # solve's row v is +0.0 after add()'s corrections, and after _refine's
+    # steps on a factor that misses every column
+    refined = counting_refine(monkeypatch)
+    g = random_connected_graph(5, n=40, weighted=True)
+    lap = build_laplacian(g)
+    rhs = _project_out_mean(seeded_rng(3).normal(size=(g.n, 6)))
+    zero = np.zeros(6).tobytes()
+    v = 9
+    factor = GroundedFactor(lap, v)
+    assert factor.solve(rhs)[v].tobytes() == zero
+    for u, w in zip([u for u in range(g.n) if u != v and not g.has_edge(u, v)][:3], (0.5, 2.0, 1e-3)):
+        add_to_factor(factor, u, w)
+        assert factor.solve(rhs)[v].tobytes() == zero
+    x = _verified_solve(lap, rhs, 1e-12, _wrong_factor(g, lap, 1e-5).solve)
+    assert refined == [6] and x[0].tobytes() == zero
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["factor", "wrong-factor"])
+def test_block_solve_sums_grounded_blocks_in_place_with_the_bits_of_the_differences(monkeypatch, wrong):
+    # pairs (u, 0) on a factor grounded at 0: the block adds the sums of its
+    # own rows, which must have the bits of the reference's y[u] - y[0]
+    refined = counting_refine(monkeypatch)
+    count = 2 * 256 + 50
+    g = random_connected_graph(5, n=40, weighted=True)
+    lap = build_laplacian(g)
+    factor = _wrong_factor(g, lap, 1e-5) if wrong else GroundedFactor(lap, 0)
+    scaled = _signed_incidence_transpose(g) * (1.0 / math.sqrt(count))
+    us, vs = np.arange(g.n)[::-1], np.array([0])
+    gathers = _count_single_row_gathers(monkeypatch)
+    got, _ = _rademacher_block_solve(
+        lap, seeded_rng(7), (g.m, count), lambda z, _: scaled @ z, 1e-12, factor.solve, us, vs,
+    )
+    assert not gathers and (sum(refined) == count if wrong else not refined)
+    ref, _ = rademacher_block_solve_reference(
+        lap, seeded_rng(7), (g.m, count), lambda z: scaled @ z, 1e-12, factor, us, vs,
+    )
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shared", [0, 7], ids=["ground", "non-ground"])
+def test_sketch_at_a_shared_endpoint_has_the_bits_of_the_reference(monkeypatch, shared):
+    # approx_eff_res's factor is grounded at 0: pairs that share node 0
+    # are summed in place, pairs that share another node gather y[u] - y[7]
+    g = random_connected_graph(5, n=40, weighted=True)
+    lap = build_laplacian(g)
+    us = np.delete(np.arange(g.n), shared)
+    spec, eps = SolverSpec(seed=3), 0.3
+    gathers = _count_single_row_gathers(monkeypatch)
+    got = approx_eff_res(g, np.column_stack((us, np.full_like(us, shared))), eps, spec=spec)
+    q = math.ceil(24.0 * math.log(g.n) / eps**2)
+    assert len(gathers) == (math.ceil(q / _BLOCK) if shared else 0)
+    scaled = _signed_incidence_transpose(g) * (1.0 / math.sqrt(q))
+    ref, _ = rademacher_block_solve_reference(
+        lap, seeded_rng(spec.seed, 4), (g.m, q), lambda z: scaled @ z,
+        solver_tolerance(spec, eps, g.n, g.w_max, power=8), GroundedFactor(lap, 0), us, np.array([shared]),
+    )
+    assert got.tobytes() == ref.tobytes()
+
+
+def _count_single_row_gathers(monkeypatch) -> list[int]:
+    """Patch linalg's np.take to record each gather of a single row, as the
+    block solve's gather of y[v] is (the factor's own gathers take n rows);
+    returns the list it appends to."""
+    import icmax.linalg as linalg_mod
+
+    gathers = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def take(a, indices, *args, **kwargs):
+            if np.size(indices) == 1:
+                gathers.append(1)
+            return np.take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "np", Spy())
+    return gathers
+
+
 def test_block_solve_checks_its_row_indices():
     g = path_graph(5)
     lap = build_laplacian(g)
