@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .linalg import GroundedFactor, _require_connected, build_laplacian
+from .linalg import GroundedFactor, build_laplacian
 
 _TIE_RTOL = 1e-12  # exact values this close, relatively, are ties
 
@@ -43,19 +43,13 @@ def _require_two_nodes(n: int) -> None:
         raise ValueError("information centrality is undefined for a single node")
 
 
-def _grounded_factor(g: Graph, v: int) -> GroundedFactor:
-    lap = build_laplacian(g)
-    _require_connected(lap, "resistance")
-    return GroundedFactor(lap, v)
-
-
 def node_resistance_grounded(g: Graph, v: int) -> NodeResistance:
     """R_v as the trace of the inverse grounded Laplacian (row/col v deleted),
     the sum of its sparse factor's diagonal; 0 on a single node."""
     v = _check_node(g.n, v)
     if g.n == 1:
         return NodeResistance(v, 0.0)
-    return NodeResistance(v, float(_grounded_factor(g, v).diagonal().sum()))
+    return NodeResistance(v, float(GroundedFactor(build_laplacian(g), v).diagonal().sum()))
 
 
 def information_centrality(g: Graph, v: int) -> CentralityScore:
@@ -80,7 +74,7 @@ def rank_all_by_centrality(g: Graph) -> list[CentralityScore]:
     (GroundedFactor.factored_solve), so that a cycle's nodes still tie.
     """
     _require_two_nodes(g.n)
-    factor = _grounded_factor(g, 0)
+    factor = GroundedFactor(build_laplacian(g), 0)
     diag = factor.diagonal()
     rhs = np.ones((g.n, 1))
     rhs[0] = 1.0 - g.n

@@ -49,7 +49,7 @@ from .greedy import (
     brute_force_optimum,
     default_candidates,
     exact_sm,
-    _rank1_trace,
+    insertion_trace,
 )
 from .linalg import (
     SolverSpec,
@@ -124,8 +124,8 @@ class RunConfig:
             raise ConfigError("candidate weight must be positive")
         if self.m_cap is not None and self.m_cap < 1:
             raise ConfigError("m_cap must be >= 1")
-        if self.sketch_constant <= 0.0:
-            raise ConfigError("sketch_constant must be positive")
+        if not 0.0 < self.sketch_constant < np.inf:
+            raise ConfigError("sketch_constant must be positive and finite")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -347,9 +347,9 @@ def _oracle_trace(target: _Target, k: int) -> GreedyTrace:
     """Brute-force optimum, replayed as an insertion trace for uniform output."""
     g, v = target.g, target.v
     edges, _ = brute_force_optimum(g, v, target.candidates, k, m=target.m)
-    others = np.array(sorted(u if w == v else w for u, w in edges), dtype=np.int64)
-    weights = np.full(len(others), float(target.weight))
-    return _rank1_trace(g, v, target.m, others, weights, len(others), "oracle", 0, by_gain=False)
+    others = {u if w == v else w for u, w in edges}
+    picked = sorted(c for c in target.candidates if c.other in others)  # by other endpoint
+    return insertion_trace(g, v, picked, "oracle", 0, m=target.m)
 
 
 def run_algorithm(algo: str, target: _Target, k: int, config: RunConfig) -> GreedyTrace:

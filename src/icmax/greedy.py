@@ -44,7 +44,7 @@ from .linalg import (
     SolverSpec,
     _project_out_mean,
     _rademacher_block_solve,
-    _require_connected,
+    _require_sketch_constant,
     _verified_solve,
     approx_eff_res,
     build_laplacian,
@@ -276,7 +276,7 @@ def _vreff_comp_full(
         return VReffResult(np.zeros(0), m_literal, m_used)
 
     # (1/M) sum_i (b_e^T y_i)^2 accumulated blockwise
-    t_sums, _ = _rademacher_block_solve(
+    t_sums = _rademacher_block_solve(
         lap, seeded_rng(spec.seed, 10), (n, m_used), _project_out_mean,
         tol1, factor.solve, others, np.array([v]),
     )
@@ -302,6 +302,13 @@ def _vreff_comp_full(
     return VReffResult(gains, m_literal, m_used)
 
 
+def _require_budget(m_cap: int | None, sketch_constant: float) -> None:
+    """Refuse an m_cap that draws no trace sample, or a sketch_constant that draws no usable sketch."""
+    if m_cap is not None and not 1 <= m_cap < math.inf:
+        raise ValueError(f"m_cap must be finite and at least 1; got {m_cap}")
+    _require_sketch_constant(sketch_constant)
+
+
 def vreff_comp(
     g: Graph,
     v: int,
@@ -324,11 +331,11 @@ def vreff_comp(
     """
     if not 0.0 < epsilon <= 1.5:
         raise ValueError("epsilon must be in (0, 3/2]")
+    _require_budget(m_cap, sketch_constant)
     spec = spec or SolverSpec()
     others, weights = _check_candidates(g, v, candidates, 0)
     _require_two_nodes(g.n)
     lap = build_laplacian(g)
-    _require_connected(lap, "gain estimation")
     gains = _vreff_comp_full(
         g, v, others, weights, epsilon, spec, lap=lap, m_cap=m_cap, sketch_constant=sketch_constant,
         factor=GroundedFactor(lap, v),
@@ -368,11 +375,11 @@ def approxi_sm(
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must be in (0, 1/2]")
+    _require_budget(m_cap, sketch_constant)
     spec = spec or SolverSpec()
     others, weights = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
     lap = build_laplacian(g)
-    _require_connected(lap, "approximate greedy")
     factor = GroundedFactor(lap, v)
     r0 = r_prev = float(factor.diagonal().sum())
     working = g

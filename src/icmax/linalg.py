@@ -17,16 +17,18 @@ by parts, its sparse levels' rows from the forward half over those
 levels alone and the tail's rows from the backward half on the tail's
 unit columns. Each factor probes its own forward error once
 (GroundedFactor.forward_error); where it misses 1e-12, every exact value
-read from it is refined on it (GroundedFactor.factored_solve). Dense:
-grounded_inverse forms M = T^T T from the same T by one LAPACK dlauum,
-for the optimizers that read M; no dense factorization runs here.
-reground moves M to another ground node in place, at O(n^2) cost.
-Verified solves apply the factor and check each column's residual; a
-column that misses is checked again in long double, refined on the
-factor, and passed at a backward error of a few units of roundoff. The
-Rademacher block solve and the sketch effective-resistance estimator run
-on them. The dense route is exact and O(n^3) and refuses graphs beyond
-DENSE_NODE_LIMIT nodes; larger ones go through the solver and estimators.
+read from it is refined on it (GroundedFactor.factored_solve). Only a
+factor checks that the graph is connected. Dense: grounded_inverse forms
+M = T^T T from the same T by one LAPACK dlauum, for the optimizers that
+read M; no dense factorization runs here. reground moves M to another
+ground node in place, at O(n^2) cost. Verified solves apply the factor
+and check each column's residual; a column that misses is checked again
+in long double, refined on the factor, and passed at a backward error of
+a few units of roundoff. On them runs the Rademacher block solve, whose
+per-candidate sums serve approx's trace term and the sketch
+effective-resistance estimator. The dense route is exact and O(n^3) and
+refuses graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the
+solver and estimators.
 """
 
 from __future__ import annotations
@@ -134,14 +136,6 @@ def _require_connected(lap: sparse.csr_matrix, what: str) -> None:
         raise ValueError(f"{what} requires a connected graph")
 
 
-def _require_dense(lap: sparse.csr_matrix, what: str) -> None:
-    """Refuse a dense route beyond DENSE_NODE_LIMIT or on a disconnected graph."""
-    n = lap.shape[0]
-    if n > DENSE_NODE_LIMIT:
-        raise ValueError(f"dense {what} refused for n={n} > {DENSE_NODE_LIMIT}; use the solver/estimator path")
-    _require_connected(lap, what)
-
-
 def grounded_laplacian(lap: sparse.csr_matrix, v: int) -> sparse.csr_matrix:
     """lap with row and column v replaced by e_v, as CSR with sorted
     indices and no stored zeros: a stored zero in v's row would change the
@@ -165,14 +159,17 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     are the factor's refined solves of the unit columns (factored_solve),
     mirrored from its upper triangle (_mirror_upper). The factor is built,
     and probed, before the n x n array is allocated."""
-    _require_dense(lap, "grounded inverse")
-    if lap.shape[0] == 1:
+    n = lap.shape[0]
+    if n > DENSE_NODE_LIMIT:
+        raise ValueError(
+            f"dense grounded inverse refused for n={n} > {DENSE_NODE_LIMIT}; use the solver/estimator path"
+        )
+    if n == 1:
         return np.zeros((1, 1), order="F")  # v alone: its row and column are all of M
     factor = GroundedFactor(lap, v)
     if factor.forward_error <= _FORWARD_ERROR_TARGET:
         m = factor._levels.inverse()
     else:
-        n = lap.shape[0]
         m = np.empty((n, n), order="F")
         store = np.empty(n * min(n, _BLOCK))
         for s in range(0, n, _BLOCK):
@@ -493,7 +490,8 @@ def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) 
 
 class GroundedFactor:
     """Inverse of a connected graph's Laplacian grounded at node v, kept
-    across insertions of edges at v.
+    across insertions of edges at v. It refuses a disconnected graph
+    (ValueError), where the grounded matrix is singular.
 
     Factors A = grounded_laplacian(lap, v) once, as a sparse LU with a
     symmetric minimum-degree ordering (A is SPD, and v, alone in its row
@@ -528,6 +526,7 @@ class GroundedFactor:
         n = lap.shape[0]
         if not (0 <= v < n and n >= 2):
             raise ValueError(f"cannot ground node {v} of a {n}-node Laplacian")
+        _require_connected(lap, "a grounded factor")
         self.n = n
         self.v = v
         self._grounded = grounded_laplacian(lap, v)  # A, for the residuals of refinement
@@ -738,22 +737,20 @@ def _rademacher_block_solve(
     solve,
     us: np.ndarray,
     vs: np.ndarray,
-    *,
-    trace: bool = False,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Solve L y = to_rhs(z, out) for a Rademacher z of the given
     (rows, count) shape, drawn and solved _BLOCK columns at a time by
     _verified_solve with solve. to_rhs must return zero-sum columns, and may
     build them in out, an n x width array. Returns
     sum_j (y[u, j] - y[v, j])^2 for each u, v in zip(us, vs) (a single v
-    broadcasts) and, with trace set, the Hutchinson sum_j z_j^T y_j, after
-    projecting each y block onto the zero-sum subspace.
+    broadcasts): approx's per-candidate sums, for its trace term and for
+    the resistance sketch.
 
     Where the single v's row of a block is exactly zero, as it is for a
     solve grounded at v (both of approx's calls), the block adds its own
     rows' sums of squares at us, with the same bits and without gathering
-    y[us] - y[v]; elsewhere (a trace-projected block, distinct v's) it
-    gathers the differences.
+    y[us] - y[v]; elsewhere (distinct v's, or a v that is not the ground)
+    it gathers the differences.
     """
     rows, count = shape
     n = lap.shape[0]
@@ -761,7 +758,6 @@ def _rademacher_block_solve(
         if idx.size and not 0 <= idx.min() <= idx.max() < n:
             raise IndexError(f"row indices must lie in [0, {n})")
     sq_dists = np.zeros(len(us), dtype=np.float64)
-    trace_sum = 0.0
     produced = 0
     while produced < count:
         width = min(_BLOCK, count - produced)
@@ -780,12 +776,8 @@ def _rademacher_block_solve(
                 np.empty(h * width) for h in (max(n, len(us)), n, len(vs))
             )
         rhs = to_rhs(z, _prefix(rhs_store, n, width))
-        if not trace:
-            del z  # unread from here on; the sketch's is its largest array
+        del z  # unread from here on; the sketch's is its largest array
         y = _verified_solve(lap, rhs, tol, solve, _prefix(y_store, n, width))
-        if trace:
-            y -= y.mean(axis=0, keepdims=True)
-            trace_sum += float(np.einsum("ij,ij->", z, y))
         if len(vs) == 1 and not y[vs[0]].any():
             # y[u] - 0.0 is y[u] up to the sign of a zero, which squaring
             # drops, so the sums of y's own rows have the bits of the
@@ -798,7 +790,7 @@ def _rademacher_block_solve(
             near -= np.take(y, vs, axis=0, out=_prefix(far_store, len(vs), width), mode="clip")
             sq_dists += np.einsum("ij,ij->i", near, near)
         produced += width
-    return sq_dists, trace_sum
+    return sq_dists
 
 
 def _signed_incidence_transpose(g: Graph) -> sparse.csr_matrix:
@@ -810,6 +802,12 @@ def _signed_incidence_transpose(g: Graph) -> sparse.csr_matrix:
     cols = np.concatenate([np.arange(m), np.arange(m)])
     data = np.concatenate([root, -root])
     return sparse.coo_matrix((data, (rows, cols)), shape=(g.n, m)).tocsr()
+
+
+def _require_sketch_constant(sketch_constant: float) -> None:
+    """Refuse a sketch constant, the scale of q, that is not positive and finite."""
+    if not 0.0 < sketch_constant < math.inf:
+        raise ValueError(f"sketch_constant must be positive and finite; got {sketch_constant}")
 
 
 def approx_eff_res(
@@ -831,13 +829,15 @@ def approx_eff_res(
     the squared distance between sketch columns u and v. With the default
     constant each estimate is an epsilon-approximation of the true
     resistance with high probability.
-    g must be connected. solve is a direct solve for g's Laplacian to share
-    with other calls (default: a fresh factor); every solve is verified
-    either way. lap is g's Laplacian when the caller already holds it, and
-    has checked that g is connected; without it both happen here.
+    g must be connected, which the factor checks. solve is a direct solve
+    for g's Laplacian to share with other calls (default: a fresh factor),
+    and lap is g's Laplacian (default: built here). A caller that passes
+    solve or lap holds a factor of g, which has already checked g. Every
+    solve is verified either way.
     """
     if not (0.0 < epsilon <= 0.5):
         raise ValueError("epsilon must be in (0, 1/2]")
+    _require_sketch_constant(sketch_constant)
     spec = spec or SolverSpec()
     n = g.n
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -849,7 +849,6 @@ def approx_eff_res(
 
     if lap is None:
         lap = build_laplacian(g)
-        _require_connected(lap, "effective-resistance sketch")
     if solve is None:
         solve = GroundedFactor(lap, 0).solve
     tol = solver_tolerance(spec, epsilon, n, g.w_max, power=8)
@@ -869,10 +868,7 @@ def approx_eff_res(
         csr_matvecs(n, g.m, block.shape[1], inc_t.indptr, inc_t.indices, inc_t.data, block, out)
         return out
 
-    estimates, _ = _rademacher_block_solve(
-        lap, seeded_rng(spec.seed, 4), (g.m, q), sketch, tol, solve, us, vs,
-    )
-    return estimates
+    return _rademacher_block_solve(lap, seeded_rng(spec.seed, 4), (g.m, q), sketch, tol, solve, us, vs)
 
 
 def solver_deviation_notes(spec: SolverSpec) -> list[str]:

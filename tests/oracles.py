@@ -13,10 +13,12 @@ zeros at v; its trace alone, ||C^-1||_F^2 for its dense Cholesky factor C
 (LAPACK dpotrf and dtrtri, _cholesky_inverse; the package runs no dense
 factorization); and the exhaustive k-subset search, which takes that trace
 for every subset from scratch instead of updating one factor. The last
-three functions are the block pipeline of the approximate greedy as first
-written, with fresh arrays at every step: the Rademacher draw, the
-grounded factor's solve by a fresh SuperLU factor of the graph with its
-added edges, and the block solve. Graph construction has its own
+three functions but one are the block pipeline of the approximate greedy
+as first written, with fresh arrays at every step: the Rademacher draw,
+the grounded factor's solve by a fresh SuperLU factor of the graph with
+its added edges, and the block solve. The last, hutchinson_trace, is a
+Hutchinson trace estimate composed of the package's draw and verified
+solve, which no optimizer reads. Graph construction has its own
 reference: the per-edge check loop Graph.from_edges was first written as.
 """
 
@@ -35,11 +37,23 @@ from icmax.graphs import Graph, is_connected
 from icmax.greedy import _BRUTE_FORCE_GUARD, CandidateEdge, _check_candidates
 from icmax.linalg import (
     _BLOCK,
+    DENSE_NODE_LIMIT,
     GroundedFactor,
+    _project_out_mean,
     _refine,
-    _require_dense,
+    _require_connected,
+    _verified_solve,
     build_laplacian,
 )
+from icmax.rand import rademacher
+
+
+def _require_dense(lap: sparse.csr_matrix, what: str) -> None:
+    """Refuse a dense route beyond DENSE_NODE_LIMIT or on a disconnected graph."""
+    n = lap.shape[0]
+    if n > DENSE_NODE_LIMIT:
+        raise ValueError(f"dense {what} refused for n={n} > {DENSE_NODE_LIMIT}; use the solver/estimator path")
+    _require_connected(lap, what)
 
 
 def graph_edges_reference(n: int, edges) -> tuple[tuple[int, int, float], ...]:
@@ -310,9 +324,7 @@ def rademacher_block_solve_reference(
     factor: GroundedFactor,
     us: np.ndarray,
     vs: np.ndarray,
-    *,
-    trace: bool = False,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """linalg._rademacher_block_solve with solve = factor's solve, and
     fresh arrays in every block: the reference draw, a new right-hand side
     to_rhs(z), the factor's solve into a fresh array, the residual check
@@ -320,7 +332,6 @@ def rademacher_block_solve_reference(
     solve = factor.solve
     rows, count = shape
     sq_dists = np.zeros(len(us), dtype=np.float64)
-    trace_sum = 0.0
     produced = 0
     while produced < count:
         width = min(_BLOCK, count - produced)
@@ -334,10 +345,26 @@ def rademacher_block_solve_reference(
         failed = np.flatnonzero(~(res_sq <= tol**2 * np.where(b_sq > 0.0, b_sq, 1.0)))
         if failed.size:
             y[:, failed] = _refine(lap, rhs[:, failed], y[:, failed], tol, solve)
-        if trace:
-            y -= y.mean(axis=0, keepdims=True)
-            trace_sum += float(np.einsum("ij,ij->", z, y))
         diff = y[us, :] - y[vs, :]
         sq_dists += np.einsum("ij,ij->i", diff, diff)
         produced += width
-    return sq_dists, trace_sum
+    return sq_dists
+
+
+def hutchinson_trace(lap: sparse.csr_matrix, rng: np.random.Generator, count: int, tol: float, solve) -> float:
+    """Hutchinson's estimate (1/count) sum_j z_j^T y_j of tr(pinv(L)) over
+    count Rademacher columns z_j, drawn _BLOCK at a time by the package's
+    draw (rand.rademacher): y is the verified solve (_verified_solve, with
+    solve) of L y = z less its column means, itself less its column
+    means."""
+    n = lap.shape[0]
+    total = 0.0
+    produced = 0
+    while produced < count:
+        width = min(_BLOCK, count - produced)
+        z = rademacher(rng, (n, width))
+        y = _verified_solve(lap, _project_out_mean(z), tol, solve)
+        y -= y.mean(axis=0, keepdims=True)
+        total += float(np.einsum("ij,ij->", z, y))
+        produced += width
+    return total / count

@@ -3,6 +3,7 @@ subcommands, output artifacts, determinism, and exit codes."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,6 +154,8 @@ def test_config_validation(tmp_path):
         (dict(**ok, weight=0.0), "weight"),
         (dict(**ok, m_cap=0), "m_cap"),
         (dict(**ok, sketch_constant=0.0), "sketch_constant"),
+        (dict(**ok, sketch_constant=math.inf), "sketch_constant"),
+        (dict(**ok, sketch_constant=math.nan), "sketch_constant"),
         (dict(**ok, formats=("yaml",)), "unknown format"),
         (dict(**ok, formats=()), "output format"),
         (dict(**ok, solver_mode="fast"), "mode"),
@@ -608,6 +611,19 @@ def test_exit_missing_graph(tmp_path, capsys):
     ])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant", ["inf", "nan"])
+def test_exit_non_finite_sketch_constant(tmp_path, capsys, constant):
+    # refused by the config's validation, before a graph is made
+    rc = main([
+        "optimize", "--generate", "ws 60 4 0.1", "--random-targets", "1", "--k", "2",
+        "--algo", "approx", "--sketch-constant", constant, "--out", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sketch_constant"), err
+    assert not (tmp_path / "r").exists()
 
 
 def test_exit_k_exceeds_candidates_names_original_id(tmp_path, capsys):

@@ -504,6 +504,32 @@ def test_estimators_reject_disconnected_graphs():
 
 
 @pytest.mark.parametrize(
+    "budget",
+    [
+        dict(m_cap=0), dict(m_cap=-3), dict(m_cap=math.inf),
+        dict(sketch_constant=0.0), dict(sketch_constant=-1.0),
+        dict(sketch_constant=math.nan), dict(sketch_constant=math.inf),
+    ],
+    ids=["m_cap-0", "m_cap-neg", "m_cap-inf", "sketch-0", "sketch-neg", "sketch-nan", "sketch-inf"],
+)
+@pytest.mark.parametrize("estimator", ["approxi_sm", "vreff_comp"])
+def test_estimators_refuse_a_budget_they_cannot_use(monkeypatch, estimator, budget):
+    # unrefused, m_cap 0 gives NaN gains, -3 drops the trace term and inf
+    # overflows; each is refused before a factor is built, so before any solve
+    def no_factor(*args):
+        raise AssertionError("factored before the budget was checked")
+
+    monkeypatch.setattr(greedy, "GroundedFactor", no_factor)
+    g = generate_ws(60, 4, 0.1, seed=3)
+    cands = default_candidates(g, 0)
+    with pytest.raises(ValueError, match=next(iter(budget))):
+        if estimator == "approxi_sm":
+            approxi_sm(g, 0, cands, 2, 0.3, SolverSpec(), **budget)
+        else:
+            vreff_comp(g, 0, cands, 0.3, SolverSpec(), **budget)
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda g: exact_sm(g, 0, [], 0),

@@ -1,6 +1,6 @@
 """Laplacian algebra: the grounded inverse and factor, verified solves and
-their refinement, the Rademacher trace sum and the resistance sketch, plus the
-pseudoinverse oracle and its rank-1 edge update."""
+their refinement, the Rademacher block solve and the resistance sketch,
+plus the pseudoinverse oracle and its rank-1 edge update."""
 
 import math
 import tracemalloc
@@ -52,6 +52,7 @@ from oracles import (
     grounded_factor_solve_reference,
     grounded_inverse_reference,
     hutchinson_sample_count,
+    hutchinson_trace,
     pseudoinverse,
     rademacher_block_solve_reference,
     sherman_morrison_update,
@@ -522,6 +523,14 @@ def test_grounded_factor_validation():
         factor.add(3, 1.0, np.zeros((4, 1)))
 
 
+def test_grounded_factor_refuses_a_disconnected_graph():
+    # at every ground node, before SuperLU meets the singular grounded matrix
+    lap = build_laplacian(Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+    for v in range(4):
+        with pytest.raises(ValueError, match="connected"):
+            GroundedFactor(lap, v)
+
+
 def _grid(rows: int, cols: int) -> Graph:
     ids = np.arange(rows * cols).reshape(rows, cols)
     pairs = np.concatenate([
@@ -819,8 +828,8 @@ def test_csr_matvecs_adds_a_row_block_product_into_its_output():
 
 
 @pytest.mark.parametrize("wrong", [False, True], ids=["factor", "wrong-factor"])
-@pytest.mark.parametrize("trace", [True, False], ids=["trace", "sketch"])
-def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, trace, wrong):
+@pytest.mark.parametrize("case", ["trace", "sketch"])
+def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, case, wrong):
     refined = counting_refine(monkeypatch)
     count = 2 * 256 + 17  # two full blocks and a partial one
     # seed 0's factor SuperLU pivots under its default threshold, seed 5's not
@@ -838,7 +847,9 @@ def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, t
             solves.append(r.shape[1])
             return factor.solve(r, out)
 
-        if trace:
+        if case == "trace":
+            # approx's trace-term call: its right-hand sides are built in
+            # the reused buffer, and its sums are taken in place (y[0] = 0)
             rows, us, vs = g.n, np.arange(1, g.n), np.array([0])
             to_rhs, ref_rhs = _project_out_mean, _project_out_mean
         else:  # approx_eff_res's sketch, at arbitrary pairs
@@ -854,18 +865,13 @@ def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, t
                 return inc_t @ (z * scale)
 
         refined.clear()
-        got = _rademacher_block_solve(
-            lap, seeded_rng(7), (rows, count), to_rhs, 1e-12, solve, us, vs, trace=trace
-        )
+        got = _rademacher_block_solve(lap, seeded_rng(7), (rows, count), to_rhs, 1e-12, solve, us, vs)
         if wrong:
             assert sum(refined) == count and len(solves) > len(refined)
         else:
             assert not refined and solves == [256, 256, 17]
-        ref = rademacher_block_solve_reference(
-            lap, seeded_rng(7), (rows, count), ref_rhs, 1e-12, factor, us, vs, trace=trace
-        )
-        assert got[0].tobytes() == ref[0].tobytes(), seed
-        assert got[1] == ref[1], seed
+        ref = rademacher_block_solve_reference(lap, seeded_rng(7), (rows, count), ref_rhs, 1e-12, factor, us, vs)
+        assert got.tobytes() == ref.tobytes(), seed
 
 
 def test_grounded_solves_are_plus_zero_at_v(monkeypatch):
@@ -899,11 +905,11 @@ def test_block_solve_sums_grounded_blocks_in_place_with_the_bits_of_the_differen
     scaled = _signed_incidence_transpose(g) * (1.0 / math.sqrt(count))
     us, vs = np.arange(g.n)[::-1], np.array([0])
     gathers = _count_single_row_gathers(monkeypatch)
-    got, _ = _rademacher_block_solve(
+    got = _rademacher_block_solve(
         lap, seeded_rng(7), (g.m, count), lambda z, _: scaled @ z, 1e-12, factor.solve, us, vs,
     )
     assert not gathers and (sum(refined) == count if wrong else not refined)
-    ref, _ = rademacher_block_solve_reference(
+    ref = rademacher_block_solve_reference(
         lap, seeded_rng(7), (g.m, count), lambda z: scaled @ z, 1e-12, factor, us, vs,
     )
     assert got.tobytes() == ref.tobytes()
@@ -922,7 +928,7 @@ def test_sketch_at_a_shared_endpoint_has_the_bits_of_the_reference(monkeypatch, 
     q = math.ceil(24.0 * math.log(g.n) / eps**2)
     assert len(gathers) == (math.ceil(q / _BLOCK) if shared else 0)
     scaled = _signed_incidence_transpose(g) * (1.0 / math.sqrt(q))
-    ref, _ = rademacher_block_solve_reference(
+    ref = rademacher_block_solve_reference(
         lap, seeded_rng(spec.seed, 4), (g.m, q), lambda z: scaled @ z,
         solver_tolerance(spec, eps, g.n, g.w_max, power=8), GroundedFactor(lap, 0), us, np.array([shared]),
     )
@@ -1068,17 +1074,13 @@ def test_verified_solve_never_accepts_a_nan_column():
 
 
 def test_hutchinson_deterministic_and_converging():
-    # the trace sum approx's R_v estimate reads: (1/M) sum_j z_j^T pinv(L) z_j
+    # criterion 7's estimate (1/M) sum_j z_j^T pinv(L) z_j, from the
+    # package's draw and verified solves
     g = random_connected_graph(17, n=12)
     lap = build_laplacian(g)
-    nowhere = np.zeros(0, dtype=np.int64)
 
     def estimate(seed):
-        _, total = _rademacher_block_solve(
-            lap, seeded_rng(seed), (g.n, 4000), _project_out_mean, 1e-10,
-            _direct_solve(lap), nowhere, nowhere, trace=True,
-        )
-        return total / 4000
+        return hutchinson_trace(lap, seeded_rng(seed), 4000, 1e-10, _direct_solve(lap))
 
     a = estimate(42)
     assert a == estimate(42)
@@ -1140,6 +1142,14 @@ def test_sketch_validation():
         approx_eff_res(g, [(0, 1)], 0.0)
     with pytest.raises(ValueError, match="out of range"):
         approx_eff_res(g, [(0, 3)], 0.3)
+
+    def no_solve(r, out=None):
+        raise AssertionError("solved before the sketch constant was checked")
+
+    for constant in (0.0, -1.0, math.nan, math.inf):
+        for solve in (no_solve, None):
+            with pytest.raises(ValueError, match="sketch_constant"):
+                approx_eff_res(g, [(0, 1)], 0.3, sketch_constant=constant, solve=solve)
 
 
 def test_sketch_trivial_graph():
