@@ -120,8 +120,8 @@ class RunConfig:
             raise ConfigError("random_targets must be >= 0")
         if not 0.0 < self.epsilon <= 0.5:
             raise ConfigError("epsilon must be in (0, 1/2]")
-        if self.weight <= 0.0:
-            raise ConfigError("candidate weight must be positive")
+        if not 0.0 < self.weight < np.inf:
+            raise ConfigError("candidate weight must be positive and finite")
         if self.m_cap is not None and self.m_cap < 1:
             raise ConfigError("m_cap must be >= 1")
         if not 0.0 < self.sketch_constant < np.inf:

@@ -62,13 +62,16 @@ _DROP_TOLERANCE = 1e-12
 _BRUTE_FORCE_GUARD = 1_000_000
 _BRUTE_FORCE_CHUNK = 50_000  # subsets per batched solve
 # Margin for a batched R_v's roundoff, relative to R_0. It is measured,
-# not proven: the largest gap between batched and from-scratch values was
-# 3.3e-14 R_0 over the oracle's small test cases (R_0 / R_v(S) up to
-# 1,100) and 2.2e-13 R_0 on 100-node graphs with weights over 1e-2..1e2.
-# On an inverse regrounded from target to target (reground), the largest
-# gap over every subset, k = 1..3, was 2.5e-15 R_0 on all 34 karate
-# targets in one chain, and 2.8e-13 R_0 on those 100-node graphs after 30
-# regrounds each (2.5e-13 on their fresh inverses).
+# not proven: against a long-double-refined Cholesky inverse, the largest
+# error over every subset was 9.4e-14 R_0 over the oracle's small test
+# cases (R_0 / R_v(S) up to 1,100) and 1.1e-14 R_0 on 100-node graphs
+# with weights over 1e-2..1e2; on an inverse regrounded from target to
+# target (reground), k = 1..3, it was 9.8e-16 R_0 on all 34 karate
+# targets in one chain and 5.7e-14 R_0 on those 100-node graphs after 30
+# regrounds each. The from-scratch Cholesky values carry more: their gap
+# to the batched ones reaches 2.5e-13 R_0 on the 100-node graphs, and
+# 7.4e-13 R_0 on 6-node graphs of the small cases, where a 40-digit
+# inverse puts all of it on the Cholesky side.
 _BATCH_ROUNDOFF = 3e-13
 # Where roundoff could decide a tie, the values within this of the best
 # are rescored before the tie rule: the oracle's batched values, from
@@ -233,9 +236,9 @@ def exact_sm(
 ) -> GreedyTrace:
     """Exact greedy: k rounds of best-marginal-gain selection (_rank1_trace)
     on the grounded inverse m, O(n^3 + k n^2). A fresh m (grounded_inverse)
-    is one dense product T^T T of the sparse factor's inverse triangle T,
-    which is the O(n^3) term. The selection is within a (1 - 1/e) factor
-    of the optimal reduction."""
+    is the sparse factor's solves of the n unit columns, which are the
+    O(n^3) term. The selection is within a (1 - 1/e) factor of the
+    optimal reduction."""
     others, weights = _check_candidates(g, v, candidates, k)
     return _rank1_trace(g, v, m, others, weights, k, "exact", 0, by_gain=True)
 
@@ -303,9 +306,10 @@ def _vreff_comp_full(
 
 
 def _require_budget(m_cap: int | None, sketch_constant: float) -> None:
-    """Refuse an m_cap that draws no trace sample, or a sketch_constant that draws no usable sketch."""
-    if m_cap is not None and not 1 <= m_cap < math.inf:
-        raise ValueError(f"m_cap must be finite and at least 1; got {m_cap}")
+    """Refuse an m_cap that is not a whole number of trace samples, at
+    least 1, or a sketch_constant that draws no usable sketch."""
+    if m_cap is not None and not (1 <= m_cap < math.inf and m_cap == int(m_cap)):
+        raise ValueError(f"m_cap must be a whole number, finite and at least 1; got {m_cap}")
     _require_sketch_constant(sketch_constant)
 
 

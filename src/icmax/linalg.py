@@ -18,17 +18,18 @@ levels alone and the tail's rows from the backward half on the tail's
 unit columns. Each factor probes its own forward error once
 (GroundedFactor.forward_error); where it misses 1e-12, every exact value
 read from it is refined on it (GroundedFactor.factored_solve). Only a
-factor checks that the graph is connected. Dense: grounded_inverse forms
-M = T^T T from the same T by one LAPACK dlauum, for the optimizers that
-read M; no dense factorization runs here. reground moves M to another
-ground node in place, at O(n^2) cost. Verified solves apply the factor
-and check each column's residual; a column that misses is checked again
-in long double, refined on the factor, and passed at a backward error of
-a few units of roundoff. On them runs the Rademacher block solve, whose
-per-candidate sums serve approx's trace term and the sketch
-effective-resistance estimator. The dense route is exact and O(n^3) and
-refuses graphs beyond DENSE_NODE_LIMIT nodes; larger ones go through the
-solver and estimators.
+factor checks that the graph is connected. Dense: grounded_inverse fills
+M with the same factor's solves of the unit columns, through
+factored_solve, for the optimizers that read M; no dense factorization
+runs here. reground moves M to another ground node in place, at O(n^2)
+cost. Verified solves apply the factor and check each column's residual;
+a column that misses is checked again in long double, refined on the
+factor, and passed at a backward error of a few units of roundoff. On
+them runs the Rademacher block solve, whose per-candidate sums serve
+approx's trace term and the sketch effective-resistance estimator. The
+dense route is exact and O(n^3) and refuses graphs beyond
+DENSE_NODE_LIMIT nodes; larger ones go through the solver and
+estimators.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ PAPER_LITERAL = "paper-literal"
 _TOLERANCE_FLOOR = 1e-14
 
 _BLOCK = 256
-# Columns per step of _LevelSchedule.inverse's forward half, of the mirror
-# copy and the row permutation that follow it (_mirror_upper,
-# _to_node_order) and of reground, whose temporaries are _PANEL x n. At
-# n=5000 the forward half took 0.25 s on blocks of 64 columns with one
-# BLAS thread, against 0.30 s at 32 and 0.23 s at 128 and at 256 (2.5 MB
-# of block against 5 and 10 MB).
+# Columns per step of grounded_inverse's solves, of the mirror copy that
+# follows them (_mirror_upper) and of reground, whose temporaries are
+# _PANEL x n. At n=5000, with one BLAS thread, grounded_inverse took 0.69 s
+# (median of 6) on panels of 64 columns, against 0.68 s at 32, 0.78 s at
+# 128 and 0.81 s at 256, at tracemalloc peaks of 211.6 MB against 207.7,
+# 219.3 and 234.6 MB (M itself is 200 MB).
 _PANEL = 64
 
 # Largest relative forward error that a factor's probe
@@ -153,12 +154,12 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     with an exactly zero row and column v, so R_v = tr(M), exactly
     symmetric and in Fortran order.
 
-    It is read from the sparse factor of grounded_laplacian(lap, v): one
-    dense product of the factor's inverse triangle (_LevelSchedule.inverse).
-    Where the factor's probe is above _FORWARD_ERROR_TARGET, M's columns
-    are the factor's refined solves of the unit columns (factored_solve),
-    mirrored from its upper triangle (_mirror_upper). The factor is built,
-    and probed, before the n x n array is allocated."""
+    Its columns are the solves of the unit columns by the sparse factor
+    of grounded_laplacian(lap, v), _PANEL at a time, written into M
+    itself (GroundedFactor.factored_solve, refined where the factor's probe
+    is above _FORWARD_ERROR_TARGET); the upper triangle is then copied into
+    the lower one (_mirror_upper). The factor is built, and probed, before
+    the n x n array is allocated."""
     n = lap.shape[0]
     if n > DENSE_NODE_LIMIT:
         raise ValueError(
@@ -167,15 +168,13 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     if n == 1:
         return np.zeros((1, 1), order="F")  # v alone: its row and column are all of M
     factor = GroundedFactor(lap, v)
-    if factor.forward_error <= _FORWARD_ERROR_TARGET:
-        m = factor._levels.inverse()
-    else:
-        m = np.empty((n, n), order="F")
-        store = np.empty(n * min(n, _BLOCK))
-        for s in range(0, n, _BLOCK):
-            width = min(_BLOCK, n - s)
-            factor.factored_solve(_unit_block(store, n, s, width), m[:, s : s + width])
-        _mirror_upper(m)
+    factor.forward_error  # probed before the n x n array exists
+    m = np.empty((n, n), order="F")
+    store = np.empty(n * min(n, _PANEL))
+    for s in range(0, n, _PANEL):
+        width = min(_PANEL, n - s)
+        factor.factored_solve(_unit_block(store, n, s, width), m[:, s : s + width])
+    _mirror_upper(m)
     m[v, :] = m[:, v] = 0.0
     return m
 
@@ -399,35 +398,6 @@ class _LevelSchedule:
         diag[v] = 0.0
         return diag
 
-    def inverse(self) -> np.ndarray:
-        """A^-1, n x n in node order, exactly symmetric, in Fortran order.
-
-        In level order A^-1 is T^T T for T = D^-1/2 L^-1, lower triangular:
-        its columns are the forward half on the unit columns, _PANEL at a
-        time, each from its own position (as in diagonal), scaled by
-        D^-1/2 into a C-order array. That array's transpose is T^T, an
-        upper triangle in Fortran order, which LAPACK dlauum turns into the
-        upper triangle of T^T T in place; the upper triangle is copied into
-        the lower one (_mirror_upper), and the rows and columns are put in
-        node order (_to_node_order). One n x n array and an n x _PANEL
-        block are allocated, and the block is freed before the product."""
-        n = len(self._src)
-        t = np.empty((n, n))
-        inv_root = 1.0 / np.sqrt(self._d)
-        store = np.empty(n * min(n, _PANEL))
-        for s in range(0, n, _PANEL):
-            width = min(_PANEL, n - s)
-            y = _unit_block(store, n, s, width)
-            self._forward_half(y, s)
-            np.multiply(y[s:], inv_root[s:], out=t[s:, s : s + width])
-        del store, y
-        m, info = lapack.dlauum(t.T, lower=0, overwrite_c=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"triangular product failed (LAPACK dlauum info={info})")
-        _mirror_upper(m)
-        _to_node_order(m, self._back)
-        return m
-
 
 def _unit_block(store: np.ndarray, rows: int, s: int, width: int) -> np.ndarray:
     """The unit columns e_s to e_(s + width - 1), with rows entries each,
@@ -445,29 +415,6 @@ def _mirror_upper(m: np.ndarray) -> None:
         e = s + _PANEL
         m[e:, s:e] = m[s:e, e:].T
         m[s:e, s:e] = np.triu(m[s:e, s:e]) + np.triu(m[s:e, s:e], 1).T
-
-
-def _to_node_order(m: np.ndarray, back: np.ndarray) -> None:
-    """Replace the square Fortran-order m by m[back][:, back] in its own
-    storage: the rows of each _PANEL of columns through one n x _PANEL
-    temporary, then whole columns along the cycles of back, with only each
-    cycle's first column waiting in a spare array."""
-    for s in range(0, m.shape[0], _PANEL):
-        m[:, s : s + _PANEL] = m[back, s : s + _PANEL]
-    spare = np.empty(len(back))
-    placed = np.zeros(len(back), dtype=bool)
-    source = back.tolist()
-    for first in range(len(back)):
-        if placed[first]:
-            continue
-        spare[:] = m[:, first]
-        j = first
-        while (k := source[j]) != first:
-            m[:, j] = m[:, k]
-            placed[j] = True
-            j = k
-        m[:, j] = spare
-        placed[j] = True
 
 
 def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) -> bool:

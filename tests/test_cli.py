@@ -152,6 +152,8 @@ def test_config_validation(tmp_path):
         (dict(**ok, epsilon=0.6), "epsilon"),
         (dict(**ok, epsilon=0.0), "epsilon"),
         (dict(**ok, weight=0.0), "weight"),
+        (dict(**ok, weight=math.inf), "weight"),
+        (dict(**ok, weight=math.nan), "weight"),
         (dict(**ok, m_cap=0), "m_cap"),
         (dict(**ok, sketch_constant=0.0), "sketch_constant"),
         (dict(**ok, sketch_constant=math.inf), "sketch_constant"),
@@ -693,26 +695,21 @@ def test_removed_solver_option_is_refused(tmp_path, capsys):
 
 def test_exit_linear_algebra_failure(tmp_path, monkeypatch, capsys):
     # LAPACK reports failure through info, not by raising; the program must
-    # raise on it: in the dlauum that every dense route runs (grounded_inverse
-    # reads M from a sparse factor, and the oracle rescores on fresh sparse
-    # factors, so the package runs no dpotrf)
+    # raise on it: in the dtrtri that inverts every factor's tail, the one
+    # LAPACK call in the package (every route reads a sparse factor, and
+    # path4 grounded at 0 keeps a 1-row tail)
     import icmax.linalg as linalg_mod
 
-    real = linalg_mod.lapack
+    monkeypatch.setattr(linalg_mod, "lapack", types.SimpleNamespace(dtrtri=lambda a, **kw: (a, 3)))
     graph = write_path4(tmp_path)
-    for algo, kernel, info in (
-        ("exact", "dlauum", 3), ("top-degree", "dlauum", 3), ("oracle", "dlauum", 3),
-    ):
-        kernels = {name: getattr(real, name) for name in ("dtrtri", "dlauum")}
-        kernels[kernel] = lambda a, **kw: (a, info)
-        monkeypatch.setattr(linalg_mod, "lapack", types.SimpleNamespace(**kernels))
+    for algo in ("exact", "approx", "top-degree", "oracle"):
         rc = main([
             "optimize", "--graph", str(graph), "--target", "0", "--algo", algo,
-            "--out", str(tmp_path / f"{algo}-{kernel}"),
+            "--out", str(tmp_path / algo),
         ])
-        assert rc == 3, (algo, kernel)
+        assert rc == 3, algo
         err = capsys.readouterr().err
-        assert "numerical failure" in err and f"{kernel} info={info}" in err, (algo, kernel)
+        assert "numerical failure" in err and "dtrtri info=3" in err, algo
 
 
 # ---------------------------------------------------------------------------

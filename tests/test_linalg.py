@@ -167,12 +167,11 @@ _DENSE_FAMILIES = {
     ],
 )
 def test_grounded_inverse_from_t_matches_the_cholesky_solve(name, v):
-    # wider than one panel of the mirror copy at 300 and 700 nodes. The
-    # lollipop's factor at its path's end has a probe of 3.7e-11, so M's
-    # columns are refined solves there (T^T T unrefined was off by
-    # 3.5e-11); at both of its ends M is held to a long-double-refined
-    # truth, since the Cholesky solve alone is off by 1.8e-12 and 1.3e-13
-    # of the largest entry
+    # wider than one panel of solves and of the mirror copy at 300 and 700
+    # nodes. The lollipop's factor at its path's end has a probe of
+    # 3.7e-11, so M's columns are refined solves there; at both of its ends
+    # M is held to a long-double-refined truth, since the Cholesky solve
+    # alone is off by 1.8e-12 and 1.3e-13 of the largest entry
     if name == "lollipop":
         lap = build_laplacian(lollipop_graph(30, 500))
         ref, rtol = grounded_inverse_reference(lap, v, refined=True), 1e-12
@@ -302,6 +301,20 @@ def test_reground_makes_no_square_temporary(w, v):
     finally:
         tracemalloc.stop()
     assert peak < m.nbytes / 8
+
+
+def test_grounded_inverse_allocates_one_square_array():
+    # M's columns are solved into M itself, _PANEL at a time, and mirrored
+    # in place: the factor, its probe and one panel's blocks add 0.24 of
+    # M's bytes at n=1000, where a second n x n array would add 1
+    lap = build_laplacian(generate_ws(1000, 4, 0.1, seed=3))
+    tracemalloc.start()
+    try:
+        m = grounded_inverse(lap, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m.nbytes
 
 
 def test_cholesky_inverse_raises_on_lapack_failure():
