@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations, compress, islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,18 +59,16 @@ from .rand import child_seed, seeded_rng
 _DROP_TOLERANCE = 1e-12
 
 _BRUTE_FORCE_GUARD = 1_000_000
-_BRUTE_FORCE_CHUNK = 50_000  # subsets per batched solve
+_BRUTE_FORCE_CHUNK = 50_000  # subsets unranked and scored at a time
 # Margin for a batched R_v's roundoff, relative to R_0. It is measured,
 # not proven: against a long-double-refined Cholesky inverse, the largest
-# error over every subset was 9.4e-14 R_0 over the oracle's small test
-# cases (R_0 / R_v(S) up to 1,100) and 1.1e-14 R_0 on 100-node graphs
-# with weights over 1e-2..1e2; on an inverse regrounded from target to
-# target (reground), k = 1..3, it was 9.8e-16 R_0 on all 34 karate
-# targets in one chain and 5.7e-14 R_0 on those 100-node graphs after 30
-# regrounds each. The from-scratch Cholesky values carry more: their gap
-# to the batched ones reaches 2.5e-13 R_0 on the 100-node graphs, and
-# 7.4e-13 R_0 on 6-node graphs of the small cases, where a 40-digit
-# inverse puts all of it on the Cholesky side.
+# error of the L D L^T values over every subset was 9.4e-14 R_0 over the
+# oracle's small test cases (R_0 / R_v(S) up to 1,100) and 1.0e-14 R_0 on
+# 100-node graphs with weights over 1e-2..1e2; on an inverse regrounded
+# from target to target (reground), k = 1..3, it was 8.7e-16 R_0 on all 34
+# karate targets in one chain and 5.6e-14 R_0 on those 100-node graphs
+# after 30 regrounds each. Pivoted LU solves of the same k x k systems
+# gave the same four figures, so M's own error dominates them.
 _BATCH_ROUNDOFF = 3e-13
 # Where roundoff could decide a tie, the values within this of the best
 # are rescored before the tie rule: the oracle's batched values, from
@@ -550,6 +547,69 @@ def _correction(m: np.ndarray, done: np.ndarray, u: int, w: float) -> np.ndarray
     return col * math.sqrt(w / (1.0 + w * col[u]))
 
 
+def _lexicographic_subsets(p: int, k: int):
+    """A function from ranks, an int64 array, to the k-subsets of range(p)
+    at those ranks in itertools.combinations(range(p), k)'s lexicographic
+    order, one ascending int64 row each. It unranks in the combinatorial
+    number system: the rank r of (c_0, ..., c_{k-1}) has C(p, k) - 1 - r
+    equal to the sum of C(p-1-c_i, k-i), so each c_i is read off the
+    largest such term within what remains. The terms for position i are
+    C(k-i-1+j, k-i) at j = 0..p-k, each at most C(p, k)."""
+    last = math.comb(p, k) - 1
+    tables = [np.arange(p - k + 1, dtype=np.int64)]  # C(j, 1)
+    for _ in range(k - 1):  # C(m-1+j, m) is the sum of C(m-1+t, m-1) over t < j
+        tables.append(np.concatenate(([0], np.cumsum(tables[-1][1:]))))
+    tables = tables[::-1][:k]
+
+    def rows(ranks: np.ndarray) -> np.ndarray:
+        rest = last - ranks
+        out = np.empty((len(rest), k), dtype=np.int64, order="F")  # each position contiguous
+        for i, table in enumerate(tables):
+            j = np.searchsorted(table, rest, side="right") - 1
+            rest -= table[j]
+            out[:, i] = p - k + i - j
+        return out
+
+    return rows
+
+
+def _woodbury_drops(cap: list[list[np.ndarray]], sq: list[list[np.ndarray]]) -> np.ndarray:
+    """tr(C^-1 B) for a stack of symmetric k x k pairs, C positive
+    definite, each given by its lower triangle as cap[i][j] and sq[i][j]
+    (j <= i), arrays holding entry (i, j) of every pair. cap is
+    overwritten. C = L D L^T needs no pivoting (Higham 2002, sec. 10.1);
+    with g_i row i of the unit triangle L^-1, tr(C^-1 B) is the sum of
+    g_i^T B g_i / d_i. Each step is one NumPy operation across the stack."""
+    k = len(cap)
+    tmp = np.empty_like(cap[0][0]) if k else None
+    for j in range(k):  # column j of L, below d_j = cap[j][j]
+        scaled = [cap[j][t] * cap[t][t] for t in range(j)]  # L_jt d_t
+        for i in range(j, k):
+            for t in range(j):
+                cap[i][j] -= np.multiply(cap[i][t], scaled[t], out=tmp)
+        for i in range(j + 1, k):
+            cap[i][j] /= cap[j][j]
+    inv: list[list[np.ndarray]] = []  # L^-1 below its unit diagonal
+    traces = 0.0
+    for i in range(k):
+        row = []
+        for j in range(i):  # G_ij = -L_ij - sum over j < t < i of L_it G_tj
+            g = -cap[i][j]
+            for t in range(j + 1, i):
+                g -= np.multiply(cap[i][t], inv[t][j], out=tmp)
+            row.append(g)
+        inv.append(row)
+        # g^T B g = B_ii + sum over a < i of g_a (B_ia + B_ia + sum over b < i of B_ab g_b)
+        q = sq[i][i].copy()
+        for a in range(i):
+            w = 2.0 * sq[i][a]
+            for b in range(i):
+                w += np.multiply(sq[max(a, b)][min(a, b)], row[b], out=tmp)
+            q += np.multiply(row[a], w, out=tmp)
+        traces = traces + q / cap[i][i]
+    return traces
+
+
 def brute_force_optimum(
     g: Graph,
     v: int,
@@ -565,18 +625,29 @@ def brute_force_optimum(
     subsets, and its resistance. A subset S only adds its weights w_S to
     the grounded diagonal at its rows, so by the Woodbury identity
     R_v(S) = tr(M) - tr((diag(1/w_S) + M[S,S])^-1 (M^2)[S,S]), for the
-    grounded inverse M (m, only read; computed here when not given). Both
-    blocks are gathered from M's candidate columns, and the subsets are
-    scored in batched k x k solves. A value's roundoff is relative to
-    tr(M), not to R_v(S); the measured margin _BATCH_ROUNDOFF tr(M) stands
-    for it. Where twice that could pass _TIE_RTOL of the least value, the
-    subsets within _RESCORE_RTOL of the least are rescored from scratch,
-    by the route every other R_v takes: node_resistance_grounded on g
-    with the subset's edges, the trace of a fresh sparse factor's
-    grounded inverse, read under its probe rule. The tie rule and the
-    returned R_v use those values. Elsewhere, as at a leaf of a star
-    where every subset ties, the batched values stand. Guarded to
-    C(|candidates|, k) <= 1e6 subsets.
+    grounded inverse M (m, only read; computed here when not given).
+
+    The subsets are int64 index rows in itertools.combinations'
+    lexicographic order, unranked _BRUTE_FORCE_CHUNK at a time
+    (_lexicographic_subsets), so beside one value per subset only one
+    chunk's rows and entries are held. Both k x k blocks' lower triangles
+    are gathered, for a chunk, from M's candidate columns, and each trace
+    comes from an L D L^T of its capacitance matrix, one NumPy operation
+    per entry across the chunk (_woodbury_drops). On karate's 906,192
+    6-subsets at a 32-candidate target that took 0.28 s at a tracemalloc
+    peak of 39 MB, against 1.8 s and 58 MB for one pivoted LU solve per
+    subset (one BLAS thread). The first subset within the tie rule, the
+    near ties and the result are read back by their ranks.
+
+    A value's roundoff is relative to tr(M), not to R_v(S); the measured
+    margin _BATCH_ROUNDOFF tr(M) stands for it. Where twice that could
+    pass _TIE_RTOL of the least value, the subsets within _RESCORE_RTOL of
+    the least are rescored from scratch, by the route every other R_v
+    takes: node_resistance_grounded on g with the subset's edges, the
+    trace of a fresh sparse factor's grounded inverse, read under its
+    probe rule. The tie rule and the returned R_v use those values.
+    Elsewhere, as at a leaf of a star where every subset ties, the
+    batched values stand. Guarded to C(|candidates|, k) <= 1e6 subsets.
     """
     others, weights = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
@@ -590,31 +661,33 @@ def brute_force_optimum(
     inv_weights = 1.0 / weights
     m_cols = m[:, others]
     m_block, m2_block = m_cols[others], m_cols.T @ m_cols
-    diag = np.arange(k)
+    subsets = _lexicographic_subsets(p, k)
     resistances = np.empty(total)
-    subsets = combinations(range(p), k)
-    done = 0
-    while chunk := list(islice(subsets, _BRUTE_FORCE_CHUNK)):
-        idx = np.array(chunk, dtype=np.int64)
-        pairs = (idx[:, :, None], idx[:, None, :])
-        cap = m_block[pairs]
-        cap[:, diag, diag] += inv_weights[idx]
-        drops = np.einsum("nii->n", np.linalg.solve(cap, m2_block[pairs]))
-        resistances[done : done + len(chunk)] = r0 - drops
-        done += len(chunk)
+    for start in range(0, total, _BRUTE_FORCE_CHUNK):
+        rows = subsets(np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total)))
+        cap, sq = [], []  # the lower triangles of diag(1/w_S) + M[S,S] and (M^2)[S,S]
+        for i in range(k):
+            offset = rows[:, i] * p
+            at = [offset + rows[:, j] for j in range(i + 1)]  # flat offsets into both blocks
+            cap.append([m_block.take(ij) for ij in at])
+            cap[i][i] += inv_weights[rows[:, i]]
+            sq.append([m2_block.take(ij) for ij in at])
+        resistances[start : start + len(rows)] = r0 - _woodbury_drops(cap, sq)
 
     least = resistances.min()
     if 2.0 * _BATCH_ROUNDOFF * r0 <= _TIE_RTOL * least:
         best = int(np.flatnonzero(resistances <= least * (1.0 + _TIE_RTOL))[0])
-        subset, value = next(islice(combinations(range(p), k), best, None)), resistances[best]
+        value = resistances[best]
     else:
-        near = (resistances <= least * (1.0 + _RESCORE_RTOL)).tolist()
-        near_subsets = list(compress(combinations(range(p), k), near))
-        rescored = np.empty(len(near_subsets))
-        for i, near_subset in enumerate(near_subsets):
-            added = [(int(others[j]), v, float(weights[j])) for j in near_subset]
-            rescored[i] = node_resistance_grounded(g.with_edges(added), v).value
-        best = int(np.flatnonzero(rescored <= rescored.min() * (1.0 + _TIE_RTOL))[0])
-        subset, value = near_subsets[best], rescored[best]
-    edges = tuple((min(u, v), max(u, v)) for u in others[list(subset)].tolist())
+        near = np.flatnonzero(resistances <= least * (1.0 + _RESCORE_RTOL))
+        rescored = np.empty(len(near))
+        for start in range(0, len(near), _BRUTE_FORCE_CHUNK):
+            rows = subsets(near[start : start + _BRUTE_FORCE_CHUNK])
+            for i, row in enumerate(rows, start):
+                added = [(u, v, w) for u, w in zip(others[row].tolist(), weights[row].tolist())]
+                rescored[i] = node_resistance_grounded(g.with_edges(added), v).value
+        pick = int(np.flatnonzero(rescored <= rescored.min() * (1.0 + _TIE_RTOL))[0])
+        best, value = int(near[pick]), rescored[pick]
+    (subset,) = subsets(np.array([best]))
+    edges = tuple((min(u, v), max(u, v)) for u in others[subset].tolist())
     return edges, float(value)

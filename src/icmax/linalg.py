@@ -227,10 +227,11 @@ class _LevelSchedule:
     L: it is then mostly zeros, and its rows stay sparse levels. The tail
     is inverted once, in its own storage (LAPACK dtrtri), and both halves
     multiply by that inverse (BLAS dtrmm): at n=5000, on a 548-row tail
-    and 256 columns with one BLAS thread, 2.3-2.5 ms forward and 3.8-4.0
-    ms back, against 3.5-4.4 and 5.1-6.1 ms for triangular solves (dtrsm)
-    with the tail itself. Every product adds into the rows of the one
-    array that holds the solution in level order.
+    and 256 columns with one BLAS thread, 1.33-1.40 ms forward and
+    1.27-1.31 ms back (quartiles of 15), against 2.68-2.78 and 2.63-2.68
+    ms for triangular solves (dtrsm) with the tail itself. Every product
+    adds into the rows of the one array that holds the solution in level
+    order.
 
     The schedule pays a fixed cost per level, so against SuperLU's solve
     it loses on narrow blocks and wins on wide ones. With one BLAS thread,
@@ -494,8 +495,8 @@ class GroundedFactor:
         edge's R_v drop ||c||^2 = w ||x||^2 / (1 + w x_u)."""
         if u == self.v or not 0 <= u < self.n:
             raise ValueError(f"edge ({u}, {self.v}) is not a new edge at the grounded node")
-        if w <= 0.0:
-            raise ValueError("edge weight must be positive")
+        if not 0.0 < w < math.inf:
+            raise ValueError("edge weight must be positive and finite")
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}; expected ({self.n},)")
         s = math.sqrt(w / (1.0 + w * x[u]))

@@ -2,6 +2,7 @@
 brute-force oracle, checked against closed forms and against each other."""
 
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -373,8 +374,9 @@ def test_brute_force_matches_the_from_scratch_enumerator():
 
 def test_brute_force_batched_values_stay_in_their_margin_on_larger_graphs():
     # 100 nodes, weights over 1e-2..1e2 and R_0 / R_v(S) under 2, where the
-    # batched values stand unrescored: their gap to the from-scratch values
-    # (2.5e-13 R_0 at most over these seeds) is what _BATCH_ROUNDOFF covers
+    # batched values stand unrescored: their gap to the refined from-scratch
+    # values (1.0e-14 R_0 at most over these seeds) is what _BATCH_ROUNDOFF
+    # covers
     for seed in range(6):
         rng = seeded_rng(seed, 8)
         shape = random_connected_graph(seed, n=100)
@@ -403,6 +405,63 @@ def test_brute_force_ties_across_chunks(monkeypatch):
     whole = [brute_force_optimum(g, v, default_candidates(g, v), 3) for g, v in cases]
     monkeypatch.setattr(greedy, "_BRUTE_FORCE_CHUNK", 7)
     assert [brute_force_optimum(g, v, default_candidates(g, v), 3) for g, v in cases] == whole
+
+
+@pytest.mark.parametrize("chunk", [1, 7, greedy._BRUTE_FORCE_CHUNK])
+@pytest.mark.parametrize("p", [1, 2, 7, 17, 32])
+def test_brute_force_enumerates_the_subsets_in_lexicographic_order(monkeypatch, p, chunk):
+    # every row the oracle unranks, chunk by chunk and at its tie rule, is
+    # combinations' subset at that rank; a leaf of a star, where every
+    # subset ties, returns the first
+    calls, unranker = [], greedy._lexicographic_subsets
+
+    def recorded(p_, k_):
+        unrank = unranker(p_, k_)
+
+        def record(ranks):
+            calls.append((ranks.copy(), unrank(ranks)))
+            return calls[-1][1]
+
+        return record
+
+    monkeypatch.setattr(greedy, "_lexicographic_subsets", recorded)
+    monkeypatch.setattr(greedy, "_BRUTE_FORCE_CHUNK", chunk)
+    g = star_graph(p + 1)
+    cands = default_candidates(g, 1)
+    for k in sorted({0, 1, 2, p - 1, p} & set(range(p + 1))):
+        calls.clear()
+        combos = list(combinations(range(p), k))
+        edges, _ = brute_force_optimum(g, 1, cands, k)
+        assert edges == tuple((1, cands[j].other) for j in range(k))
+        scored = math.ceil(len(combos) / chunk)
+        assert np.array_equal(np.concatenate([ranks for ranks, _ in calls[:scored]]), np.arange(len(combos)))
+        assert all(len(ranks) <= chunk for ranks, _ in calls)
+        for ranks, rows in calls:
+            assert rows.dtype == np.int64 and rows.shape == (len(ranks), k)
+            assert rows.tolist() == [list(combos[r]) for r in ranks.tolist()], (k, ranks)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_woodbury_drops_match_pivoted_solves(k):
+    # capacitance matrices diag(1/w) + X^T X, condition number up to ~1e2,
+    # against B = Y^T Y: the L D L^T traces stay within 16 k u tr(C^-1 B)
+    # of LAPACK's pivoted LU (10.4 u tr at most over these draws)
+    rng = seeded_rng(k, 9)
+    x, y = rng.standard_normal((2, 2_000, k + 2, k))
+    cap = np.einsum("nai,naj->nij", x, x) + np.eye(k) * 10 ** rng.uniform(-1, 1, (2_000, 1, k))
+    sq = np.einsum("nai,naj->nij", y, y)
+    ref = np.einsum("nii->n", np.linalg.solve(cap, sq))
+    lower = [[cap[:, i, j].copy() for j in range(i + 1)] for i in range(k)]
+    traces = greedy._woodbury_drops(lower, [[sq[:, i, j] for j in range(i + 1)] for i in range(k)])
+    assert traces.shape == ref.shape
+    assert np.all(np.abs(traces - ref) <= 16 * k * np.finfo(float).eps * ref)
+
+
+def test_brute_force_takes_no_subset_at_k0():
+    karate, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    for v in (0, 11, 33):
+        m = grounded_inverse(build_laplacian(karate), v)
+        assert brute_force_optimum(karate, v, default_candidates(karate, v), 0, m=m) == ((), float(np.trace(m)))
 
 
 @settings(max_examples=10, deadline=None)

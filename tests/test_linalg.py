@@ -536,6 +536,21 @@ def test_grounded_factor_validation():
         factor.add(3, 1.0, np.zeros((4, 1)))
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=["nan", "inf", "-inf", "0", "-1"])
+def test_grounded_factor_refuses_a_weight_before_any_state_changes(w):
+    # a NaN weight once passed `w <= 0` and left every later solve NaN
+    karate, _ = load_edge_list(Path(__file__).resolve().parents[1] / "data" / "karate.txt")
+    factor = GroundedFactor(build_laplacian(karate), 0)
+    add_to_factor(factor, 9, 0.5)
+    before = factor.diagonal()
+    rhs = np.zeros((factor.n, 1))
+    rhs[5], rhs[0] = 1.0, -1.0
+    with pytest.raises(ValueError, match="edge weight must be positive and finite"):
+        factor.add(5, w, factor.solve(rhs)[:, 0])
+    assert np.array_equal(factor.diagonal(), before)
+    assert np.isfinite(add_to_factor(factor, 5, 1.0))
+
+
 def test_grounded_factor_refuses_a_disconnected_graph():
     # at every ground node, before SuperLU meets the singular grounded matrix
     lap = build_laplacian(Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
