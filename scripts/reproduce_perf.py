@@ -9,7 +9,8 @@ By default the estimator runs with a truncated sample budget and a reduced
 sketch size (the accuracy guarantee is voided but the selections barely
 move); pass --literal for the untruncated estimator, and expect it to be
 much slower. Times are wall-clock and hardware-dependent; the quality
-columns are deterministic for a fixed seed.
+columns are deterministic for a fixed seed. A bad size or family list
+ends the run with one "error:" line and exit code 2.
 
 Usage:
   python3 scripts/reproduce_perf.py [--sizes 500,1000,2000] [--families ws,ba]
@@ -24,7 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from icmax.cli import RunConfig, cmd_compare_perf
+from icmax.cli import RunConfig, cmd_compare_perf, csv_text
+from icmax.linalg import SKETCH_CONSTANT
 
 COLUMNS = (
     "graph", "n", "m", "k", "targets",
@@ -53,46 +55,44 @@ def main() -> int:
     ap.add_argument("--out", default="results/perf")
     args = ap.parse_args()
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    for fam in families:
-        if fam not in GENERATORS:
-            raise SystemExit(f"unknown family {fam!r}; choose from {sorted(GENERATORS)}")
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     started = time.perf_counter()
-    for fam in families:
-        for n in sizes:
-            spec = GENERATORS[fam](n)
-            config = RunConfig(
-                generate=spec,
-                k=args.k,
-                algorithms=("exact", "approx"),
-                epsilon=args.epsilon,
-                seed=args.seed,
-                m_cap=None if args.literal else 256,
-                sketch_constant=24.0 if args.literal else 2.0,
-                out=str(out / f"{fam}-{n}"),
-                random_targets=args.targets,
-            )
-            row = cmd_compare_perf(config)
-            rows.append(row)
-            print(
-                f"{row['graph']:>16}: n={row['n']:>5}  "
-                f"time {row['mean_time_approx']:.2f}s vs {row['mean_time_exact']:.2f}s "
-                f"(ratio {row['time_ratio']:.3f})  "
-                f"quality ratio {row['centrality_ratio']:.4f}"
-            )
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        families = [f.strip() for f in args.families.split(",") if f.strip()]
+        if not sizes or not families:
+            raise ValueError("--sizes and --families must each name at least one entry")
+        for fam in families:
+            if fam not in GENERATORS:
+                raise ValueError(f"unknown family {fam!r}; choose from {sorted(GENERATORS)}")
+        for fam in families:
+            for n in sizes:
+                config = RunConfig(
+                    generate=GENERATORS[fam](n),
+                    k=args.k,
+                    algorithms=("exact", "approx"),
+                    epsilon=args.epsilon,
+                    seed=args.seed,
+                    m_cap=None if args.literal else 256,
+                    sketch_constant=SKETCH_CONSTANT if args.literal else 2.0,
+                    out=str(out / f"{fam}-{n}"),
+                    random_targets=args.targets,
+                )
+                row = cmd_compare_perf(config)
+                rows.append(row)
+                print(
+                    f"{row['graph']:>16}: n={row['n']:>5}  "
+                    f"time {row['mean_time_approx']:.2f}s vs {row['mean_time_exact']:.2f}s "
+                    f"(ratio {row['time_ratio']:.3f})  "
+                    f"quality ratio {row['centrality_ratio']:.4f}"
+                )
+    except ValueError as exc:  # a bad list, or a ConfigError of a run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    lines = [",".join(COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            str(row[c]) if c in ("graph", "n", "m", "k", "targets") else repr(float(row[c]))
-            for c in COLUMNS
-        ))
-    (out / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "table.csv").write_text(csv_text(COLUMNS, ([row[c] for c in COLUMNS] for row in rows)),
+                                   encoding="utf-8")
     if not args.literal:
         print("note: estimator sample count capped and sketch size reduced; "
               "accuracy guarantees voided (pass --literal to lift)")

@@ -44,6 +44,8 @@ from .greedy import (
     BASELINE_STRATEGIES,
     CandidateEdge,
     GreedyTrace,
+    _require_budget,
+    _require_weight,
     approxi_sm,
     baseline_select,
     brute_force_optimum,
@@ -52,8 +54,10 @@ from .greedy import (
     insertion_trace,
 )
 from .linalg import (
+    SKETCH_CONSTANT,
     SolverSpec,
     SolverConvergenceError,
+    _require_epsilon,
     build_laplacian,
     grounded_inverse,
     reground,
@@ -95,7 +99,7 @@ class RunConfig:
     seed: int = 0
     solver_mode: str = "practical"
     m_cap: int | None = None
-    sketch_constant: float = 24.0
+    sketch_constant: float = SKETCH_CONSTANT
     out: str = "results"
     formats: tuple[str, ...] = ("json", "csv")
 
@@ -118,21 +122,16 @@ class RunConfig:
             raise ConfigError(f"target {repeated[0]} is given more than once")
         if self.random_targets < 0:
             raise ConfigError("random_targets must be >= 0")
-        if not 0.0 < self.epsilon <= 0.5:
-            raise ConfigError("epsilon must be in (0, 1/2]")
-        if not 0.0 < self.weight < np.inf:
-            raise ConfigError("candidate weight must be positive and finite")
-        if self.m_cap is not None and self.m_cap < 1:
-            raise ConfigError("m_cap must be >= 1")
-        if not 0.0 < self.sketch_constant < np.inf:
-            raise ConfigError("sketch_constant must be positive and finite")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
         if not self.formats:
             raise ConfigError("at least one output format is required")
-        # constructing the spec validates the mode
+        # the library's own checks, and constructing the spec validates the mode
         try:
+            _require_epsilon(self.epsilon)
+            _require_weight(self.weight)
+            _require_budget(self.m_cap, self.sketch_constant)
             self.solver_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -468,9 +467,10 @@ def _deviation_flags(config: RunConfig) -> list[str]:
                 f"estimator sample count capped at {config.m_cap}; the e^(+-eps) "
                 "estimate guarantee is voided"
             )
-        if config.sketch_constant != 24.0:
+        if config.sketch_constant != SKETCH_CONSTANT:
             flags.append(
-                f"resistance sketch uses constant {config.sketch_constant} instead of 24; "
+                f"resistance sketch uses constant {config.sketch_constant} "
+                f"instead of {SKETCH_CONSTANT:g}; "
                 "the sketch accuracy guarantee is voided"
             )
     return flags
@@ -520,19 +520,26 @@ def cmd_optimize(config: RunConfig) -> RunReport:
     return report
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _csv_cell(x) -> str:
+    if isinstance(x, float):
+        return float.__repr__(x)  # an np.float64 too, without NumPy's own repr
+    return "" if x is None else str(x)
 
 
-def trace_csv_lines(trace: GreedyTrace, ids: np.ndarray) -> list[str]:
-    lines = ["step,edge_u,edge_v,R_v,I_v"]
-    lines.append(
-        f"0,,,{_format_float(trace.initial_resistance)},{_format_float(trace.initial_centrality)}"
-    )
+def csv_text(header: typing.Sequence, rows: typing.Iterable[typing.Sequence]) -> str:
+    """The one CSV format that the CLI and the scripts write: the header,
+    then one line per row, each ended by a newline. A float cell is written
+    by Python's float repr, so it reads back exactly; None is an empty
+    cell; anything else is written by str."""
+    return "".join(",".join(map(_csv_cell, line)) + "\n" for line in (header, *rows))
+
+
+def trace_csv_lines(trace: GreedyTrace, ids: np.ndarray) -> str:
+    """The trace's CSV text, in original ids; step 0 has no edge."""
+    rows = [(0, None, None, trace.initial_resistance, trace.initial_centrality)]
     for i, s in enumerate(trace.steps, start=1):
-        u, v = int(ids[s.edge[0]]), int(ids[s.edge[1]])
-        lines.append(f"{i},{u},{v},{_format_float(s.resistance)},{_format_float(s.centrality)}")
-    return lines
+        rows.append((i, int(ids[s.edge[0]]), int(ids[s.edge[1]]), s.resistance, s.centrality))
+    return csv_text(("step", "edge_u", "edge_v", "R_v", "I_v"), rows)
 
 
 def _write_optimize_outputs(report: RunReport) -> None:
@@ -547,15 +554,12 @@ def _write_optimize_outputs(report: RunReport) -> None:
         for target, per_algo in report.traces.items():
             for algo, trace in per_algo.items():
                 name = f"trace_target{int(ids[target])}_{algo}.csv"
-                (out / name).write_text("\n".join(trace_csv_lines(trace, ids)) + "\n", encoding="utf-8")
+                (out / name).write_text(trace_csv_lines(trace, ids), encoding="utf-8")
+        algos = report.config.algorithms
         for value, fname in (("resistance", "aggregate_resistance.csv"), ("centrality", "aggregate_centrality.csv")):
             series = report.aggregate_series(value)
-            algos = list(report.config.algorithms)
-            lines = ["step," + ",".join(algos)]
-            for step in range(report.config.k + 1):
-                row = [str(step)] + [_format_float(series[a][step]) for a in algos]
-                lines.append(",".join(row))
-            (out / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows = ([step] + [series[a][step] for a in algos] for step in range(report.config.k + 1))
+            (out / fname).write_text(csv_text(("step", *algos), rows), encoding="utf-8")
     (out / "timings.json").write_text(
         json.dumps(report.timings_payload(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -563,8 +567,9 @@ def _write_optimize_outputs(report: RunReport) -> None:
 
 def cmd_compare_perf(config: RunConfig) -> dict:
     config.validate()
-    if "exact" not in config.algorithms or "approx" not in config.algorithms:
-        raise ConfigError("compare-perf requires both 'exact' and 'approx' algorithms")
+    if set(config.algorithms) != {"exact", "approx"}:
+        raise ConfigError("compare-perf requires both 'exact' and 'approx' algorithms and runs no "
+                          f"other; got {', '.join(config.algorithms)}")
     g, ids, label = _obtain_graph(config)
 
     sampled = config
@@ -603,33 +608,13 @@ def cmd_compare_perf(config: RunConfig) -> dict:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     # full table includes wall-clock columns and is inherently run-dependent
-    table_cols = [
-        "graph",
-        "mean_time_approx",
-        "mean_time_exact",
-        "time_ratio",
-        "mean_centrality_approx",
-        "mean_centrality_exact",
-        "centrality_ratio",
-    ]
-    lines = [",".join(table_cols)]
-    lines.append(
-        ",".join(
-            row[c] if c == "graph" else _format_float(row[c]) for c in table_cols
-        )
-    )
-    (out / "perf_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table_cols = ("graph", "mean_time_approx", "mean_time_exact", "time_ratio",
+                  "mean_centrality_approx", "mean_centrality_exact", "centrality_ratio")
+    (out / "perf_table.csv").write_text(csv_text(table_cols, [[row[c] for c in table_cols]]), encoding="utf-8")
     # deterministic companion: centrality columns only
-    det_cols = ["graph", "n", "m", "k", "targets",
-                "mean_centrality_approx", "mean_centrality_exact", "centrality_ratio"]
-    det_lines = [",".join(det_cols)]
-    det_lines.append(
-        ",".join(
-            str(row[c]) if c in ("graph", "n", "m", "k", "targets") else _format_float(row[c])
-            for c in det_cols
-        )
-    )
-    (out / "perf_results.csv").write_text("\n".join(det_lines) + "\n", encoding="utf-8")
+    det_cols = ("graph", "n", "m", "k", "targets",
+                "mean_centrality_approx", "mean_centrality_exact", "centrality_ratio")
+    (out / "perf_results.csv").write_text(csv_text(det_cols, [[row[c] for c in det_cols]]), encoding="utf-8")
     return row
 
 
@@ -660,7 +645,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m-cap", dest="m_cap", type=int,
                    help="cap the estimator sample count (voids the accuracy guarantee)")
     p.add_argument("--sketch-constant", dest="sketch_constant", type=float,
-                   help="leading constant of the resistance sketch size (default 24)")
+                   help=f"leading constant of the resistance sketch size (default {SKETCH_CONSTANT:g})")
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", dest="formats", action="append", choices=FORMATS,
                    help="output format (repeatable; default json and csv)")
@@ -688,14 +673,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace, default_algorithms: tuple[str, ...]) -> RunConfig:
+    """The RunConfig of one subcommand's parsed args, built and validated
+    once by build_config: RunConfig's defaults <- the subcommand's
+    default_algorithms <- the config file (--config) <- the flags. The
+    default algorithms stand where neither the file nor the flags name one."""
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {key: getattr(args, key, None) for key in _FIELD_KINDS}
-    merged_has_algos = bool(file_values.get("algorithms")) or bool(overrides.get("algorithms"))
-    config = build_config(file_values, {k: v for k, v in overrides.items() if v is not None})
-    if not merged_has_algos:
-        config = replace(config, algorithms=default_algorithms)
-        config.validate()
-    return config
+    if not (file_values.get("algorithms") or overrides["algorithms"]):
+        overrides["algorithms"] = default_algorithms
+    return build_config(file_values, overrides)
 
 
 def main(argv=None) -> int:
@@ -721,13 +707,7 @@ def main(argv=None) -> int:
                 f"time ratio {row['time_ratio']:.4f}"
             )
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SolverConvergenceError as exc:
@@ -736,7 +716,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -39,10 +39,12 @@ import scipy.sparse as sparse
 
 from .graphs import Graph, _raise_first_fault
 from .linalg import (
+    SKETCH_CONSTANT,
     GroundedFactor,
     SolverSpec,
     _project_out_mean,
     _rademacher_block_solve,
+    _require_epsilon,
     _require_sketch_constant,
     _verified_solve,
     approx_eff_res,
@@ -170,14 +172,19 @@ def default_candidates(g: Graph, v: int, weight: float = 1.0) -> list[CandidateE
     """One candidate per non-neighbor of v, all at the given weight, by id."""
     if not 0 <= v < g.n:
         raise ValueError(f"node id {v} out of range for n={g.n}")
-    if weight <= 0.0 or not math.isfinite(weight):
-        raise ValueError("candidate weight must be positive and finite")
+    _require_weight(weight)
     us, vs, _ = g.edge_arrays
     free = np.ones(g.n, dtype=bool)
     free[us[vs == v]] = free[vs[us == v]] = free[v] = False
     # tuple.__new__ skips CandidateEdge's own __new__, a Python function
     # call per edge: 1.1 ms against 2.1 ms for 4,995 candidates
     return [tuple.__new__(CandidateEdge, (u, v, weight)) for u in np.flatnonzero(free).tolist()]
+
+
+def _require_weight(weight: float) -> None:
+    """Refuse a candidate weight that is not positive and finite."""
+    if not 0.0 < weight < math.inf:
+        raise ValueError("candidate weight must be positive and finite")
 
 
 def _check_candidates(g: Graph, v: int, candidates: Sequence[CandidateEdge], k: int) -> Checked:
@@ -259,7 +266,7 @@ def _vreff_comp_full(
     *,
     lap: sparse.csr_matrix,
     m_cap: int | None = None,
-    sketch_constant: float = 24.0,
+    sketch_constant: float = SKETCH_CONSTANT,
     factor: GroundedFactor,
 ) -> VReffResult:
     """Estimates for the edges (others[i], v) at weights[i] on g, whose
@@ -318,7 +325,7 @@ def vreff_comp(
     spec: SolverSpec | None = None,
     *,
     m_cap: int | None = None,
-    sketch_constant: float = 24.0,
+    sketch_constant: float = SKETCH_CONSTANT,
 ) -> list[GainEstimate]:
     """Estimated marginal resistance drops for every candidate.
 
@@ -354,7 +361,7 @@ def approxi_sm(
     spec: SolverSpec | None = None,
     *,
     m_cap: int | None = None,
-    sketch_constant: float = 24.0,
+    sketch_constant: float = SKETCH_CONSTANT,
 ) -> GreedyTrace:
     """Approximate greedy: k rounds of estimated-gain selection.
 
@@ -374,8 +381,7 @@ def approxi_sm(
     e_u - e_v, whose M e_u is also the factor's correction
     (GroundedFactor.add), so one formula serves both.
     """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("epsilon must be in (0, 1/2]")
+    _require_epsilon(epsilon)
     _require_budget(m_cap, sketch_constant)
     spec = spec or SolverSpec()
     others, weights = _check_candidates(g, v, candidates, k)

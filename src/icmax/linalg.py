@@ -53,6 +53,9 @@ DENSE_NODE_LIMIT = 20_000
 PRACTICAL = "practical"
 PAPER_LITERAL = "paper-literal"
 
+# c in the sketch size q = c ln(n) / eps^2 of Spielman and Srivastava (SIAM J. Comput. 2011)
+SKETCH_CONSTANT = 24.0
+
 # Floor for the literal tolerance formulas, which underflow even at modest n.
 _TOLERANCE_FLOOR = 1e-14
 
@@ -752,6 +755,12 @@ def _signed_incidence_transpose(g: Graph) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, cols)), shape=(g.n, m)).tocsr()
 
 
+def _require_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon outside (0, 1/2], where the estimators are analysed."""
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError("epsilon must be in (0, 1/2]")
+
+
 def _require_sketch_constant(sketch_constant: float) -> None:
     """Refuse a sketch constant, the scale of q, that is not positive and finite."""
     if not 0.0 < sketch_constant < math.inf:
@@ -764,7 +773,7 @@ def approx_eff_res(
     epsilon: float,
     *,
     spec: SolverSpec | None = None,
-    sketch_constant: float = 24.0,
+    sketch_constant: float = SKETCH_CONSTANT,
     solve=None,
     lap: sparse.csr_matrix | None = None,
 ) -> np.ndarray:
@@ -783,8 +792,7 @@ def approx_eff_res(
     solve or lap holds a factor of g, which has already checked g. Every
     solve is verified either way.
     """
-    if not (0.0 < epsilon <= 0.5):
-        raise ValueError("epsilon must be in (0, 1/2]")
+    _require_epsilon(epsilon)
     _require_sketch_constant(sketch_constant)
     spec = spec or SolverSpec()
     n = g.n

@@ -2,6 +2,7 @@
 subcommands, output artifacts, determinism, and exit codes."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -23,13 +24,15 @@ from icmax.cli import (
     build_parser,
     cmd_compare_perf,
     cmd_optimize,
+    csv_text,
     main,
     parse_config_file,
     parse_generator_spec,
     trace_csv_lines,
 )
 from icmax.graphs import generate_ws, load_edge_list
-from icmax.linalg import build_laplacian
+from icmax.greedy import _vreff_comp_full, approxi_sm, vreff_comp
+from icmax.linalg import SKETCH_CONSTANT, approx_eff_res, build_laplacian
 
 from oracles import grounded_inverse_reference
 
@@ -165,6 +168,22 @@ def test_config_validation(tmp_path):
     for kwargs, pattern in cases:
         with pytest.raises(ConfigError, match=pattern):
             RunConfig(**kwargs).validate()
+
+
+def test_sketch_constant_is_stated_once(capsys):
+    for fn in (approxi_sm, vreff_comp, approx_eff_res, _vreff_comp_full):
+        assert inspect.signature(fn).parameters["sketch_constant"].default == SKETCH_CONSTANT, fn
+    assert RunConfig().sketch_constant == SKETCH_CONSTANT
+    with pytest.raises(SystemExit):
+        main(["optimize", "--help"])
+    assert f"sketch size (default {SKETCH_CONSTANT:g})" in " ".join(capsys.readouterr().out.split())
+
+
+def test_csv_text_cells():
+    x = 0.1 + 0.2
+    text = csv_text(("a", "b", "c", "d"), [(x, None, 3, np.float64(x)), ("g", 1.0, None, None)])
+    assert text == "a,b,c,d\n0.30000000000000004,,3,0.30000000000000004\ng,1.0,,\n"
+    assert float(text.splitlines()[1].split(",")[0]) == x
 
 
 def test_parse_generator_spec():
@@ -724,6 +743,18 @@ def test_compare_perf_requires_both_algorithms(tmp_path, capsys):
     ])
     assert rc == 1
     assert "requires both" in capsys.readouterr().err
+
+
+def test_compare_perf_refuses_an_algorithm_it_would_not_run(tmp_path, capsys):
+    rc = main([
+        "compare-perf", "--generate", "ws 20 4 0.1", "--algo", "exact", "--algo", "approx",
+        "--algo", "random", "--out", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: compare-perf"), err
+    assert err[0].endswith("got exact, approx, random"), err
+    assert not (tmp_path / "r").exists()
 
 
 def test_compare_perf_outputs(tmp_path, capsys):

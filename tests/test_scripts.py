@@ -1,10 +1,29 @@
 """Smoke tests of the reproduction scripts, run as a user would run them."""
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from icmax.cli import main
+from icmax.graphs import largest_connected_component, load_edge_list
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv], capture_output=True, text=True
+    )
+
+
+def assert_one_error_line(proc, *fragments):
+    assert proc.returncode != 0, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error: " in line]
+    assert len(errors) == 1 and all(f in errors[0] for f in fragments), proc.stderr
 
 
 def test_reproduce_quality_karate(tmp_path):
@@ -72,3 +91,60 @@ def test_reproduce_perf_small(tmp_path):
     assert (tmp_path / "table.csv").read_text(encoding="utf-8").startswith(
         "graph,n,m,k,targets,mean_time_approx,mean_time_exact,time_ratio,"
     )
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--targets", "0"], "--targets"),
+    (["--targets", "-1"], "--targets"),
+    (["--k-max", "0"], "--k-max"),
+])
+def test_reproduce_quality_refuses_a_count_below_one(tmp_path, argv, fragment):
+    proc = run_script("reproduce_quality.py", "--graph", str(ROOT / "data" / "karate.txt"),
+                      "--out", str(tmp_path / "q"), *argv)
+    assert_one_error_line(proc, fragment)
+    assert not (tmp_path / "q").exists()
+
+
+def test_reproduce_quality_fails_when_it_compared_nothing(tmp_path):
+    # a complete graph: no target has a candidate edge, so no pair is compared
+    graph = tmp_path / "k4.txt"
+    graph.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", encoding="utf-8")
+    proc = run_script("reproduce_quality.py", "--graph", str(graph), "--k-max", "2",
+                      "--targets", "2", "--out", str(tmp_path))
+    assert_one_error_line(proc, "no (target, k) pair")
+    assert "worst per-k mean ratio" not in proc.stdout
+
+
+def test_reproduce_quality_reports_the_oracle_as_optimize_does(tmp_path):
+    # the same targets in the same order share one regrounded inverse in both
+    karate = ROOT / "data" / "karate.txt"
+    proc = run_script("reproduce_quality.py", "--graph", str(karate), "--k-max", "3",
+                      "--targets", "4", "--seed", "5", "--out", str(tmp_path / "q"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    with open(tmp_path / "q" / "quality_detail.csv", encoding="utf-8") as f:
+        detail = list(csv.DictReader(f))
+    g, ids = load_edge_list(karate)
+    ids = ids[largest_connected_component(g)[1]]
+    targets = [int(ids[int(r["target"])]) for r in detail if r["k"] == "1"]
+    for k in (1, 2, 3):
+        out = tmp_path / f"opt{k}"
+        argv = ["optimize", "--graph", str(karate), "--k", str(k), "--algo", "oracle",
+                "--format", "csv", "--out", str(out)]
+        assert main(argv + [t for v in targets for t in ("--target", str(v))]) == 0
+        for row in (r for r in detail if r["k"] == str(k)):
+            trace = (out / f"trace_target{ids[int(row['target'])]}_oracle.csv").read_text(encoding="utf-8")
+            assert trace.splitlines()[-1].split(",")[-1] == row["I_oracle"], (row, k)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--sizes", ""], "--sizes"),
+    (["--sizes", "60,x"], "'x'"),
+    (["--families", ""], "--families"),
+    (["--families", "ws,er"], "'er'"),
+    (["--sizes", "3"], "k_ring"),
+])
+def test_reproduce_perf_refuses_a_bad_size_or_family_list(tmp_path, argv, fragment):
+    proc = run_script("reproduce_perf.py", "--k", "2", "--targets", "2",
+                      "--out", str(tmp_path / "p"), *argv)
+    assert_one_error_line(proc, fragment)
+    assert not (tmp_path / "p" / "table.csv").exists()
