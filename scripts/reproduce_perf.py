@@ -9,8 +9,8 @@ By default the estimator runs with a truncated sample budget and a reduced
 sketch size (the accuracy guarantee is voided but the selections barely
 move); pass --literal for the untruncated estimator, and expect it to be
 much slower. Times are wall-clock and hardware-dependent; the quality
-columns are deterministic for a fixed seed. A bad size or family list
-ends the run with one "error:" line and exit code 2.
+columns are deterministic for a fixed seed. A bad size or family list,
+or a --targets below 1, ends the run with one "error:" line and exit code 2.
 
 Usage:
   python3 scripts/reproduce_perf.py [--sizes 500,1000,2000] [--families ws,ba]
@@ -49,11 +49,13 @@ def main() -> int:
     ap.add_argument("--k", type=int, default=10)
     ap.add_argument("--targets", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--epsilon", type=float, default=0.3)
+    ap.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
     ap.add_argument("--literal", action="store_true",
                     help="untruncated estimator (slow, guarantee intact)")
     ap.add_argument("--out", default="results/perf")
     args = ap.parse_args()
+    if args.targets < 1:
+        ap.error(f"--targets must be at least 1; got {args.targets}")
 
     out = Path(args.out)
     rows = []

@@ -10,10 +10,10 @@ subset by the diagonal Woodbury identity, up to its guard of 1e6 subsets
 per (target, k); I_oracle is read off its subset's insertion trace, as
 `icmax optimize --algo oracle` reports it. One grounded inverse serves
 every target: computed at the first, regrounded in place at each later
-one, and read by the greedy and by the optimum at every k. A --targets or
---k-max below 1, or a --k-max that would pass the guard for a sampled
-target, is refused before any work, the latter with the largest k that
-fits. A run that compares no (target, k) pair exits nonzero.
+one, and read by the greedy and by the optimum at every k. An unreadable
+--graph, a --targets or --k-max below 1, or a --k-max that would pass the
+guard for a sampled target, is refused before any work, the last with the
+largest k that fits. A run that compares no (target, k) pair exits nonzero.
 
 Usage:
   python3 scripts/reproduce_quality.py [--graph data/karate.txt] [--k-max 6]
@@ -29,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from icmax.cli import _GraphInverse, _oracle_trace, _Target, csv_text
-from icmax.graphs import largest_connected_component, load_edge_list
+from icmax.graphs import ParseError, largest_connected_component, load_edge_list
 from icmax.greedy import _BRUTE_FORCE_GUARD, exact_sm
 from icmax.rand import seeded_rng
 
@@ -54,7 +54,11 @@ def main() -> int:
     if args.targets < 1 or args.k_max < 1:
         ap.error(f"--targets and --k-max must be at least 1; got {args.targets} and {args.k_max}")
 
-    g, _ = load_edge_list(args.graph)
+    try:
+        g, _ = load_edge_list(args.graph)
+    except ParseError as exc:  # unreadable or malformed, as the CLI reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     g, _ = largest_connected_component(g)
     print(f"graph: {args.graph} (n={g.n}, m={g.m}), k = 1..{args.k_max}, "
           f"{args.targets} targets, seed {args.seed}")

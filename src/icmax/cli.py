@@ -54,6 +54,8 @@ from .greedy import (
     insertion_trace,
 )
 from .linalg import (
+    PAPER_LITERAL,
+    PRACTICAL,
     SKETCH_CONSTANT,
     SolverSpec,
     SolverConvergenceError,
@@ -70,7 +72,7 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-ALGORITHMS = ("exact", "approx", "random", "top-degree", "top-cent", "oracle")
+ALGORITHMS = ("exact", "approx", *BASELINE_STRATEGIES, "oracle")
 FORMATS = ("json", "csv")
 _PERF_TARGETS = 20  # targets compare-perf samples when none are given
 
@@ -97,7 +99,7 @@ class RunConfig:
     epsilon: float = 0.3
     weight: float = 1.0
     seed: int = 0
-    solver_mode: str = "practical"
+    solver_mode: str = PRACTICAL
     m_cap: int | None = None
     sketch_constant: float = SKETCH_CONSTANT
     out: str = "results"
@@ -641,7 +643,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, help="accuracy parameter for approx")
     p.add_argument("--weight", type=float, help="candidate edge weight")
     p.add_argument("--seed", type=int, help="master seed for all randomness")
-    p.add_argument("--solver-mode", dest="solver_mode", choices=["practical", "paper-literal"])
+    p.add_argument("--solver-mode", dest="solver_mode", choices=[PRACTICAL, PAPER_LITERAL])
     p.add_argument("--m-cap", dest="m_cap", type=int,
                    help="cap the estimator sample count (voids the accuracy guarantee)")
     p.add_argument("--sketch-constant", dest="sketch_constant", type=float,

@@ -322,7 +322,7 @@ def vreff_comp(
     v: int,
     candidates: Sequence[CandidateEdge],
     epsilon: float,
-    spec: SolverSpec | None = None,
+    spec: SolverSpec = SolverSpec(),
     *,
     m_cap: int | None = None,
     sketch_constant: float = SKETCH_CONSTANT,
@@ -340,7 +340,6 @@ def vreff_comp(
     if not 0.0 < epsilon <= 1.5:
         raise ValueError("epsilon must be in (0, 3/2]")
     _require_budget(m_cap, sketch_constant)
-    spec = spec or SolverSpec()
     others, weights = _check_candidates(g, v, candidates, 0)
     _require_two_nodes(g.n)
     lap = build_laplacian(g)
@@ -358,7 +357,7 @@ def approxi_sm(
     candidates: Sequence[CandidateEdge],
     k: int,
     epsilon: float,
-    spec: SolverSpec | None = None,
+    spec: SolverSpec = SolverSpec(),
     *,
     m_cap: int | None = None,
     sketch_constant: float = SKETCH_CONSTANT,
@@ -383,7 +382,6 @@ def approxi_sm(
     """
     _require_epsilon(epsilon)
     _require_budget(m_cap, sketch_constant)
-    spec = spec or SolverSpec()
     others, weights = _check_candidates(g, v, candidates, k)
     _require_two_nodes(g.n)
     lap = build_laplacian(g)

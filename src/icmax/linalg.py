@@ -15,9 +15,10 @@ inverse triangle, whose squared column norms are diag(M), and so
 R_v = tr(M); for every consumer that needs only those, diag(M) is read
 by parts, its sparse levels' rows from the forward half over those
 levels alone and the tail's rows from the backward half on the tail's
-unit columns. Each factor probes its own forward error once
-(GroundedFactor.forward_error); where it misses 1e-12, every exact value
-read from it is refined on it (GroundedFactor.factored_solve). Only a
+unit columns. Each factor probes its own forward error once, as it is
+built (GroundedFactor.forward_error); where it misses 1e-12, every exact
+value read from it is refined on it (GroundedFactor.factored_solve). A
+factor that is not L D L^T raises, naming the check it failed, and only a
 factor checks that the graph is connected. Dense: grounded_inverse fills
 M with the same factor's solves of the unit columns, through
 factored_solve, for the optimizers that read M; no dense factorization
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -161,8 +161,8 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     of grounded_laplacian(lap, v), _PANEL at a time, written into M
     itself (GroundedFactor.factored_solve, refined where the factor's probe
     is above _FORWARD_ERROR_TARGET); the upper triangle is then copied into
-    the lower one (_mirror_upper). The factor is built, and probed, before
-    the n x n array is allocated."""
+    the lower one (_mirror_upper). The factor, probed as it is built, exists
+    before the n x n array is allocated."""
     n = lap.shape[0]
     if n > DENSE_NODE_LIMIT:
         raise ValueError(
@@ -171,7 +171,6 @@ def grounded_inverse(lap: sparse.csr_matrix, v: int) -> np.ndarray:
     if n == 1:
         return np.zeros((1, 1), order="F")  # v alone: its row and column are all of M
     factor = GroundedFactor(lap, v)
-    factor.forward_error  # probed before the n x n array exists
     m = np.empty((n, n), order="F")
     store = np.empty(n * min(n, _PANEL))
     for s in range(0, n, _PANEL):
@@ -247,16 +246,17 @@ class _LevelSchedule:
     paths included, so the schedule serves every factor.
     """
 
-    @classmethod
-    def of(cls, lu) -> "_LevelSchedule | None":
-        """The schedule for lu, a factorization of a grounded Laplacian,
-        or None when lu is not of the form above."""
+    def __init__(self, lu):
+        """The schedule for lu, a factorization of a grounded Laplacian.
+        Raises RuntimeError, naming the check, when lu is not of the form
+        above."""
         if not np.array_equal(lu.perm_r, lu.perm_c):
-            return None
+            raise RuntimeError("no level schedule: SuperLU made row interchanges (perm_r != perm_c)")
         lower, upper = lu.L, lu.U  # CSC, kept by lu
         d = upper.diagonal()
-        if not (np.all(d > 0.0) and _is_d_lt(lower, upper, d)):
-            return None
+        if not np.all(d > 0.0):
+            raise RuntimeError("no level schedule: the factor has a pivot that is not positive")
+        _require_d_lt(lower, upper, d)
         n = lower.shape[0]
         rows = lower.indices
         cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(lower.indptr))
@@ -274,7 +274,7 @@ class _LevelSchedule:
                 height[p] = height[j] + 1
         level = np.array(height[:n], dtype=rows.dtype)
         if not np.all(level[rows] > level[cols]):
-            return None  # L's pattern is not a filled graph's
+            raise RuntimeError("no level schedule: L's pattern is not a filled graph's")
         counts = np.bincount(level)
         shared = np.flatnonzero(counts > 1)
         first_tail = int(shared[-1]) + 1 if shared.size else 0
@@ -283,14 +283,10 @@ class _LevelSchedule:
             # a triangle with more entries than L is mostly zeros, a long
             # sparse chain (as in a narrow grid): its rows stay sparse
             first_tail = len(counts)
-        return cls(lu.perm_c, d, level, counts[:first_tail], rows, cols, vals)
-
-    def __init__(self, perm, d, level, counts, rows, cols, vals):
-        n = len(level)
         order = np.argsort(level, kind="stable")  # factor row at each position
         pos = np.empty(n, dtype=rows.dtype)
         pos[order] = np.arange(n, dtype=rows.dtype)
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        bounds = np.concatenate(([0], np.cumsum(counts[:first_tail]))).tolist()
         self._t0 = t0 = bounds[-1]
         rows, cols = pos[rows], pos[cols]
         in_tail = cols >= t0
@@ -318,7 +314,7 @@ class _LevelSchedule:
         ]
         self._d = d[order][:, None]
         node = np.empty(n, dtype=np.int64)
-        node[perm] = np.arange(n)  # node of each factor row
+        node[lu.perm_c] = np.arange(n)  # node of each factor row
         self._src = node[order]  # node of each position
         self._back = np.empty(n, dtype=np.int64)
         self._back[self._src] = np.arange(n)
@@ -421,9 +417,10 @@ def _mirror_upper(m: np.ndarray) -> None:
         m[s:e, s:e] = np.triu(m[s:e, s:e]) + np.triu(m[s:e, s:e], 1).T
 
 
-def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) -> bool:
-    """Whether U = D L^T with D = diag(d), to _SYMMETRY_RTOL of U's largest
-    entry, for the CSC factors of an LU. Sorts upper's indices in place."""
+def _require_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) -> None:
+    """Refuse (RuntimeError) the CSC factors of an LU unless U = D L^T with
+    D = diag(d), in pattern and to _SYMMETRY_RTOL of U's largest entry.
+    Sorts upper's indices in place."""
     by_rows = lower.tocsr()  # the columns of L^T
     by_rows.sort_indices()
     upper.sort_indices()
@@ -431,12 +428,15 @@ def _is_d_lt(lower: sparse.csc_matrix, upper: sparse.csc_matrix, d: np.ndarray) 
         np.array_equal(by_rows.indptr, upper.indptr)
         and np.array_equal(by_rows.indices, upper.indices)
     ):
-        return False
+        raise RuntimeError("no level schedule: U's pattern is not that of D L^T")
     gap = d[upper.indices]
     gap *= by_rows.data
     gap -= upper.data
     largest = max(upper.data.max(), -upper.data.min())
-    return max(gap.max(), -gap.min()) <= _SYMMETRY_RTOL * largest
+    if not max(gap.max(), -gap.min()) <= _SYMMETRY_RTOL * largest:
+        raise RuntimeError(
+            f"no level schedule: U is off D L^T by more than {_SYMMETRY_RTOL:g} of its largest entry"
+        )
 
 
 class GroundedFactor:
@@ -451,7 +451,8 @@ class GroundedFactor:
     graphs' factors), so the factor is P A P^T = L D L^T: its solves run
     on a read-only _LevelSchedule, in node order, their row v zeroed, so
     a solve against e_u - e_v gives M's column u, row for row; SuperLU's
-    own factor is released.
+    own factor is released. A factor that is not of that form is refused
+    (RuntimeError, naming the schedule's check it failed).
 
     Inserting an edge (u, v, w) only adds w to A's diagonal at u, so the
     current inverse M loses one rank-1 term, M - c c^T with c = s M e_u
@@ -461,8 +462,8 @@ class GroundedFactor:
     s_j (y[u_j] - sum_{i<j} W[u_j, i] coef_i): one lower-triangular solve
     with tril(W[rows], -1) + diag(1/s), built up by add().
 
-    A factor measures its own accuracy once, on first use: the probe
-    (forward_error) estimates the relative forward error of the
+    A factor measures its own accuracy once, when it is built: the probe
+    (forward_error, a float) estimates the relative forward error of the
     schedule's solves from 4 random columns, at two more solves. Where it
     is above _FORWARD_ERROR_TARGET (1e-12), as when the fill-reducing
     order leaves a small last pivot, diagonal(), grounded_inverse and the
@@ -481,16 +482,21 @@ class GroundedFactor:
         self.n = n
         self.v = v
         self._grounded = grounded_laplacian(lap, v)  # A, for the residuals of refinement
-        lu = sparse.linalg.splu(
+        self._levels = _LevelSchedule(sparse.linalg.splu(
             self._grounded.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
-        )
-        self._levels = _LevelSchedule.of(lu)
-        if self._levels is None:
-            raise RuntimeError("SuperLU's factor is not L D L^T; no level schedule")
+        ))
         self._rows = np.zeros(0, dtype=np.int64)  # the node u_j of each correction
         self._w = np.zeros((n, 0), order="F")
         self._tri = np.zeros((0, 0))
+        # The probe: an estimate of the schedule's relative forward error in
+        # solving A x = b. _PROBE_COLUMNS random columns b, from a stream
+        # that nothing else draws, are solved, and the correction of one
+        # refinement step (factored_solve's) stands for each solution's
+        # error: the probe is the largest ||correction|| / ||x|| over them.
+        b = seeded_rng(0, _PROBE_KEY).standard_normal((n, _PROBE_COLUMNS))
+        x = self._levels.solve(b, np.empty_like(b))
+        self.forward_error = float(np.max(_norm_ratio(self._correction(b, x), x)))
 
     def add(self, u: int, w: float, x: np.ndarray) -> float:
         """Account for a new edge (u, v) of weight w, given x = M e_u for
@@ -552,18 +558,6 @@ class GroundedFactor:
                 diag[at] = self.factored_solve(unit)[at, np.arange(len(at))]
         diag -= np.einsum("ij,ij->i", self._w, self._w)
         return diag
-
-    @cached_property
-    def forward_error(self) -> float:
-        """The probe: an estimate of the schedule's relative forward error
-        in solving A x = b, measured once, on first use. _PROBE_COLUMNS
-        random columns b, from a stream that nothing else draws, are
-        solved, and the correction of one refinement step (factored_solve's)
-        stands for each solution's error: the probe is the largest
-        ||correction|| / ||x|| over those columns."""
-        b = seeded_rng(0, _PROBE_KEY).standard_normal((self.n, _PROBE_COLUMNS))
-        x = self._levels.solve(b, np.empty_like(b))
-        return float(np.max(_norm_ratio(self._correction(b, x), x)))
 
     def factored_solve(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A^-1 b for an n x k block b in node order and the factored
@@ -772,7 +766,7 @@ def approx_eff_res(
     pairs: np.ndarray | Sequence[tuple[int, int]],
     epsilon: float,
     *,
-    spec: SolverSpec | None = None,
+    spec: SolverSpec = SolverSpec(),
     sketch_constant: float = SKETCH_CONSTANT,
     solve=None,
     lap: sparse.csr_matrix | None = None,
@@ -794,7 +788,6 @@ def approx_eff_res(
     """
     _require_epsilon(epsilon)
     _require_sketch_constant(sketch_constant)
-    spec = spec or SolverSpec()
     n = g.n
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))

@@ -17,6 +17,7 @@ import pytest
 
 import icmax
 from icmax.cli import (
+    ALGORITHMS,
     ConfigError,
     RunConfig,
     _config_from_args,
@@ -31,8 +32,8 @@ from icmax.cli import (
     trace_csv_lines,
 )
 from icmax.graphs import generate_ws, load_edge_list
-from icmax.greedy import _vreff_comp_full, approxi_sm, vreff_comp
-from icmax.linalg import SKETCH_CONSTANT, approx_eff_res, build_laplacian
+from icmax.greedy import BASELINE_STRATEGIES, _vreff_comp_full, approxi_sm, vreff_comp
+from icmax.linalg import PAPER_LITERAL, PRACTICAL, SKETCH_CONSTANT, approx_eff_res, build_laplacian
 
 from oracles import grounded_inverse_reference
 
@@ -177,6 +178,33 @@ def test_sketch_constant_is_stated_once(capsys):
     with pytest.raises(SystemExit):
         main(["optimize", "--help"])
     assert f"sketch size (default {SKETCH_CONSTANT:g})" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_names_are_read_from_their_owners(monkeypatch, capsys, tmp_path):
+    import importlib.util
+
+    assert ALGORITHMS == ("exact", "approx", *BASELINE_STRATEGIES, "oracle")
+    assert RunConfig().solver_mode == PRACTICAL
+    for command in ("optimize", "compare-perf"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"--solver-mode {{{PRACTICAL},{PAPER_LITERAL}}}" in capsys.readouterr().out
+    # reproduce_perf.py's runs read RunConfig's epsilon when --epsilon is not given
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_perf.py"
+    spec = importlib.util.spec_from_file_location("reproduce_perf", path)
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
+    spec.loader.exec_module(script)
+    read = []
+
+    def compare_perf(config):
+        read.append(config.epsilon)
+        raise ValueError("one run is enough")
+
+    monkeypatch.setattr(script, "cmd_compare_perf", compare_perf)
+    monkeypatch.setattr(sys, "argv", ["reproduce_perf.py", "--out", str(tmp_path)])
+    assert script.main() == 2
+    assert read == [RunConfig.epsilon]
 
 
 def test_csv_text_cells():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -600,7 +601,6 @@ def test_level_schedule_solves_as_superlu_does(name, adds):
     lap = build_laplacian(g)
     for v in (0, g.n // 2, g.n - 1):
         factor = GroundedFactor(lap, v)
-        assert factor._levels is not None
         added = [(u, v, 0.7) for u in range(g.n) if u != v and not g.has_edge(u, v)][:adds]
         for u, _, w in added:
             add_to_factor(factor, u, w)
@@ -627,7 +627,6 @@ def test_level_schedule_solves_a_grounded_graph_in_pieces():
     g = Graph.from_edges(1003, edges + [(1000, v, 1.5), (1001, v, 0.5), (1002, 1001, 1.0)])
     lap = build_laplacian(g)
     factor = GroundedFactor(lap, v)
-    assert factor._levels is not None
     added = [(10, v, 0.7), (1002, v, 0.7)]
     for u, _, w in added:
         add_to_factor(factor, u, w)
@@ -650,7 +649,7 @@ def test_level_schedule_serves_every_factor_superlu_did_not_pivot():
         (random_connected_graph(3, n=50, weighted=True), 16),
     ):
         factor = GroundedFactor(build_laplacian(g), v)
-        assert factor._levels is not None and not hasattr(factor, "_lu")
+        assert not hasattr(factor, "_lu")
     # the narrow grid's last one-row levels would make a triangle with more
     # entries than L: they stay sparse levels, and no dense tail is left
     levels = GroundedFactor(build_laplacian(_grid(10, 100)), 0)._levels
@@ -776,13 +775,14 @@ def test_probe_is_below_target_on_the_acceptance_and_bench_instances():
             assert GroundedFactor(lap, v).forward_error <= 1e-12, (g.n, v)
 
 
-def test_refine_refuses_a_factor_that_does_not_converge():
+def test_refine_refuses_a_factor_that_does_not_converge(monkeypatch):
     # a factor whose solves are for a matrix a third off the one it refines
     # against: the probe reads the gap, and two steps, each shrinking the
     # error by about that much, cannot reach 1e-12
     g = random_connected_graph(3, n=30, weighted=True)
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: splu(a / 1.5, **kw))
     factor = GroundedFactor(build_laplacian(g), 0)
-    factor._grounded = factor._grounded * 1.5
     assert factor.forward_error > 0.1
     b = np.eye(g.n)[:, 1:4]
     with pytest.raises(SolverConvergenceError, match="estimated forward error"):
@@ -792,8 +792,8 @@ def test_refine_refuses_a_factor_that_does_not_converge():
 
 
 def test_weighted_factors_keep_their_diagonal_pivots():
-    # every grounded weighted Laplacian gets a schedule, with weights over
-    # 0.5..2 and over 1e-4..1e4 alike
+    # every grounded weighted Laplacian gets a schedule (a factor without
+    # one is refused), with weights over 0.5..2 and over 1e-4..1e4 alike
     for seed in range(12):
         g = random_connected_graph(seed, n=100 if seed % 2 else 500, weighted=True)
         if seed >= 6:
@@ -801,11 +801,10 @@ def test_weighted_factors_keep_their_diagonal_pivots():
             spread = 10.0 ** seeded_rng(seed, 1).uniform(-4.0, 4.0, size=len(us))
             g = Graph.from_edges(g.n, [(int(a), int(b), float(w)) for a, b, w in zip(us, vs, spread)])
         for v in (0, g.n // 3):
-            assert GroundedFactor(build_laplacian(g), v)._levels is not None, (seed, v)
+            GroundedFactor(build_laplacian(g), v)
 
 
 def test_level_schedule_refuses_factors_that_are_not_symmetric():
-    import scipy.sparse.linalg
     from types import SimpleNamespace
 
     g = generate_ws(1000, 4, 0.1, seed=23)
@@ -813,24 +812,73 @@ def test_level_schedule_refuses_factors_that_are_not_symmetric():
         grounded_laplacian(build_laplacian(g), 4).tocsc(),
         permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
     )
-    assert _LevelSchedule.of(lu) is not None
+    _LevelSchedule(lu)
     # a row interchange
     swapped = lu.perm_r.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    pivoted = SimpleNamespace(perm_r=swapped, perm_c=lu.perm_c, L=lu.L, U=lu.U)
-    assert _LevelSchedule.of(pivoted) is None
-    # one entry of U off D L^T by 1 %
+    with pytest.raises(RuntimeError, match="row interchanges"):
+        _LevelSchedule(SimpleNamespace(perm_r=swapped, perm_c=lu.perm_c, L=lu.L, U=lu.U))
+    # a pivot that is not positive
     upper = lu.U.copy()
     cols = np.repeat(np.arange(g.n), np.diff(upper.indptr))
+    upper.data[np.flatnonzero(upper.indices == cols)[3]] *= -1.0
+    with pytest.raises(RuntimeError, match="pivot that is not positive"):
+        _LevelSchedule(SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, L=lu.L, U=upper))
+    # one entry of U off D L^T by 1 %
+    upper = lu.U.copy()
     upper.data[np.flatnonzero(upper.indices != cols)[0]] *= 1.01
-    skewed = SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, L=lu.L, U=upper)
-    assert _LevelSchedule.of(skewed) is None
+    with pytest.raises(RuntimeError, match="off D L\\^T by more than 1e-12 of its largest entry"):
+        _LevelSchedule(SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, L=lu.L, U=upper))
+    # U with one entry of D L^T left out
+    upper = lu.U.copy()
+    upper.data[np.flatnonzero(upper.indices != cols)[0]] = 0.0
+    upper.eliminate_zeros()
+    with pytest.raises(RuntimeError, match="pattern is not that of D L\\^T"):
+        _LevelSchedule(SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, L=lu.L, U=upper))
+    # a unit L whose column 0 holds rows 1 and 2 and whose column 1 is
+    # empty: elimination would fill (2, 1), so its pattern is not filled
+    lower = scipy.sparse.csc_matrix(np.array([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0], [-0.5, 0.0, 1.0]]))
+    upper = scipy.sparse.csc_matrix(np.diag([2.0, 1.5, 1.5]) @ lower.toarray().T)
+    unfilled = SimpleNamespace(perm_r=np.arange(3), perm_c=np.arange(3), L=lower, U=upper)
+    with pytest.raises(RuntimeError, match="L's pattern is not a filled graph's"):
+        _LevelSchedule(unfilled)
 
 
 def test_factor_without_a_schedule_is_refused(monkeypatch):
-    monkeypatch.setattr(_LevelSchedule, "of", classmethod(lambda cls, lu: None))
-    with pytest.raises(RuntimeError, match="schedule"):
-        GroundedFactor(build_laplacian(generate_ws(200, 4, 0.1, seed=2)), 5)
+    # SuperLU at its default pivot threshold interchanges rows of this
+    # weighted graph's factor, which then has no level schedule
+    g = random_connected_graph(0, n=40, weighted=True)
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda a, **kw: splu(a, **{**kw, "diag_pivot_thresh": 1.0}))
+    with pytest.raises(RuntimeError, match="no level schedule: SuperLU made row interchanges"):
+        GroundedFactor(build_laplacian(g), 0)
+
+
+@pytest.mark.parametrize("case", ["ws5000", "lollipop"])
+def test_factor_is_probed_when_it_is_built(monkeypatch, case):
+    # ws5000 at target 17 reads its diagonal by parts; the lollipop at its
+    # path's far end takes the refined route
+    if case == "ws5000":
+        lap, v = build_laplacian(generate_ws(5000, 4, 0.1, seed=11)), 17
+    else:
+        lap, v = build_laplacian(lollipop_graph(30, 500)), 529
+    solve = _LevelSchedule.solve
+    solved = []
+    monkeypatch.setattr(_LevelSchedule, "solve", lambda self, r, out: solved.append(r.shape) or solve(self, r, out))
+    factor = GroundedFactor(lap, v)
+    # the probe is a float taken with the factor: its two solves of 4
+    # columns, and no solve after them
+    assert type(vars(factor)["forward_error"]) is float
+    assert solved == [(factor.n, 4)] * 2
+    # its value, restated: the largest correction of one refinement step
+    # relative to x, over 4 random columns of stream (0, 60)
+    b = seeded_rng(0, 60).standard_normal((factor.n, 4))
+    x = factor._levels.solve(b, np.empty_like(b))
+    res = (b - factor._grounded.astype(np.longdouble) @ x.astype(np.longdouble)).astype(np.float64)
+    d = factor._levels.solve(res, np.empty_like(res))
+    lazy = float(np.max(np.sqrt(np.einsum("ij,ij->j", d, d) / np.einsum("ij,ij->j", x, x))))
+    assert factor.forward_error == lazy
+    assert (factor.forward_error > 1e-12) == (case == "lollipop")
 
 
 def test_csr_matvecs_adds_a_row_block_product_into_its_output():
@@ -868,7 +916,6 @@ def test_block_solve_reuses_buffers_with_the_bits_of_fresh_blocks(monkeypatch, c
         # residual check, in float64 and in long double, and is refined
         # (at 1e-9 to 1e-6 a few of the columns pass the first check)
         factor = _wrong_factor(g, lap, 1e-5) if wrong else GroundedFactor(lap, 0)
-        assert factor._levels is not None
         solves = []
 
         def solve(r, out=None):

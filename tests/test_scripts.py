@@ -148,3 +148,20 @@ def test_reproduce_perf_refuses_a_bad_size_or_family_list(tmp_path, argv, fragme
                       "--out", str(tmp_path / "p"), *argv)
     assert_one_error_line(proc, fragment)
     assert not (tmp_path / "p" / "table.csv").exists()
+
+
+def test_reproduce_quality_refuses_a_graph_it_cannot_read(tmp_path):
+    proc = run_script("reproduce_quality.py", "--graph", str(tmp_path / "missing.txt"),
+                      "--out", str(tmp_path / "q"))
+    assert_one_error_line(proc, "cannot read edge list", "missing.txt")
+    assert proc.returncode == 2
+    assert not (tmp_path / "q").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_reproduce_perf_refuses_a_target_count_below_one(tmp_path, count):
+    proc = run_script("reproduce_perf.py", "--sizes", "60", "--families", "ws", "--k", "1",
+                      "--targets", count, "--out", str(tmp_path / "p"))
+    assert_one_error_line(proc, "--targets must be at least 1")
+    assert proc.returncode == 2
+    assert not (tmp_path / "p").exists()
